@@ -3,9 +3,14 @@
 Every algebraic identity the package claims is encoded as a named check over
 generator sets; each run produces a :class:`CheckReport` with the worst
 residual, the tolerance it was held to, and a witness when it failed.
-Residuals are Frobenius norms of (left side - right side), maximised over all
-index pairs, so the same engine validates hand-built, extracted and candidate
-generator sets alike.
+Each bracket relation [A_i, B_j] (or {A_i, B_j}) = sum_k C_ijk T_k is one
+call to :func:`bracket_table`, which takes stacked ``(m, n, n)`` generator
+arrays and a coefficient table and returns the Frobenius norm of (left side -
+right side) for every index pair.  It forms one row i at a time in reused
+``(p, n, n)`` buffers, so memory stays at two slabs where the whole table
+would need m of them.  :func:`residual_report` turns any residual array into
+a report whose witness is the first worst index tuple, so the same engine
+validates hand-built, extracted and candidate generator sets alike.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .generators import GeneratorSet, Kind, gamma, k2, rep22_v, v2, VectorParams
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, frobenius_norms
 
 __all__ = [
     "ShapeError",
@@ -26,6 +31,8 @@ __all__ = [
     "EPS3",
     "reports_to_json_lines",
     "all_passed",
+    "bracket_table",
+    "residual_report",
     "check_su2_fundamental",
     "check_lorentz",
     "check_poincare",
@@ -66,16 +73,13 @@ class Identity(str, Enum):
 
 # Totally antisymmetric 3-index symbol, tabulated as literal data so checks
 # never depend on the code paths they are checking.
-EPS3 = np.zeros((3, 3, 3))
-for (_a, _b, _c), _v in {
-    (0, 1, 2): 1.0,
-    (1, 2, 0): 1.0,
-    (2, 0, 1): 1.0,
-    (0, 2, 1): -1.0,
-    (2, 1, 0): -1.0,
-    (1, 0, 2): -1.0,
-}.items():
-    EPS3[_a, _b, _c] = _v
+EPS3 = np.array(
+    [
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+        [[0.0, 0.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+        [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ]
+)
 EPS3.flags.writeable = False
 
 
@@ -115,10 +119,11 @@ def make_report(
     witness: dict | None = None,
     note: str | None = None,
 ) -> CheckReport:
+    max_residual = float(max_residual)
     passed = max_residual < tolerance
     return CheckReport(
         identity=identity,
-        max_residual=float(max_residual),
+        max_residual=max_residual,
         tolerance=float(tolerance),
         passed=passed,
         subject=subject,
@@ -138,27 +143,82 @@ def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
 
 
-# Members arrive through GeneratorSet, already validated; the hot loops below
-# work on the raw arrays to keep whole-table checks in the sub-millisecond
-# range.
-def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
+    """Residuals of a whole bracket table over stacked generator arrays.
+
+    ``A``, ``B`` and ``T`` are ``(m, n, n)``, ``(p, n, n)`` and ``(q, n, n)``
+    stacks and ``coeffs`` has shape ``(m, p, q)``.  Entry ``(i, j)`` of the
+    returned ``(m, p)`` array is the Frobenius norm of
+
+        A_i B_j -/+ B_j A_i - sum_k coeffs[i, j, k] T_k
+
+    with the commutator by default and the anticommutator when ``anti``.
+    Rows are formed one ``i`` at a time in two reused ``(p, n, n)`` buffers:
+    the full ``(m, p, n, n)`` table of an su(6) adjoint (m = p = n = 35) would
+    take 24 MB per complex temporary.  The sum over k runs through einsum in
+    index order, as a hand loop adds it (a BLAS product reorders and fuses
+    it), so every entry is bit-identical to the per-pair residual.
+    """
+    coeffs = np.asarray(coeffs)
+    dtype = np.result_type(A, B, T, coeffs)
+    A, B, T = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T))
+    if coeffs.shape != (len(A), len(B), len(T)):
+        raise ShapeError(
+            f"coefficients of shape {coeffs.shape} do not match stacks of "
+            f"{len(A)}, {len(B)} and {len(T)} members"
+        )
+    out = np.empty((len(A), len(B)))
+    table = np.empty(B.shape, dtype=dtype)
+    scratch = np.empty(B.shape, dtype=dtype)
+    for i, a in enumerate(A):
+        np.matmul(a, B, out=table)
+        np.matmul(B, a, out=scratch)
+        (np.add if anti else np.subtract)(table, scratch, out=table)
+        np.einsum("jk,kab->jab", coeffs[i], T, out=scratch)
+        table -= scratch
+        out[i] = frobenius_norms(table)
+    return out
 
 
-def _acomm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b + b @ a
+def residual_report(
+    identity: Identity,
+    residuals,
+    tolerance: float,
+    description: str,
+    subject: str = "",
+    note: str | None = None,
+) -> CheckReport:
+    """Report the largest entry of a residual array.
+
+    The witness is the first maximum in row-major order, as 1-based indices,
+    described by ``description.format(*indices)``.
+    """
+    residuals = np.asarray(residuals)
+    flat = int(np.argmax(residuals))
+    indices = [int(k) + 1 for k in np.unravel_index(flat, residuals.shape)]
+    return make_report(
+        identity,
+        residuals.flat[flat],
+        tolerance,
+        subject=subject,
+        witness={"indices": indices, "description": description.format(*indices)},
+        note=note,
+    )
 
 
-def _worst(pairs) -> tuple[float, dict | None]:
-    """Max Frobenius residual over (label, lhs, rhs) triples, with argmax."""
-    worst = 0.0
-    where: dict | None = None
-    for label, lhs, rhs in pairs:
-        r = float(np.linalg.norm(lhs - rhs))
-        if r > worst:
-            worst = r
-            where = {"indices": list(label[0]), "description": label[1]}
-    return worst, where
+# Structure constants i*eps of every su(2)-type commutator table.
+_I_EPS3 = 1j * EPS3
+
+# Vector-family relations as (mu, j, k) coefficient tables over V^1..V^4.
+# Rotations mix the spatial members with i*eps and leave the time member
+# alone; boosts send spatial member j to the time member and the time member
+# to member j.
+_VECTOR_ROTATION = np.zeros((4, 3, 4), dtype=complex)
+_VECTOR_ROTATION[:3, :, :3] = _I_EPS3
+_BOOST_TO_TIME = np.zeros((4, 3, 4))
+_BOOST_TO_TIME[[0, 1, 2], [0, 1, 2], 3] = 1.0
+_BOOST_FROM_TIME = np.zeros((4, 3, 4))
+_BOOST_FROM_TIME[3, [0, 1, 2], [0, 1, 2]] = 1.0
 
 
 def check_su2_fundamental(
@@ -177,41 +237,18 @@ def check_su2_fundamental(
     """
     if J.kind is not Kind.ANGULAR_MOMENTUM or len(J) != 3:
         raise ShapeError("expected an angular-momentum set with 3 members")
-    dim = J.rep.dim
-    eye = np.eye(dim, dtype=complex)
-
-    comm_pairs = []
-    for i in range(1, 4):
-        for j in range(1, 4):
-            rhs = 1j * sum(EPS3[i - 1, j - 1, k - 1] * J[k] for k in range(1, 4))
-            comm_pairs.append(
-                (((i, j), f"commutator pair (i={i}, j={j})"), _comm(J[i], J[j]), rhs)
-            )
-    res, wit = _worst(comm_pairs)
-    reports = [
-        make_report(Identity.JJ_COMMUTATION, res, tol.abs_eps, subject=f"{J.rep.tag}-rep", witness=wit)
-    ]
-
-    do_anti = anticommutators if anticommutators is not None else dim == 2
+    S = J.stack
+    tables = [(Identity.JJ_COMMUTATION, "commutator", _I_EPS3, S, False)]
+    do_anti = anticommutators if anticommutators is not None else J.rep.dim == 2
     if do_anti:
-        anti_pairs = []
-        for i in range(1, 4):
-            for j in range(1, 4):
-                rhs = (0.5 if i == j else 0.0) * eye
-                anti_pairs.append(
-                    (
-                        ((i, j), f"anticommutator pair (i={i}, j={j})"),
-                        _acomm(J[i], J[j]),
-                        rhs,
-                    )
-                )
-        res, wit = _worst(anti_pairs)
-        reports.append(
-            make_report(
-                Identity.JJ_ANTICOMMUTATION, res, tol.abs_eps, subject=f"{J.rep.tag}-rep", witness=wit
-            )
-        )
-    return reports
+        half_delta = 0.5 * np.eye(3)[:, :, None]
+        eye = np.eye(J.rep.dim, dtype=complex)[None]
+        tables.append((Identity.JJ_ANTICOMMUTATION, "anticommutator", half_delta, eye, True))
+    return [
+        residual_report(identity, bracket_table(S, S, coeffs, T, anti), tol.abs_eps,
+                        f"{kind} pair (i={{}}, j={{}})", subject=f"{J.rep.tag}-rep")
+        for identity, kind, coeffs, T, anti in tables
+    ]
 
 
 def check_lorentz(
@@ -225,26 +262,15 @@ def check_lorentz(
     if J.rep.dim != K.rep.dim:
         raise ShapeError("rotation and boost sets must share a dimension")
     subject = f"{J.rep.tag}-rep"
-
-    def relation(left, right, target, sign):
-        pairs = []
-        for i in range(1, 4):
-            for j in range(1, 4):
-                rhs = sign * 1j * sum(
-                    EPS3[i - 1, j - 1, k - 1] * target[k] for k in range(1, 4)
-                )
-                pairs.append(
-                    (((i, j), f"pair (i={i}, j={j})"), _comm(left[i], right[j]), rhs)
-                )
-        return _worst(pairs)
-
-    res_jj, wit_jj = relation(J, J, J, +1)
-    res_jk, wit_jk = relation(J, K, K, +1)
-    res_kk, wit_kk = relation(K, K, J, -1)
+    Js, Ks = J.stack, K.stack
     return [
-        make_report(Identity.LORENTZ_JJ, res_jj, tol.abs_eps, subject=subject, witness=wit_jj),
-        make_report(Identity.LORENTZ_JK, res_jk, tol.abs_eps, subject=subject, witness=wit_jk),
-        make_report(Identity.LORENTZ_KK, res_kk, tol.abs_eps, subject=subject, witness=wit_kk, note=note),
+        residual_report(identity, bracket_table(left, right, coeffs, target), tol.abs_eps,
+                        "pair (i={}, j={})", subject=subject, note=n)
+        for identity, left, right, coeffs, target, n in (
+            (Identity.LORENTZ_JJ, Js, Js, _I_EPS3, Js, None),
+            (Identity.LORENTZ_JK, Js, Ks, _I_EPS3, Ks, None),
+            (Identity.LORENTZ_KK, Ks, Ks, -_I_EPS3, Js, note),
+        )
     ]
 
 
@@ -271,33 +297,15 @@ def vector_relation_reports(
     if alpha == 0:
         raise ShapeError("alpha must be nonzero")
     subject = subject if subject is not None else f"{V.rep.tag}-rep"
-
-    rot_pairs = []
-    boost_pairs = []
-    zero = np.zeros((V.rep.dim, V.rep.dim), dtype=complex)
-    for mu in range(1, 5):
-        for j in range(1, 4):
-            if mu <= 3:
-                rot_rhs = 1j * sum(
-                    EPS3[mu - 1, j - 1, k - 1] * V[k] for k in range(1, 4)
-                )
-            else:
-                rot_rhs = zero
-            rot_pairs.append(
-                (((mu, j), f"pair (mu={mu}, j={j})"), _comm(V[mu], J[j]), rot_rhs)
-            )
-            boost_rhs = -1j * (
-                (alpha * V[4] if j == mu else zero)
-                + ((1 / alpha) * V[j] if mu == 4 else zero)
-            )
-            boost_pairs.append(
-                (((mu, j), f"pair (mu={mu}, j={j})"), _comm(V[mu], K[j]), boost_rhs)
-            )
-    res_rot, wit_rot = _worst(rot_pairs)
-    res_boost, wit_boost = _worst(boost_pairs)
+    Vs = V.stack
+    boost = -1j * (alpha * _BOOST_TO_TIME + (1 / alpha) * _BOOST_FROM_TIME)
     return [
-        make_report(Identity.VECTOR_ROTATION, res_rot, tol.abs_eps, subject=subject, witness=wit_rot),
-        make_report(Identity.VECTOR_BOOST, res_boost, tol.abs_eps, subject=subject, witness=wit_boost),
+        residual_report(identity, bracket_table(Vs, other, coeffs, Vs), tol.abs_eps,
+                        "pair (mu={}, j={})", subject=subject)
+        for identity, other, coeffs in (
+            (Identity.VECTOR_ROTATION, J.stack, _VECTOR_ROTATION),
+            (Identity.VECTOR_BOOST, K.stack, boost),
+        )
     ]
 
 
@@ -319,15 +327,15 @@ def check_poincare(
     reports = check_lorentz(J, K, tol)
     reports.extend(vector_relation_reports(J, K, V, tol, alpha, subject=subject))
     if V.kind is Kind.MOMENTUM:
-        zero = np.zeros((V.rep.dim, V.rep.dim), dtype=complex)
-        pairs = [
-            (((mu, nu), f"pair (mu={mu}, nu={nu})"), _comm(V[mu], V[nu]), zero)
-            for mu in range(1, 5)
-            for nu in range(1, 5)
-        ]
-        res, wit = _worst(pairs)
+        Vs = V.stack
         reports.append(
-            make_report(Identity.MOMENTA_COMMUTE, res, tol.abs_eps, subject=subject, witness=wit)
+            residual_report(
+                Identity.MOMENTA_COMMUTE,
+                bracket_table(Vs, Vs, np.zeros((4, 4, 4)), Vs),
+                tol.abs_eps,
+                "pair (mu={}, nu={})",
+                subject=subject,
+            )
         )
     return reports
 
@@ -341,28 +349,18 @@ def check_2rep_vk_asymmetry(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     when the symmetric part vanishes while the commutators themselves do not;
     a degenerate all-zero family would force the residual to 1.
     """
-    V = v2(1.0, 1.0)
-    K = k2()
-    sym = 0.0
-    wit = None
-    largest = 0.0
-    for i in range(1, 4):
-        for j in range(1, 4):
-            cij = _comm(V[i], K[j])
-            cji = _comm(V[j], K[i])
-            r = float(np.linalg.norm(cij + cji))
-            if r > sym:
-                sym = r
-                wit = {"indices": [i, j], "description": f"symmetric part of pair (i={i}, j={j})"}
-            if i != j:
-                largest = max(largest, float(np.linalg.norm(cij)))
-    residual = sym if largest > 0.1 else max(sym, 1.0)
-    return make_report(
+    V = v2(1.0, 1.0).stack[:3, None]
+    K = k2().stack[None]
+    comm = V @ K - K @ V
+    norms = frobenius_norms(comm)
+    sym = frobenius_norms(comm + comm.transpose(1, 0, 2, 3))
+    largest = float(norms[~np.eye(3, dtype=bool)].max())
+    return residual_report(
         Identity.VK_ANTISYMMETRY,
-        residual,
+        sym if largest > 0.1 else np.maximum(sym, 1.0),
         tol.abs_eps,
+        "symmetric part of pair (i={}, j={})",
         subject="2-rep",
-        witness=wit,
         note=f"largest off-diagonal commutator norm {largest:.6g} (must be nonzero)",
     )
 
@@ -370,12 +368,10 @@ def check_2rep_vk_asymmetry(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
 def gamma_match_report(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """The gamma matrices coincide with the doubled vector family at the
     default constants (c_plus = -2i, c_minus = +2i, alpha = 1)."""
-    g = gamma()
-    V = rep22_v(VectorParams())
-    pairs = [
-        (((mu,), f"member mu={mu}"), g[mu], V[mu]) for mu in range(1, 5)
-    ]
-    res, wit = _worst(pairs)
-    return make_report(
-        Identity.GAMMA_VECTOR_MATCH, res, tol.abs_eps, subject="2+2-rep", witness=wit
+    return residual_report(
+        Identity.GAMMA_VECTOR_MATCH,
+        frobenius_norms(gamma().stack - rep22_v(VectorParams()).stack),
+        tol.abs_eps,
+        "member mu={}",
+        subject="2+2-rep",
     )

@@ -12,7 +12,7 @@ convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -116,33 +116,36 @@ class GeneratorSet:
     """An ordered, immutable family of same-dimension generators.
 
     Angular-momentum and boost families have three members, vector and
-    momentum families four.  Members are read-only arrays; use
-    :meth:`with_member` to obtain a modified copy.
+    momentum families four.  The members are held as one read-only
+    ``(m, n, n)`` array, ``stack``, and ``members`` are views of its slabs;
+    use :meth:`with_member` to obtain a modified copy.
     """
 
     rep: Rep
     kind: Kind
     members: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mats = []
-        for m in self.members:
-            a = as_cmatrix(m)
-            a.flags.writeable = False
-            mats.append(a)
+        count = len(self.members)
         expected = _MEMBER_COUNT.get(self.kind)
-        if expected is not None and len(mats) != expected:
+        if expected is not None and count != expected:
             raise ValueError(
-                f"{self.kind.value} family needs {expected} members, got {len(mats)}"
+                f"{self.kind.value} family needs {expected} members, got {count}"
             )
-        if not mats:
+        if not count:
             raise ValueError("a generator family needs at least one member")
-        for a in mats:
+        stack = np.empty((count, self.rep.dim, self.rep.dim), dtype=complex)
+        for k, m in enumerate(self.members):
+            a = as_cmatrix(m)
             if a.shape[0] != self.rep.dim:
                 raise ValueError(
                     f"member dimension {a.shape[0]} does not match rep dim {self.rep.dim}"
                 )
-        object.__setattr__(self, "members", tuple(mats))
+            stack[k] = a
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "members", tuple(stack))
 
     def __len__(self) -> int:
         return len(self.members)

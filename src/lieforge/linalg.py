@@ -23,6 +23,7 @@ __all__ = [
     "decompose_in_basis",
     "det",
     "frobenius_distance",
+    "frobenius_norms",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -148,6 +149,20 @@ def frobenius_distance(a, b) -> float:
     a, b = as_cmatrix(a), as_cmatrix(b)
     _check_same_dim(a, b)
     return float(np.linalg.norm(a - b))
+
+
+def frobenius_norms(stack) -> np.ndarray:
+    """Frobenius norm of every matrix in a ``(..., n, n)`` stack, real or complex.
+
+    Each norm is summed as ``np.linalg.norm`` sums a single matrix (a dot
+    product of the real parts plus one of the imaginary parts), so entry ``k``
+    is bit-identical to ``np.linalg.norm(stack[k])``; ``axis=(-2, -1)`` sums
+    in another order and can differ in the last bit.
+    """
+    stack = np.asarray(stack)
+    flat = stack.reshape(*stack.shape[:-2], 1, -1)
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(x @ x.swapaxes(-1, -2) for x in parts)[..., 0, 0])
 
 
 def matrix_to_json(m) -> dict:

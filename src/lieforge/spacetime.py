@@ -21,6 +21,7 @@ from .checks import (
     all_passed,
     check_lorentz,
     make_report,
+    residual_report,
     vector_relation_reports,
 )
 from .generators import (
@@ -29,7 +30,7 @@ from .generators import (
     Kind,
     pauli,
 )
-from .linalg import DEFAULT_TOL, Tolerance, det, frobenius_distance, mat_exp
+from .linalg import DEFAULT_TOL, Tolerance, det, frobenius_norms, mat_exp
 from .transfer import build_j4, build_k4
 
 __all__ = [
@@ -197,25 +198,36 @@ def affine_generators() -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
     direct embedding satisfies the same table with ratio -1, a time-reversed
     labeling of the identical subgroup).
     """
-    j4, k4 = build_j4(), build_k4()
-
-    def embed(m: np.ndarray) -> np.ndarray:
-        out = np.zeros((5, 5), dtype=complex)
-        out[:4, :4] = m
-        return out
-
-    j5 = tuple(embed(j4[i]) for i in range(1, 4))
-    k5 = tuple(embed(-k4[i]) for i in range(1, 4))
-    p5 = []
-    for mu in range(4):
-        m = np.zeros((5, 5), dtype=complex)
-        m[mu, 4] = -1j
-        p5.append(m)
+    gens = np.zeros((10, 5, 5), dtype=complex)
+    gens[:3, :4, :4] = build_j4().stack
+    gens[3:6, :4, :4] = -build_k4().stack
+    gens[[6, 7, 8, 9], [0, 1, 2, 3], 4] = -1j
     return (
-        GeneratorSet(REP5_AFFINE, Kind.ANGULAR_MOMENTUM, j5),
-        GeneratorSet(REP5_AFFINE, Kind.BOOST, k5),
-        GeneratorSet(REP5_AFFINE, Kind.MOMENTUM, tuple(p5)),
+        GeneratorSet(REP5_AFFINE, Kind.ANGULAR_MOMENTUM, tuple(gens[:3])),
+        GeneratorSet(REP5_AFFINE, Kind.BOOST, tuple(gens[3:6])),
+        GeneratorSet(REP5_AFFINE, Kind.MOMENTUM, tuple(gens[6:])),
     )
+
+
+def _require_closure(J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, tol: Tolerance) -> None:
+    """Raise :class:`PrecondError` unless the triple satisfies the closure
+    table at ratio +1."""
+    pre = check_lorentz(J, K, tol) + vector_relation_reports(J, K, V, tol, alpha=1.0)
+    if not all_passed(pre):
+        bad = [r.identity.value for r in pre if not r.passed]
+        raise PrecondError(f"inputs fail the closure precheck: {', '.join(bad)}")
+
+
+def _intertwine_residuals(
+    J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, params: RotBoostParams, tol: Tolerance
+) -> np.ndarray:
+    """Frobenius norms of D^-1 V^mu D - Lambda^mu_nu V^nu for mu = 1..4."""
+    rot, boost = 1j * _generator_sum(params.theta, J), 1j * _generator_sum(params.phi, K)
+    D = mat_exp(boost, tol) @ mat_exp(rot, tol)
+    Dinv = mat_exp(-rot, tol) @ mat_exp(-boost, tol)
+    lam = d4(params, tol)
+    rhs = np.einsum("mn,nab->mab", lam, V.stack)
+    return frobenius_norms(Dinv @ V.stack @ D - rhs)
 
 
 def intertwine_check(
@@ -237,33 +249,13 @@ def intertwine_check(
     Lambda; the test suite pins that orientation numerically).  The algebraic
     precheck runs first and raises :class:`PrecondError` on failure.
     """
-    pre = check_lorentz(J, K, tol) + vector_relation_reports(J, K, V, tol, alpha=1.0)
-    if not all_passed(pre):
-        bad = [r.identity.value for r in pre if not r.passed]
-        raise PrecondError(f"inputs fail the closure precheck: {', '.join(bad)}")
-
-    D = mat_exp(1j * _generator_sum(params.phi, K), tol) @ mat_exp(
-        1j * _generator_sum(params.theta, J), tol
-    )
-    Dinv = mat_exp(-1j * _generator_sum(params.theta, J), tol) @ mat_exp(
-        -1j * _generator_sum(params.phi, K), tol
-    )
-    lam = d4(params, tol)
-    worst = 0.0
-    wit = None
-    for mu in range(1, 5):
-        lhs = Dinv @ V[mu] @ D
-        rhs = sum(lam[mu - 1, nu - 1] * V[nu] for nu in range(1, 5))
-        r = frobenius_distance(lhs, rhs)
-        if r > worst:
-            worst = r
-            wit = {"indices": [mu], "description": f"member mu={mu}"}
-    return make_report(
+    _require_closure(J, K, V, tol)
+    return residual_report(
         Identity.INTERTWINING,
-        worst,
+        _intertwine_residuals(J, K, V, params, tol),
         tol.exp_eps,
+        "member mu={}",
         subject=f"{V.rep.tag}-rep",
-        witness=wit,
     )
 
 
@@ -278,38 +270,18 @@ def intertwine_sweep(
     """Worst intertwining residual over seeded random parameter draws."""
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    pre = check_lorentz(J, K, tol) + vector_relation_reports(J, K, V, tol, alpha=1.0)
-    if not all_passed(pre):
-        bad = [r.identity.value for r in pre if not r.passed]
-        raise PrecondError(f"inputs fail the closure precheck: {', '.join(bad)}")
+    _require_closure(J, K, V, tol)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    wit = None
-    for t in range(draws):
-        params = RotBoostParams(
-            theta=tuple(_random_direction_scaled(rng, np.pi)),
-            phi=tuple(_random_direction_scaled(rng, 2.0)),
-        )
-        D = mat_exp(1j * _generator_sum(params.phi, K), tol) @ mat_exp(
-            1j * _generator_sum(params.theta, J), tol
-        )
-        Dinv = mat_exp(-1j * _generator_sum(params.theta, J), tol) @ mat_exp(
-            -1j * _generator_sum(params.phi, K), tol
-        )
-        lam = d4(params, tol)
-        for mu in range(1, 5):
-            lhs = Dinv @ V[mu] @ D
-            rhs = sum(lam[mu - 1, nu - 1] * V[nu] for nu in range(1, 5))
-            r = frobenius_distance(lhs, rhs)
-            if r > worst:
-                worst = r
-                wit = {"indices": [t, mu], "description": f"draw {t}, member mu={mu}"}
+    residuals = np.array(
+        [_intertwine_residuals(J, K, V, _random_params(rng), tol) for _ in range(draws)]
+    )
+    t, mu = (int(k) for k in np.unravel_index(np.argmax(residuals), residuals.shape))
     return make_report(
         Identity.INTERTWINING,
-        worst,
+        residuals[t, mu],
         tol.exp_eps,
         subject=f"{V.rep.tag}-rep",
-        witness=wit,
+        witness={"indices": [t, mu + 1], "description": f"draw {t}, member mu={mu + 1}"},
         note=f"seed={seed}, draws={draws}",
     )
 
@@ -320,6 +292,14 @@ def _random_direction_scaled(rng: np.random.Generator, max_norm: float) -> np.nd
     if n == 0.0:
         return np.zeros(3)
     return v * (rng.uniform(0.0, max_norm) / n)
+
+
+def _random_params(rng: np.random.Generator) -> RotBoostParams:
+    """A rotation by up to pi followed by a boost of rapidity up to 2."""
+    return RotBoostParams(
+        theta=tuple(_random_direction_scaled(rng, np.pi)),
+        phi=tuple(_random_direction_scaled(rng, 2.0)),
+    )
 
 
 def rotation_invariance_check(
@@ -424,14 +404,7 @@ def affine_composition_check(
     wit = None
     eye = np.eye(4)
     for t in range(trials):
-        p1 = RotBoostParams(
-            theta=tuple(_random_direction_scaled(rng, np.pi)),
-            phi=tuple(_random_direction_scaled(rng, 2.0)),
-        )
-        p2 = RotBoostParams(
-            theta=tuple(_random_direction_scaled(rng, np.pi)),
-            phi=tuple(_random_direction_scaled(rng, 2.0)),
-        )
+        p1, p2 = _random_params(rng), _random_params(rng)
         t1 = AffineTransform(d4(p1, tol).real, rng.uniform(-5, 5, size=4))
         t2 = AffineTransform(d4(p2, tol).real, rng.uniform(-5, 5, size=4))
         x = rng.uniform(-10.0, 10.0, size=4)
@@ -468,9 +441,7 @@ def translation_check(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _, _, p5 = affine_generators()
-    sq = max(
-        float(np.abs(p5[mu] @ p5[nu]).max()) for mu in range(1, 5) for nu in range(1, 5)
-    )
+    sq = float(np.abs(p5.stack[:, None] @ p5.stack[None]).max())
     rng = np.random.default_rng(seed)
     worst = sq
     wit = None if sq == 0.0 else {"indices": [], "description": "generator products"}

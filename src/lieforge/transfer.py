@@ -25,8 +25,9 @@ from .checks import (
     EPS3,
     CheckReport,
     Identity,
+    bracket_table,
     check_lorentz,
-    make_report,
+    residual_report,
 )
 from .generators import REP4, GeneratorSet, Kind, rep22_jk, rep22_v
 from .linalg import (
@@ -35,7 +36,7 @@ from .linalg import (
     Tolerance,
     commutator,
     decompose_in_basis,
-    frobenius_distance,
+    frobenius_norms,
 )
 
 __all__ = [
@@ -198,25 +199,17 @@ def build_j4() -> GeneratorSet:
     These are the adjoint-rep matrices padded with a zero time row and column,
     so rotations never touch the time component.
     """
-    members = []
-    for i in range(3):
-        m = np.zeros((4, 4), dtype=complex)
-        for r in range(3):
-            for c in range(3):
-                m[r, c] = 1j * EPS3[r, i, c]
-        members.append(m)
+    members = np.zeros((3, 4, 4), dtype=complex)
+    members[:, :3, :3] = 1j * EPS3.transpose(1, 0, 2)
     return GeneratorSet(REP4, Kind.ANGULAR_MOMENTUM, tuple(members))
 
 
 def build_k4() -> GeneratorSet:
     """Closed-form spacetime boost generators: -i on the (i, 4) and (4, i)
     entries, symmetric and purely space-time mixing."""
-    members = []
-    for i in range(3):
-        m = np.zeros((4, 4), dtype=complex)
-        m[i, 3] = -1j
-        m[3, i] = -1j
-        members.append(m)
+    members = np.zeros((3, 4, 4), dtype=complex)
+    members[[0, 1, 2], [0, 1, 2], 3] = -1j
+    members[[0, 1, 2], 3, [0, 1, 2]] = -1j
     return GeneratorSet(REP4, Kind.BOOST, tuple(members))
 
 
@@ -242,69 +235,40 @@ def verify_transfer(tol: Tolerance = DEFAULT_TOL) -> list[CheckReport]:
     """
     J22, K22 = rep22_jk()
     V = rep22_v()
-    a = extract_coeffs(V, J22, tol)
-    b = extract_coeffs(V, K22, tol)
+    # slices[X][i - 1] is the 4x4 matrix CoeffTensor.slice(i).
     slices = {
-        "J": [a.slice(i) for i in range(1, 4)],
-        "K": [b.slice(i) for i in range(1, 4)],
+        name: extract_coeffs(V, A, tol).values.transpose(1, 0, 2)
+        for name, A in (("J", J22), ("K", K22))
     }
 
-    reports: list[CheckReport] = []
-    for (left, right), (sign, target) in _BRACKET_TABLE.items():
-        worst = 0.0
-        wit = None
-        for i in range(3):
-            for k in range(3):
-                lhs = commutator(slices[left][i], slices[right][k])
-                rhs = sign * 1j * sum(
-                    EPS3[i, k, n] * slices[target][n] for n in range(3)
-                )
-                r = frobenius_distance(lhs, rhs)
-                if r > worst:
-                    worst = r
-                    wit = {
-                        "indices": [i + 1, k + 1],
-                        "description": f"extracted pair ({left}^{i + 1}, {right}^{k + 1})",
-                    }
-        reports.append(
-            make_report(
-                Identity.TRANSFER_COMMUTATION,
-                worst,
-                tol.abs_eps,
-                subject=f"{left}{right}",
-                witness=wit,
-            )
+    reports = [
+        residual_report(
+            Identity.TRANSFER_COMMUTATION,
+            bracket_table(slices[left], slices[right], sign * 1j * EPS3, slices[target]),
+            tol.abs_eps,
+            f"extracted pair ({left}^{{}}, {right}^{{}})",
+            subject=f"{left}{right}",
         )
+        for (left, right), (sign, target) in _BRACKET_TABLE.items()
+    ]
 
     j4, k4 = build_j4(), build_k4()
-    for name, extracted, closed in (("rotations", slices["J"], j4), ("boosts", slices["K"], k4)):
-        worst = 0.0
-        wit = None
-        for i in range(3):
-            r = frobenius_distance(extracted[i], closed[i + 1])
-            if r > worst:
-                worst = r
-                wit = {"indices": [i + 1], "description": f"{name} slice {i + 1}"}
-        reports.append(
-            make_report(
-                Identity.TRANSFER_CLOSED_FORM,
-                worst,
-                tol.abs_eps,
-                subject=name,
-                witness=wit,
-            )
+    reports.extend(
+        residual_report(
+            Identity.TRANSFER_CLOSED_FORM,
+            frobenius_norms(slices[key] - closed.stack),
+            tol.abs_eps,
+            f"{name} slice {{}}",
+            subject=name,
         )
+        for name, key, closed in (("rotations", "J", j4), ("boosts", "K", k4))
+    )
 
     # Direct closure of the closed forms.  The boost-boost bracket lands in
     # the rotation family; closing it onto the boosts instead is a tempting
     # mislabeling, so its residual is recorded alongside as a rejected
     # alternative.
-    kk_alt = 0.0
-    for i in range(3):
-        for k in range(3):
-            lhs = commutator(k4[i + 1], k4[k + 1])
-            alt = -1j * sum(EPS3[i, k, n] * k4[n + 1] for n in range(3))
-            kk_alt = max(kk_alt, frobenius_distance(lhs, alt))
+    kk_alt = bracket_table(k4.stack, k4.stack, -1j * EPS3, k4.stack).max()
     reports.extend(
         check_lorentz(
             j4,

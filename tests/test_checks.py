@@ -1,12 +1,16 @@
 import json
+import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lieforge.checks import (
+    EPS3,
     Identity,
     ShapeError,
     all_passed,
+    bracket_table,
     check_2rep_vk_asymmetry,
     check_lorentz,
     check_poincare,
@@ -14,9 +18,11 @@ from lieforge.checks import (
     gamma_match_report,
     make_report,
     reports_to_json_lines,
+    residual_report,
 )
 from lieforge.generators import (
     Branch,
+    GAMMA_C_PLUS,
     GeneratorSet,
     Kind,
     REP22,
@@ -33,6 +39,8 @@ from lieforge.generators import (
 from lieforge.linalg import commutator
 from lieforge.su_n import gell_mann
 from lieforge.transfer import build_j4, build_k4
+
+WITNESSES = pathlib.Path(__file__).parent / "golden" / "witnesses.json"
 
 
 def by_identity(reports, identity):
@@ -182,3 +190,98 @@ def test_reports_are_reproducible():
     second = check_su2_fundamental(j2())
     for a, b in zip(first, second):
         assert a.max_residual == b.max_residual
+
+
+def reference_table(A, B, coeffs, T, anti):
+    """Plain double loop over index pairs."""
+    sign = 1.0 if anti else -1.0
+    out = np.zeros((len(A), len(B)))
+    for i in range(len(A)):
+        for j in range(len(B)):
+            lhs = A[i] @ B[j] + sign * (B[j] @ A[i])
+            rhs = sum(coeffs[i, j, k] * T[k] for k in range(len(T)))
+            out[i, j] = np.linalg.norm(lhs - rhs)
+    return out
+
+
+def random_stack(rng, count, n):
+    return rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8])
+@pytest.mark.parametrize("anti", [False, True])
+def test_bracket_table_matches_double_loop(n, anti):
+    rng = np.random.default_rng(100 * n + anti)
+    m, p, q = 3, 5, 4
+    A, B, T = random_stack(rng, m, n), random_stack(rng, p, n), random_stack(rng, q, n)
+    for coeffs in (rng.normal(size=(m, p, q)), rng.normal(size=(m, p, q)) * (1 + 1j)):
+        got = bracket_table(A, B, coeffs, T, anti=anti)
+        ref = reference_table(A, B, coeffs, T, anti)
+        assert got.shape == (m, p)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        report = residual_report(Identity.LORENTZ_JJ, got, 1e-12, "pair (i={}, j={})")
+        i, j = (int(k) + 1 for k in np.unravel_index(np.argmax(ref), ref.shape))
+        assert report.witness == {"indices": [i, j], "description": f"pair (i={i}, j={j})"}
+        assert report.max_residual == got.max()
+
+
+def test_bracket_table_exact_closure_and_shape_check():
+    S = j2().stack
+    assert bracket_table(S, S, 1j * EPS3, S).max() < 1e-15
+    with pytest.raises(ShapeError):
+        bracket_table(S, S, 1j * EPS3[:, :2], S)
+
+
+def test_residual_report_witness_is_first_maximum_in_row_major_order():
+    residuals = np.array([[0.0, 2.0, 1.0], [2.0, 0.0, 2.0]])
+    report = residual_report(Identity.MOMENTA_COMMUTE, residuals, 1e-12, "pair (mu={}, nu={})")
+    assert report.witness == {"indices": [1, 2], "description": "pair (mu=1, nu=2)"}
+    assert report.max_residual == 2.0 and not report.passed
+    ok = residual_report(Identity.MOMENTA_COMMUTE, np.zeros(4), 1e-12, "member mu={}")
+    assert ok.passed and ok.witness is None
+
+
+def test_bracket_table_forms_one_row_at_a_time():
+    # The whole (m, p, n, n) table would be m = 35 slabs; the kernel may hold
+    # only a few (p, n, n) slabs at once.
+    rng = np.random.default_rng(7)
+    size = 35
+    A, B, T = (random_stack(rng, size, size) for _ in range(3))
+    coeffs = random_stack(rng, size, size)
+    slab = B.nbytes
+    tracemalloc.start()
+    try:
+        bracket_table(A, B, coeffs, T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * slab
+
+
+def failed_witnesses(objs):
+    return [
+        [o["identity"], o["subject"], o["witness"]["indices"], o["witness"]["description"]]
+        for o in objs
+        if not o["passed"]
+    ]
+
+
+def test_perturbed_verify_witnesses_match_golden(monkeypatch, capsys):
+    from lieforge.cli import main
+
+    monkeypatch.setenv("LIEFORGE_PERTURB", "1e-6")
+    assert main(["verify", "--format", "json"]) == 1
+    objs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    reports = [o for o in objs if "identity" in o and "type" not in o]
+    golden = json.loads(WITNESSES.read_text())
+    assert failed_witnesses(reports) == golden["perturbed-verify"]
+
+
+def test_perturbed_momentum_witnesses_match_golden():
+    J, K = rep22_jk()
+    P = momentum(VectorParams(GAMMA_C_PLUS, 0.0, 1.0), Branch.PLUS)
+    bump = np.zeros((4, 4), dtype=complex)
+    bump[0, 0] = 1e-6
+    reports = check_poincare(J, K, P.with_member(2, P[2] + bump), subject="momentum-perturbed")
+    golden = json.loads(WITNESSES.read_text())
+    assert failed_witnesses([r.to_json() for r in reports]) == golden["perturbed-momentum"]

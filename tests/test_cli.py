@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import lieforge
 from lieforge.cli import RunConfig, main, tolerance_from_env
 
 COMMANDS = ["verify", "transfer", "invariants", "sun", "exercises"]
@@ -148,10 +151,14 @@ def test_run_config_validation():
 
 
 def test_module_entry_point():
+    # The child imports the same package as this test, installed or not.
+    src = str(pathlib.Path(lieforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "lieforge", "verify", "--trials", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "summary" in proc.stdout

@@ -221,6 +221,14 @@ def test_generator_set_members_read_only():
         J[1][0, 0] = 5.0
 
 
+def test_generator_set_members_are_views_of_one_stack():
+    V = rep22_v()
+    assert V.stack.shape == (4, 4, 4) and not V.stack.flags.writeable
+    for mu in range(1, 5):
+        assert V[mu].base is V.stack
+        assert np.array_equal(V[mu], V.stack[mu - 1])
+
+
 def test_generator_set_shape_validation():
     with pytest.raises(ValueError):
         GeneratorSet(REP2, Kind.VECTOR, (pauli(1), pauli(2)))

@@ -17,6 +17,7 @@ from lieforge.linalg import (
     decompose_in_basis,
     det,
     frobenius_distance,
+    frobenius_norms,
     mat_exp,
     matrix_from_json,
     matrix_to_json,
@@ -178,6 +179,17 @@ def test_det_values():
     # sigma1 + 2*identity = [[2,1],[1,2]], determinant 2*2 - 1*1 = 3
     assert det(S1 + 2 * S4) == pytest.approx(3)
     assert det(S3) == pytest.approx(-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5, 35])
+def test_frobenius_norms_are_bit_identical_to_single_norms(n):
+    rng = np.random.default_rng(n)
+    real = rng.normal(size=(6, n, n)) * 1e-16
+    stack = real + 1j * rng.normal(size=(6, n, n)) * 1e-16
+    for s in (stack, real):
+        assert frobenius_norms(s).tolist() == [np.linalg.norm(m) for m in s]
+    pairs = stack.reshape(2, 3, n, n)
+    assert frobenius_norms(pairs).tolist() == [[np.linalg.norm(m) for m in row] for row in pairs]
 
 
 def test_frobenius_distance():

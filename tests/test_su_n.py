@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lieforge.checks import EPS3
-from lieforge.generators import j2, pauli
+from lieforge.generators import SU3_ADJOINT, Rep, j2, pauli
 from lieforge.linalg import BasisError
 from lieforge.su_n import (
     StructureTensors,
@@ -177,6 +177,64 @@ def test_adjoint_from_f_su3():
     lhs = adj[1] @ adj[2] - adj[2] @ adj[1]
     rhs = 1j * sum(st.f[0, 1, c] * adj[c + 1] for c in range(8))
     np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+
+def su2_plus_u1():
+    lam = gell_mann()
+    return [lam[a] / 2 for a in (0, 1, 2, 7)]
+
+
+@pytest.mark.parametrize(
+    "basis, rep",
+    [
+        ([l / 2 for l in gell_mann()], SU3_ADJOINT),
+        ([pauli(3) / 2], Rep("adjoint", 1)),
+        (su2_plus_u1(), Rep("adjoint", 4)),
+    ],
+    ids=["su3", "single-generator", "su2+u1"],
+)
+def test_adjoint_from_f_labels_by_member_count(basis, rep):
+    # Only a full su(N) family is an su(N) adjoint; a smaller closed family
+    # gets a plain label of its own dimension instead of a guessed N.
+    st = extract_structure(basis)
+    adj = adjoint_from_f(st)
+    m = len(basis)
+    assert adj.rep == rep and len(adj) == m
+    assert adj.is_hermitian_traceless()
+    for a in range(m):
+        for b in range(m):
+            lhs = adj[a + 1] @ adj[b + 1] - adj[b + 1] @ adj[a + 1]
+            rhs = 1j * sum(st.f[a, b, c] * adj[c + 1] for c in range(m))
+            np.testing.assert_allclose(lhs, rhs, atol=1e-13)
+
+
+def haar_unitary(rng, n):
+    z = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("conjugated", [False, True], ids=["gell-mann", "haar"])
+def test_structure_tensors_satisfy_exact_sum_rules(n, conjugated):
+    # With trace(T_a T_b) = delta_ab / 2 (Haber, arXiv:1912.13302):
+    # sum f^2 = N (N^2 - 1), sum d^2 = (N^2 - 4)(N^2 - 1) / N, and max|d| is
+    # |d| of the last Cartan generator with itself.  All three are invariant
+    # under conjugation by a unitary.
+    basis = [g / 2 for g in generalized_gell_mann(n)]
+    if conjugated:
+        u = haar_unitary(np.random.default_rng(n), n)
+        basis = [u @ g @ u.conj().T for g in basis]
+    st = extract_structure(basis)
+
+    def close(got, exact):
+        return abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    assert close(float(np.sum(st.f**2)), n * (n * n - 1))
+    assert close(float(np.sum(st.d**2)), (n * n - 4) * (n * n - 1) / n)
+    assert close(float(np.abs(st.d).max()), math.sqrt(2.0) * (n - 2) / math.sqrt(n * (n - 1)))
+    assert st.f_residual < 1e-12 and st.d_residual < 1e-12
 
 
 def test_adjoint_from_zero_f():
