@@ -10,7 +10,11 @@ Output is deterministic for a fixed configuration (including the seed); the
 JSON format emits one object per line, with bare report objects and
 ``type``-tagged payloads.  The environment variable ``LIEFORGE_TOL``
 overrides the absolute tolerance; ``LIEFORGE_PERTURB`` injects a perturbation
-into the verify suite (a negative-control hook used by the tests).
+into the verify suite (a negative-control hook used by the tests).  Bad input
+(an out-of-range option or environment value, a requested transform that
+overflows, an output path that cannot be written) ends with one
+``lieforge: error: ...`` line on stderr and exit code 2, as argparse does for
+its own errors; exit code 1 is reserved for a failed check.
 """
 
 from __future__ import annotations
@@ -66,10 +70,14 @@ from .spacetime import d4 as spacetime_d4
 from .su_n import boost_obstruction_report, extract_structure, gell_mann, structure_reports
 from .transfer import extract_coeffs, build_j4, build_k4, verify_transfer
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["InputError", "RunConfig", "main"]
 
 TOL_ENV = "LIEFORGE_TOL"
 PERTURB_ENV = "LIEFORGE_PERTURB"
+
+
+class InputError(ValueError):
+    """A command-line or environment input is outside what lieforge accepts."""
 
 
 @dataclass
@@ -87,9 +95,12 @@ class RunConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.alpha == 0.0:
-            raise ValueError("alpha must be nonzero")
+            raise InputError("trials must be >= 1")
+        if not np.isfinite(self.alpha) or self.alpha == 0.0:
+            raise InputError("alpha must be finite and nonzero")
+        for name in ("theta", "phi", "x"):
+            if not np.all(np.isfinite(getattr(self, name) or ())):
+                raise InputError(f"--{name} must be finite")
 
 
 @dataclass
@@ -109,13 +120,24 @@ class RunResult:
         self.text_extra.extend(other.text_extra)
 
 
+def _env_float(name: str, env) -> float | None:
+    raw = env.get(name)
+    if not raw:
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        raise InputError(f"{name}={raw!r} is not a number") from None
+
+
 def tolerance_from_env(env=os.environ) -> Tolerance:
-    raw = env.get(TOL_ENV)
-    if raw is None:
+    abs_eps = _env_float(TOL_ENV, env)
+    if abs_eps is None:
         return Tolerance()
-    abs_eps = float(raw)
-    base = Tolerance()
-    return Tolerance(abs_eps=abs_eps, exp_eps=max(base.exp_eps, abs_eps))
+    try:
+        return Tolerance(abs_eps=abs_eps, exp_eps=max(Tolerance().exp_eps, abs_eps))
+    except ValueError as exc:
+        raise InputError(f"{TOL_ENV}: {exc}") from None
 
 
 def _fmt_complex(z: complex, eps: float = 1e-12) -> str:
@@ -216,7 +238,11 @@ def _single_transform(cfg: RunConfig, tol: Tolerance, res: RunResult) -> None:
     """Transform one user-supplied vector with explicit angles/rapidities."""
     params = RotBoostParams(theta=cfg.theta or (0.0, 0.0, 0.0), phi=cfg.phi or (0.0, 0.0, 0.0))
     x = np.asarray(cfg.x, dtype=float)
-    moved = apply(spacetime_d4(params, tol), x, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved = apply(spacetime_d4(params, tol), x, tol)
+    if not np.all(np.isfinite(moved)):
+        rapidity = float(np.linalg.norm(params.phi))
+        raise InputError(f"the requested transform of x overflows (rapidity |phi| = {rapidity:g})")
     before, after = interval_sq(x), interval_sq(moved)
     scale = max(1.0, float(np.dot(x, x)))
     res.sections.append(
@@ -445,28 +471,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        seed=args.seed,
-        trials=args.trials,
-        alpha=args.alpha,
-        fmt=args.fmt,
-        out=args.out,
-        perturb=float(os.environ.get(PERTURB_ENV, "0") or "0"),
-        theta=tuple(args.theta) if getattr(args, "theta", None) else None,
-        phi=tuple(args.phi) if getattr(args, "phi", None) else None,
-        x=tuple(args.x) if getattr(args, "x", None) else None,
-    )
-    tol = tolerance_from_env()
-    result = RunResult()
-    for runner in _RUNNERS[cfg.command]:
-        result.merge(runner(cfg, tol))
-    rendered = _render_json(cfg, tol, result) if cfg.fmt == "json" else _render_text(cfg, tol, result)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    try:
+        cfg = RunConfig(
+            command=args.command,
+            seed=args.seed,
+            trials=args.trials,
+            alpha=args.alpha,
+            fmt=args.fmt,
+            out=args.out,
+            perturb=_env_float(PERTURB_ENV, os.environ) or 0.0,
+            theta=tuple(args.theta) if getattr(args, "theta", None) else None,
+            phi=tuple(args.phi) if getattr(args, "phi", None) else None,
+            x=tuple(args.x) if getattr(args, "x", None) else None,
+        )
+        tol = tolerance_from_env()
+        result = RunResult()
+        for runner in _RUNNERS[cfg.command]:
+            result.merge(runner(cfg, tol))
+        rendered = (
+            _render_json(cfg, tol, result) if cfg.fmt == "json" else _render_text(cfg, tol, result)
+        )
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        else:
+            sys.stdout.write(rendered)
+    except (InputError, OSError) as exc:
+        print(f"lieforge: error: {exc}", file=sys.stderr)
+        return 2
     return 0 if all_passed(result.reports()) else 1
 
 

@@ -6,7 +6,6 @@ pure function; nothing mutates its inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +54,21 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
+def _as_cstack(m) -> np.ndarray:
+    """Coerce to a finite complex128 ``(..., n, n)`` array (a fresh copy)."""
+    a = np.array(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains a non-finite entry")
+    return a
+
+
 def as_cmatrix(m) -> np.ndarray:
     """Coerce to a finite square complex128 array (a fresh copy)."""
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+    a = _as_cstack(m)
+    if a.ndim != 2:
         raise DimError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix contains a non-finite entry")
     return a
 
 
@@ -84,34 +91,52 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated Taylor series.
+# Degree of the Taylor polynomial mat_exp evaluates after scaling; see its
+# docstring for the truncation bound this degree buys.
+_TAYLOR_DEGREE = 18
 
-    The argument is halved until its infinity norm is at most one, the series
-    is summed until the next term falls below the machine-precision ratio of
-    the partial sum, and the result is squared back up.  For the matrices this
-    package handles (dimension <= 10, norms of order 10) the element-wise
-    error stays well below ``tol.exp_eps``; the inverse-product identity
-    ``mat_exp(A) @ mat_exp(-A) == I`` is the advertised accuracy contract.
+
+def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Matrix exponential of a matrix or of every matrix in a ``(..., n, n)``
+    stack, by scaling and squaring with a fixed-degree Taylor polynomial.
+
+    Each matrix A is scaled by its own power of two, B = A / 2^s, with s the
+    least integer making ||B||_inf <= 1.  The degree-18 Taylor polynomial of
+    exp(B) is summed term by term on the whole stack; its truncation error
+    is bounded, as in Higham (SIAM J. Matrix Anal. Appl. 26(4), 2005),
+    by the tail of the series at ||B|| <= 1:
+
+        ||exp(B) - T_18(B)|| <= sum_{k >= 19} ||B||^k / k!
+                             <= (20/19) / 19!  <  9e-18,
+
+    far below the unit roundoff 1.1e-16.  Each result is then squared s
+    times, the squares applied only to the matrices that still need them.
+    For the matrices this package handles (dimension <= 10, norms of order
+    10) the element-wise error stays well below ``tol.exp_eps``; the
+    inverse-product identity ``mat_exp(A) @ mat_exp(-A) == I`` is the
+    advertised accuracy contract.  A nilpotent B with B @ B == 0 (the
+    translation generators) comes out as exactly I + A.
     """
-    a = as_cmatrix(a)
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a, np.inf))
-    if norm == 0.0:
-        return np.eye(n, dtype=complex)
-    squarings = max(0, int(math.ceil(math.log2(norm)))) if norm > 1.0 else 0
-    b = a / (2.0**squarings)
-    term = np.eye(n, dtype=complex)
-    acc = np.eye(n, dtype=complex)
-    eps = float(np.finfo(float).eps)
-    for k in range(1, 64):
-        term = term @ b / k
-        acc = acc + term
-        if np.linalg.norm(term) <= eps * np.linalg.norm(acc):
-            break
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
+    a = _as_cstack(a)
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape(-1, n, n)
+    norms = np.abs(a).sum(axis=-1).max(axis=-1)
+    squarings = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
+    # The exponential of a zero matrix is exactly I; only the others need the series.
+    live = norms > 0.0
+    acc = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+    b = a[live] / (2.0**squarings[live])[:, None, None]
+    series = np.eye(n, dtype=complex) + b
+    term = b
+    for k in range(2, _TAYLOR_DEGREE + 1):
+        term = term @ b
+        term /= k
+        series += term
+    acc[live] = series
+    for i in range(int(squarings.max(initial=0))):
+        more = squarings > i
+        acc[more] = acc[more] @ acc[more]
+    return acc.reshape(shape)
 
 
 def decompose_in_basis(

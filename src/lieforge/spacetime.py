@@ -11,6 +11,7 @@ convention bug, typically a stray factor of i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,21 @@ def _four_vector(x) -> np.ndarray:
     return a
 
 
+def _affine5(linear: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The append-one matrices [[linear, shift], [0, 1]] of a stack of linear
+    parts ``(T, 4, 4)`` and shifts ``(T, 4)``."""
+    m = np.zeros((len(linear), 5, 5), dtype=np.result_type(linear, shift))
+    m[:, :4, :4] = linear
+    m[:, :4, 4] = shift
+    m[:, 4, 4] = 1.0
+    return m
+
+
+def _append_one(x: np.ndarray) -> np.ndarray:
+    """Rows of ``(T, 4)`` four-vectors extended to ``(T, 5)`` by a last entry 1."""
+    return np.concatenate([x, np.ones((len(x), 1))], axis=1)
+
+
 @dataclass(frozen=True)
 class AffineTransform:
     """A linear 4x4 part plus a displacement, applied as x -> linear @ x + shift."""
@@ -114,33 +130,80 @@ class AffineTransform:
 
     def as_matrix5(self) -> np.ndarray:
         """The append-one device: [[linear, shift], [0, 1]]."""
-        m = np.zeros((5, 5), dtype=complex)
-        m[:4, :4] = self.linear
-        m[:4, 4] = self.shift
-        m[4, 4] = 1.0
-        return m
-
-
-def _generator_sum(coeffs, gens: GeneratorSet) -> np.ndarray:
-    return sum(float(c) * gens[i + 1] for i, c in enumerate(coeffs))
+        return _affine5(self.linear[None], self.shift[None])[0]
 
 
 # The closed-form generators are fixed data; build them once so transforming
 # thousands of trial vectors stays cheap.
 _J4 = build_j4()
 _K4 = build_k4()
+_SIGMA4 = np.array([pauli(mu) for mu in range(1, 5)])
+
+# Trials per block of a seeded sweep: a sweep holds one block of stacked
+# inputs and transforms at a time, so its peak memory does not grow with the
+# (user-supplied) trial count.
+_BLOCK = 256
+
+
+def _require_real(z: np.ndarray, what: str, tol: Tolerance) -> None:
+    """Raise :class:`PurityError` unless every item of the stack ``z`` (one
+    per entry of its first axis) has imaginary parts within ``tol.exp_eps``
+    of max(1, its largest entry)."""
+    z = z.reshape(len(z), -1)
+    residue = np.abs(z.imag).max(axis=1)
+    bad = residue > tol.exp_eps * np.maximum(1.0, np.abs(z).max(axis=1))
+    if bad.any():
+        raise PurityError(f"{what} has imaginary residue {residue[bad][0]:.3g}")
+
+
+def _exponents(theta, phi, J: GeneratorSet, K: GeneratorSet) -> np.ndarray:
+    """The ``(2, T, n, n)`` stack of i theta.J and i phi.K for every row of
+    the ``(T, 3)`` arrays ``theta`` and ``phi``."""
+    return 1j * np.stack(
+        [np.einsum("ti,iab->tab", theta, J.stack), np.einsum("ti,iab->tab", phi, K.stack)]
+    )
+
+
+def _d4_stack(theta, phi, tol: Tolerance) -> np.ndarray:
+    """exp(i phi.K) exp(i theta.J) in the 4-vector rep for every row of the
+    ``(T, 3)`` arrays ``theta`` and ``phi``, checked to be real."""
+    rot, boost = mat_exp(_exponents(theta, phi, _J4, _K4), tol)
+    out = boost @ rot
+    _require_real(out, "transform", tol)
+    return out
+
+
+def _apply_stack(D: np.ndarray, x: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Real components of D_t x_t for a ``(T, 4, 4)`` and a ``(T, 4)`` stack."""
+    y = (D @ x[:, :, None])[:, :, 0]
+    _require_real(y, "transformed vector", tol)
+    return y.real
+
+
+def _interval(x: np.ndarray) -> np.ndarray:
+    """x1^2 + x2^2 + x3^2 - x4^2 along the last axis."""
+    return x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2 - x[..., 3] ** 2
+
+
+def _interval_via_det(x: np.ndarray) -> np.ndarray:
+    """-det(sum_mu x^mu sigma^mu) for every row of a ``(T, 4)`` array."""
+    return (-np.linalg.det(np.einsum("tm,mab->tab", x, _SIGMA4))).real
+
+
+def _affine_images(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """linear @ x + shift for each append-one matrix of a ``(T, 5, 5)`` stack
+    and each row of a ``(T, 4)`` array."""
+    out = (M @ _append_one(x)[:, :, None])[:, :, 0]
+    if np.any(out[:, 4] != 1.0):
+        raise PurityError("appended component did not come back as exactly 1")
+    _require_real(out[:, :4], "affine image", DEFAULT_TOL)
+    return out[:, :4].real
 
 
 def d4(params: RotBoostParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Finite 4-vector transformation: rotation first, then boost,
     exp(i phi.K) exp(i theta.J) with the closed-form spacetime generators."""
-    rot = mat_exp(1j * _generator_sum(params.theta, _J4), tol)
-    boost = mat_exp(1j * _generator_sum(params.phi, _K4), tol)
-    out = boost @ rot
-    residue = float(np.abs(out.imag).max())
-    if residue > tol.exp_eps * max(1.0, float(np.abs(out).max())):
-        raise PurityError(f"transform has imaginary residue {residue:.3g}")
-    return out
+    return _d4_stack(np.array([params.theta]), np.array([params.phi]), tol)[0]
 
 
 def apply(D, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -148,37 +211,22 @@ def apply(D, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     D = np.asarray(D, dtype=complex)
     if D.shape != (4, 4):
         raise ValueError("transform must be 4x4")
-    y = D @ _four_vector(x).astype(complex)
-    residue = float(np.abs(y.imag).max())
-    if residue > tol.exp_eps * max(1.0, float(np.abs(y).max())):
-        raise PurityError(f"transformed vector has imaginary residue {residue:.3g}")
-    return y.real.copy()
+    return _apply_stack(D[None], _four_vector(x)[None], tol)[0]
 
 
 def interval_sq(x) -> float:
     """Squared interval x1^2 + x2^2 + x3^2 - x4^2."""
-    a = _four_vector(x)
-    return float(a[0] ** 2 + a[1] ** 2 + a[2] ** 2 - a[3] ** 2)
+    return float(_interval(_four_vector(x)))
 
 
 def interval_sq_via_det(x) -> float:
     """The same interval computed as -det(sum_mu x^mu sigma^mu)."""
-    a = _four_vector(x)
-    m = sum(a[mu] * pauli(mu + 1) for mu in range(4))
-    return float((-det(m)).real)
+    return float(_interval_via_det(_four_vector(x)[None])[0])
 
 
 def affine_apply(t: AffineTransform, x) -> np.ndarray:
     """linear @ x + shift, routed through the 5x5 append-one matrix."""
-    v5 = np.ones(5, dtype=complex)
-    v5[:4] = _four_vector(x)
-    out = t.as_matrix5() @ v5
-    if out[4] != 1.0:
-        raise PurityError("appended component did not come back as exactly 1")
-    residue = float(np.abs(out[:4].imag).max())
-    if residue > DEFAULT_TOL.exp_eps * max(1.0, float(np.abs(out[:4]).max())):
-        raise PurityError(f"affine image has imaginary residue {residue:.3g}")
-    return out[:4].real.copy()
+    return _affine_images(t.as_matrix5()[None], _four_vector(x)[None])[0]
 
 
 def affine_compose(t2: AffineTransform, t1: AffineTransform) -> AffineTransform:
@@ -219,15 +267,15 @@ def _require_closure(J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, tol: Tol
 
 
 def _intertwine_residuals(
-    J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, params: RotBoostParams, tol: Tolerance
+    J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, theta, phi, tol: Tolerance
 ) -> np.ndarray:
-    """Frobenius norms of D^-1 V^mu D - Lambda^mu_nu V^nu for mu = 1..4."""
-    rot, boost = 1j * _generator_sum(params.theta, J), 1j * _generator_sum(params.phi, K)
-    D = mat_exp(boost, tol) @ mat_exp(rot, tol)
-    Dinv = mat_exp(-rot, tol) @ mat_exp(-boost, tol)
-    lam = d4(params, tol)
-    rhs = np.einsum("mn,nab->mab", lam, V.stack)
-    return frobenius_norms(Dinv @ V.stack @ D - rhs)
+    """``(T, 4)`` Frobenius norms of D^-1 V^mu D - Lambda^mu_nu V^nu for
+    mu = 1..4 and every row of the ``(T, 3)`` arrays ``theta`` and ``phi``."""
+    rot, boost = _exponents(theta, phi, J, K)
+    e_rot, e_boost, e_mrot, e_mboost = mat_exp(np.stack([rot, boost, -rot, -boost]), tol)
+    D, Dinv = e_boost @ e_rot, e_mrot @ e_mboost
+    rhs = np.einsum("tmn,nab->tmab", _d4_stack(theta, phi, tol), V.stack)
+    return frobenius_norms(Dinv[:, None] @ V.stack @ D[:, None] - rhs)
 
 
 def intertwine_check(
@@ -250,13 +298,58 @@ def intertwine_check(
     precheck runs first and raises :class:`PrecondError` on failure.
     """
     _require_closure(J, K, V, tol)
+    residuals = _intertwine_residuals(
+        J, K, V, np.array([params.theta]), np.array([params.phi]), tol
+    )
     return residual_report(
         Identity.INTERTWINING,
-        _intertwine_residuals(J, K, V, params, tol),
+        residuals[0],
         tol.exp_eps,
         "member mu={}",
         subject=f"{V.rep.tag}-rep",
     )
+
+
+def _seeded_sweep(trials: int, seed: int, draw, residuals, describe) -> tuple[float, dict | None]:
+    """Worst residual over ``trials`` seeded random trials, and its witness.
+
+    ``draw(rng)`` returns one trial's inputs as a tuple of arrays, drawing
+    from the generator in the same calls and order for every trial, so a seed
+    fixes each trial's inputs whatever the block size.  ``residuals`` maps the
+    inputs of a block, stacked along a new first axis, to a ``(B, ...)``
+    residual array.  Trials run in blocks of ``_BLOCK``.
+
+    The witness is the first maximum: earliest trial, then row-major over the
+    trailing axes.  Its ``indices`` are the 0-based trial followed by the
+    1-based trailing indices, described by ``describe(indices, inputs)``.
+    When no residual exceeds zero the result is ``(0.0, None)``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    worst, witness = 0.0, None
+    for start in range(0, trials, _BLOCK):
+        block = [draw(rng) for _ in range(min(_BLOCK, trials - start))]
+        r = residuals(*(np.array(column) for column in zip(*block)))
+        at = np.unravel_index(int(np.argmax(r)), r.shape)
+        if r[at] > worst:
+            worst = float(r[at])
+            indices = [start + int(at[0])] + [int(k) + 1 for k in at[1:]]
+            witness = {"indices": indices, "description": describe(indices, block[at[0]])}
+    return worst, witness
+
+
+def _random_direction_scaled(rng: np.random.Generator, max_norm: float) -> np.ndarray:
+    v = rng.normal(size=3)
+    n = math.sqrt(v @ v)  # the value np.linalg.norm returns, without its overhead
+    if n == 0.0:
+        return np.zeros(3)
+    return v * (rng.uniform(0.0, max_norm) / n)
+
+
+def _random_rotboost(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of a rotation by up to pi and rapidities of a boost up to 2."""
+    return _random_direction_scaled(rng, np.pi), _random_direction_scaled(rng, 2.0)
 
 
 def intertwine_sweep(
@@ -271,34 +364,34 @@ def intertwine_sweep(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     _require_closure(J, K, V, tol)
-    rng = np.random.default_rng(seed)
-    residuals = np.array(
-        [_intertwine_residuals(J, K, V, _random_params(rng), tol) for _ in range(draws)]
+    worst, witness = _seeded_sweep(
+        draws,
+        seed,
+        _random_rotboost,
+        lambda theta, phi: _intertwine_residuals(J, K, V, theta, phi, tol),
+        lambda idx, _: f"draw {idx[0]}, member mu={idx[1]}",
     )
-    t, mu = (int(k) for k in np.unravel_index(np.argmax(residuals), residuals.shape))
     return make_report(
         Identity.INTERTWINING,
-        residuals[t, mu],
+        worst,
         tol.exp_eps,
         subject=f"{V.rep.tag}-rep",
-        witness={"indices": [t, mu + 1], "description": f"draw {t}, member mu={mu + 1}"},
+        witness=witness,
         note=f"seed={seed}, draws={draws}",
     )
 
 
-def _random_direction_scaled(rng: np.random.Generator, max_norm: float) -> np.ndarray:
-    v = rng.normal(size=3)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        return np.zeros(3)
-    return v * (rng.uniform(0.0, max_norm) / n)
+def _draw_rotation(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    return rng.uniform(-10.0, 10.0, size=4), _random_direction_scaled(rng, np.pi)
 
 
-def _random_params(rng: np.random.Generator) -> RotBoostParams:
-    """A rotation by up to pi followed by a boost of rapidity up to 2."""
-    return RotBoostParams(
-        theta=tuple(_random_direction_scaled(rng, np.pi)),
-        phi=tuple(_random_direction_scaled(rng, 2.0)),
+def _rotation_residuals(x: np.ndarray, theta: np.ndarray, tol: Tolerance) -> np.ndarray:
+    xr = _apply_stack(_d4_stack(theta, np.zeros_like(theta), tol), x, tol)
+    space = np.einsum("ti,ti->t", x[:, :3], x[:, :3])
+    moved = np.einsum("ti,ti->t", xr[:, :3], xr[:, :3])
+    return np.maximum(
+        np.abs(moved - space) / np.maximum(1.0, space),
+        np.abs(xr[:, 3] - x[:, 3]) / np.maximum(1.0, np.abs(x[:, 3])),
     )
 
 
@@ -306,62 +399,53 @@ def rotation_invariance_check(
     trials: int = 1000, tol: Tolerance = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> CheckReport:
     """Finite rotations preserve the spatial square and the time component."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    wit = None
-    for t in range(trials):
-        x = rng.uniform(-10.0, 10.0, size=4)
-        theta = _random_direction_scaled(rng, np.pi)
-        xr = apply(d4(RotBoostParams(theta=tuple(theta)), tol), x, tol)
-        space = float(np.dot(x[:3], x[:3]))
-        scale = max(1.0, space)
-        r = max(
-            abs(float(np.dot(xr[:3], xr[:3])) - space) / scale,
-            abs(xr[3] - x[3]) / max(1.0, abs(x[3])),
-        )
-        if r > worst:
-            worst = r
-            wit = {"indices": [t], "description": f"trial {t}: x={x.tolist()}, theta={theta.tolist()}"}
+    worst, witness = _seeded_sweep(
+        trials,
+        seed,
+        _draw_rotation,
+        lambda x, theta: _rotation_residuals(x, theta, tol),
+        lambda idx, inp: f"trial {idx[0]}: x={inp[0].tolist()}, theta={inp[1].tolist()}",
+    )
     return make_report(
         Identity.ROTATION_INVARIANCE,
         worst,
         tol.exp_eps,
         subject="4-rep",
-        witness=wit,
+        witness=witness,
         note=f"seed={seed}, trials={trials}, residuals relative to max(1, |x_space|^2)",
     )
+
+
+def _draw_boost(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x = rng.uniform(-10.0, 10.0, size=4)
+    theta = _random_direction_scaled(rng, np.pi)
+    return x, theta, _random_direction_scaled(rng, 3.0)
+
+
+def _boost_residuals(x, theta, phi, tol: Tolerance) -> np.ndarray:
+    xb = _apply_stack(_d4_stack(theta, phi, tol), x, tol)
+    return np.abs(_interval(xb) - _interval(x)) / np.maximum(1.0, np.einsum("ti,ti->t", x, x))
 
 
 def boost_invariance_check(
     trials: int = 1000, tol: Tolerance = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> CheckReport:
     """Finite rotation-plus-boost transforms preserve the squared interval."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    wit = None
-    for t in range(trials):
-        x = rng.uniform(-10.0, 10.0, size=4)
-        theta = _random_direction_scaled(rng, np.pi)
-        phi = _random_direction_scaled(rng, 3.0)
-        xb = apply(d4(RotBoostParams(theta=tuple(theta), phi=tuple(phi)), tol), x, tol)
-        scale = max(1.0, float(np.dot(x, x)))
-        r = abs(interval_sq(xb) - interval_sq(x)) / scale
-        if r > worst:
-            worst = r
-            wit = {
-                "indices": [t],
-                "description": f"trial {t}: x={x.tolist()}, theta={theta.tolist()}, phi={phi.tolist()}",
-            }
+    worst, witness = _seeded_sweep(
+        trials,
+        seed,
+        _draw_boost,
+        lambda x, theta, phi: _boost_residuals(x, theta, phi, tol),
+        lambda idx, inp: (
+            f"trial {idx[0]}: x={inp[0].tolist()}, theta={inp[1].tolist()}, phi={inp[2].tolist()}"
+        ),
+    )
     return make_report(
         Identity.INTERVAL_INVARIANCE,
         worst,
         tol.exp_eps,
         subject="4-rep",
-        witness=wit,
+        witness=witness,
         note=f"seed={seed}, trials={trials}, residuals relative to max(1, |x|^2)",
     )
 
@@ -370,26 +454,44 @@ def det_interval_check(
     trials: int = 1000, tol: Tolerance = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> CheckReport:
     """The determinant route to the interval agrees with the direct formula."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    wit = None
-    for t in range(trials):
-        x = rng.uniform(-10.0, 10.0, size=4)
-        scale = max(1.0, float(np.dot(x, x)))
-        r = abs(interval_sq_via_det(x) - interval_sq(x)) / scale
-        if r > worst:
-            worst = r
-            wit = {"indices": [t], "description": f"trial {t}: x={x.tolist()}"}
+    worst, witness = _seeded_sweep(
+        trials,
+        seed,
+        lambda rng: (rng.uniform(-10.0, 10.0, size=4),),
+        lambda x: np.abs(_interval_via_det(x) - _interval(x))
+        / np.maximum(1.0, np.einsum("ti,ti->t", x, x)),
+        lambda idx, inp: f"trial {idx[0]}: x={inp[0].tolist()}",
+    )
     return make_report(
         Identity.DETERMINANT_INTERVAL,
         worst,
         tol.abs_eps,
         subject="4-vector",
-        witness=wit,
+        witness=witness,
         note=f"seed={seed}, trials={trials}",
     )
+
+
+def _draw_affine(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """Two rotation-boosts, their shifts, a point, a pure shift and a second point."""
+    (theta1, phi1), (theta2, phi2) = _random_rotboost(rng), _random_rotboost(rng)
+    shift1, shift2 = rng.uniform(-5, 5, size=4), rng.uniform(-5, 5, size=4)
+    x = rng.uniform(-10.0, 10.0, size=4)
+    shift, x0 = rng.uniform(-5, 5, size=4), rng.uniform(-10.0, 10.0, size=4)
+    return theta1, phi1, theta2, phi2, shift1, shift2, x, shift, x0
+
+
+def _affine_residuals(theta1, phi1, theta2, phi2, shift1, shift2, x, shift, x0, tol) -> np.ndarray:
+    t = len(x)
+    linear = _d4_stack(np.concatenate([theta1, theta2]), np.concatenate([phi1, phi2]), tol).real
+    m1, m2 = _affine5(linear[:t], shift1), _affine5(linear[t:], shift2)
+    seq = _affine_images(m2, _affine_images(m1, x))
+    combined = _affine_images(m2 @ m1, x)
+    scale = np.maximum(1.0, np.abs(seq).max(axis=1))
+    translate = _affine5(np.broadcast_to(np.eye(4), (t, 4, 4)), shift)
+    diff = _affine_images(translate, x) - _affine_images(translate, x0)
+    composed = np.abs(seq - combined).max(axis=1)
+    return np.maximum(composed, np.abs(diff - (x - x0)).max(axis=1)) / scale
 
 
 def affine_composition_check(
@@ -397,36 +499,33 @@ def affine_composition_check(
 ) -> CheckReport:
     """Applying two affine transforms in sequence equals applying their 5x5
     product, and pure translations leave coordinate differences alone."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    wit = None
-    eye = np.eye(4)
-    for t in range(trials):
-        p1, p2 = _random_params(rng), _random_params(rng)
-        t1 = AffineTransform(d4(p1, tol).real, rng.uniform(-5, 5, size=4))
-        t2 = AffineTransform(d4(p2, tol).real, rng.uniform(-5, 5, size=4))
-        x = rng.uniform(-10.0, 10.0, size=4)
-        seq = affine_apply(t2, affine_apply(t1, x))
-        combined = affine_apply(affine_compose(t2, t1), x)
-        scale = max(1.0, float(np.abs(seq).max()))
-        r = float(np.abs(seq - combined).max()) / scale
-
-        shift = AffineTransform(eye, rng.uniform(-5, 5, size=4))
-        x0 = rng.uniform(-10.0, 10.0, size=4)
-        diff = affine_apply(shift, x) - affine_apply(shift, x0)
-        r = max(r, float(np.abs(diff - (x - x0)).max()) / scale)
-        if r > worst:
-            worst = r
-            wit = {"indices": [t], "description": f"trial {t}"}
+    worst, witness = _seeded_sweep(
+        trials,
+        seed,
+        _draw_affine,
+        lambda *inputs: _affine_residuals(*inputs, tol),
+        lambda idx, _: f"trial {idx[0]}",
+    )
     return make_report(
         Identity.AFFINE_COMPOSITION,
         worst,
         tol.exp_eps,
         subject="5-affine",
-        witness=wit,
+        witness=witness,
         note=f"seed={seed}, trials={trials}",
+    )
+
+
+def _translation_residuals(a, x, p5: GeneratorSet, tol: Tolerance) -> np.ndarray:
+    g = mat_exp(1j * np.einsum("tm,mab->tab", a, p5.stack), tol)
+    expected = _affine5(np.broadcast_to(np.eye(4), (len(a), 4, 4)), a)
+    moved = (g @ _append_one(x)[:, :, None])[:, :, 0]
+    return np.maximum.reduce(
+        [
+            np.abs(g - expected).max(axis=(1, 2)),
+            np.abs(moved[:, :4] - (x + a)).max(axis=1),
+            np.abs(moved[:, 4] - 1.0),
+        ]
     )
 
 
@@ -438,32 +537,22 @@ def translation_check(
     The translation generators are nilpotent (any product of two vanishes), so
     the exponential terminates after its linear term and the check is exact.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     _, _, p5 = affine_generators()
+    worst, witness = _seeded_sweep(
+        trials,
+        seed,
+        lambda rng: (rng.uniform(-10.0, 10.0, size=4), rng.uniform(-10.0, 10.0, size=4)),
+        lambda a, x: _translation_residuals(a, x, p5, tol),
+        lambda idx, inp: f"trial {idx[0]}: a={inp[0].tolist()}",
+    )
     sq = float(np.abs(p5.stack[:, None] @ p5.stack[None]).max())
-    rng = np.random.default_rng(seed)
-    worst = sq
-    wit = None if sq == 0.0 else {"indices": [], "description": "generator products"}
-    for t in range(trials):
-        a = rng.uniform(-10.0, 10.0, size=4)
-        g = mat_exp(1j * sum(a[mu] * p5[mu + 1] for mu in range(4)), tol)
-        expected = np.eye(5, dtype=complex)
-        expected[:4, 4] = a
-        r = float(np.abs(g - expected).max())
-        x5 = np.ones(5, dtype=complex)
-        x = rng.uniform(-10.0, 10.0, size=4)
-        x5[:4] = x
-        moved = g @ x5
-        r = max(r, float(np.abs(moved[:4] - (x + a)).max()), abs(moved[4] - 1.0))
-        if r > worst:
-            worst = r
-            wit = {"indices": [t], "description": f"trial {t}: a={a.tolist()}"}
+    if sq >= worst and sq > 0.0:
+        worst, witness = sq, {"indices": [], "description": "generator products"}
     return make_report(
         Identity.TRANSLATION_DISPLACEMENT,
         worst,
         tol.abs_eps,
         subject="5-affine",
-        witness=wit,
+        witness=witness,
         note=f"seed={seed}, trials={trials}, exact nilpotent exponential",
     )

@@ -150,6 +150,35 @@ def test_run_config_validation():
         RunConfig(command="verify", alpha=0.0)
 
 
+@pytest.mark.parametrize(
+    "env, argv",
+    [
+        ({}, ["invariants", "--trials", "0"]),
+        ({}, ["invariants", "--alpha", "0"]),
+        ({"LIEFORGE_TOL": "abc"}, ["verify"]),
+        ({"LIEFORGE_TOL": "2"}, ["verify"]),
+        ({"LIEFORGE_PERTURB": "abc"}, ["verify"]),
+        ({}, ["verify", "--out", "{missing}/x"]),
+        ({}, ["invariants", "--x", "nan", "0", "0", "1"]),
+        ({}, ["invariants", "--phi", "1000", "0", "0", "--x", "1", "0", "0", "2"]),
+    ],
+    ids=[
+        "trials-0", "alpha-0", "tol-abc", "tol-2",
+        "perturb-abc", "out-missing-dir", "x-nan", "phi-1000",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(monkeypatch, capsys, tmp_path, env, argv):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lieforge: error: ")
+
+
 def test_module_entry_point():
     # The child imports the same package as this test, installed or not.
     src = str(pathlib.Path(lieforge.__file__).resolve().parents[1])

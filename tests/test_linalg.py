@@ -134,6 +134,36 @@ def test_mat_exp_against_scipy():
         assert frobenius_distance(mat_exp(a), scipy.linalg.expm(a)) < 1e-11
 
 
+def test_mat_exp_stack_against_scipy_and_single():
+    # One seeded stack whose infinity norms are 0, 1e-3, 1, 10 and 40, so the
+    # matrices of one batch need 0 to 6 squarings.
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(5, 4, 4, 4)) + 1j * rng.normal(size=(5, 4, 4, 4))
+    a /= np.abs(a).sum(axis=-1).max(axis=-1)[..., None, None]
+    a *= np.array([0.0, 1e-3, 1.0, 10.0, 40.0])[:, None, None, None]
+    a = a.reshape(20, 4, 4)
+    got = mat_exp(a)
+    assert got.shape == a.shape
+    for k in range(len(a)):
+        ref = scipy.linalg.expm(a[k])
+        scale = max(1.0, float(np.linalg.norm(ref)))
+        assert frobenius_distance(got[k], ref) < 1e-12 * scale
+        assert frobenius_distance(got[k], mat_exp(a[k])) <= 1e-14 * scale
+
+
+def test_mat_exp_stack_shapes_and_validation():
+    a = 0.5j * np.stack([S1, S2, S3, S4]).reshape(2, 2, 2, 2)
+    got = mat_exp(a)
+    assert got.shape == (2, 2, 2, 2)
+    np.testing.assert_allclose(got[1, 0], mat_exp(a[1, 0]), atol=1e-15)
+    with pytest.raises(DimError):
+        mat_exp(np.zeros((3, 2, 3)))
+    with pytest.raises(DimError):
+        mat_exp(np.zeros(3))
+    with pytest.raises(ValueError):
+        mat_exp(np.array([np.eye(2), [[np.inf, 0], [0, 0]]]))
+
+
 def test_decompose_basis_member():
     basis = [S1, S2, S3, S4]
     coeffs, residual = decompose_in_basis(S3, basis)

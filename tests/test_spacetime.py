@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lieforge import spacetime
 from lieforge.checks import all_passed, check_poincare
 from lieforge.generators import GeneratorSet, Kind, REP5_AFFINE, gamma, j2, rep22_jk, v2
-from lieforge.linalg import mat_exp
+from lieforge.linalg import DEFAULT_TOL, mat_exp
 from lieforge.spacetime import (
     AffineTransform,
     PrecondError,
@@ -264,3 +266,225 @@ def test_params_validation():
         RotBoostParams(phi=(np.inf, 0.0, 0.0))
     with pytest.raises(ValueError):
         rotation_invariance_check(trials=0)
+
+
+def _cross(n):
+    """Cross-product matrices [n]_x of a (T, 3) array."""
+    z = np.zeros(len(n))
+    return np.array(
+        [[z, -n[:, 2], n[:, 1]], [n[:, 2], z, -n[:, 0]], [-n[:, 1], n[:, 0], z]]
+    ).transpose(2, 0, 1)
+
+
+def _rodrigues(theta):
+    """Rotation by |theta| about theta/|theta| (Rodrigues), embedded in 4x4."""
+    angle = np.linalg.norm(theta, axis=1)
+    k = _cross(theta / angle[:, None])
+    out = np.tile(np.eye(4), (len(theta), 1, 1))
+    sin, one_minus_cos = np.sin(angle)[:, None, None], (1 - np.cos(angle))[:, None, None]
+    out[:, :3, :3] += sin * k + one_minus_cos * (k @ k)
+    return out
+
+
+def _boost_closed_form(phi):
+    """I + (cosh - 1) n n^T in space, sinh * n in the space-time entries."""
+    rapidity = np.linalg.norm(phi, axis=1)
+    n = phi / rapidity[:, None]
+    out = np.tile(np.eye(4), (len(phi), 1, 1))
+    out[:, :3, :3] += (np.cosh(rapidity) - 1)[:, None, None] * n[:, :, None] * n[:, None, :]
+    out[:, :3, 3] = out[:, 3, :3] = np.sinh(rapidity)[:, None] * n
+    out[:, 3, 3] = np.cosh(rapidity)
+    return out
+
+
+def test_stacked_d4_matches_closed_forms():
+    # exp(i theta.J4) is Rodrigues' rotation at -theta; exp(i phi.K4) is the
+    # cosh/sinh boost along phi.
+    from lieforge.spacetime import _d4_stack
+
+    rng = np.random.default_rng(21)
+    theta = rng.uniform(-np.pi, np.pi, size=(200, 3))
+    phi = rng.uniform(-2.0, 2.0, size=(200, 3))
+    zeros = np.zeros_like(theta)
+    rot = _d4_stack(theta, zeros, DEFAULT_TOL)
+    boost = _d4_stack(zeros, phi, DEFAULT_TOL)
+    both = _d4_stack(theta, phi, DEFAULT_TOL)
+    np.testing.assert_allclose(rot, _rodrigues(-theta), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(boost, _boost_closed_form(phi), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        both, _boost_closed_form(phi) @ _rodrigues(-theta), rtol=0, atol=1e-12
+    )
+    for t in range(0, 200, 20):
+        single = d4(RotBoostParams(theta=tuple(theta[t]), phi=tuple(phi[t])))
+        np.testing.assert_allclose(both[t], single, rtol=0, atol=1e-14)
+
+
+# Per-trial references for the batched sweeps: the loops the sweeps replaced,
+# written with the public one-transform functions on the same rng stream.
+
+
+def _direction(rng, max_norm):
+    v = rng.normal(size=3)
+    n = float(np.linalg.norm(v))
+    return np.zeros(3) if n == 0.0 else v * (rng.uniform(0.0, max_norm) / n)
+
+
+def _ref_rotation(trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.uniform(-10.0, 10.0, size=4)
+        theta = _direction(rng, np.pi)
+        xr = apply(d4(RotBoostParams(theta=tuple(theta))), x)
+        space = float(np.dot(x[:3], x[:3]))
+        worst = max(
+            worst,
+            abs(float(np.dot(xr[:3], xr[:3])) - space) / max(1.0, space),
+            abs(xr[3] - x[3]) / max(1.0, abs(x[3])),
+        )
+    return worst
+
+
+def _ref_boost(trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.uniform(-10.0, 10.0, size=4)
+        theta, phi = _direction(rng, np.pi), _direction(rng, 3.0)
+        xb = apply(d4(RotBoostParams(theta=tuple(theta), phi=tuple(phi))), x)
+        worst = max(worst, abs(interval_sq(xb) - interval_sq(x)) / max(1.0, float(np.dot(x, x))))
+    return worst
+
+
+def _ref_det(trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = rng.uniform(-10.0, 10.0, size=4)
+        r = abs(interval_sq_via_det(x) - interval_sq(x)) / max(1.0, float(np.dot(x, x)))
+        worst = max(worst, r)
+    return worst
+
+
+def _ref_params(rng):
+    return RotBoostParams(theta=tuple(_direction(rng, np.pi)), phi=tuple(_direction(rng, 2.0)))
+
+
+def _ref_affine(trials, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        p1, p2 = _ref_params(rng), _ref_params(rng)
+        t1 = AffineTransform(d4(p1).real, rng.uniform(-5, 5, size=4))
+        t2 = AffineTransform(d4(p2).real, rng.uniform(-5, 5, size=4))
+        x = rng.uniform(-10.0, 10.0, size=4)
+        seq = affine_apply(t2, affine_apply(t1, x))
+        scale = max(1.0, float(np.abs(seq).max()))
+        r = float(np.abs(seq - affine_apply(affine_compose(t2, t1), x)).max()) / scale
+        shift = AffineTransform(np.eye(4), rng.uniform(-5, 5, size=4))
+        x0 = rng.uniform(-10.0, 10.0, size=4)
+        diff = affine_apply(shift, x) - affine_apply(shift, x0)
+        worst = max(worst, r, float(np.abs(diff - (x - x0)).max()) / scale)
+    return worst
+
+
+def _ref_translation(trials, seed):
+    _, _, p5 = affine_generators()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        a = rng.uniform(-10.0, 10.0, size=4)
+        g = mat_exp(1j * sum(a[mu] * p5[mu + 1] for mu in range(4)))
+        expected = np.eye(5, dtype=complex)
+        expected[:4, 4] = a
+        x = rng.uniform(-10.0, 10.0, size=4)
+        moved = g @ np.append(x, 1.0)
+        worst = max(
+            worst,
+            float(np.abs(g - expected).max()),
+            float(np.abs(moved[:4] - (x + a)).max()),
+            abs(moved[4] - 1.0),
+        )
+    return worst
+
+
+def _ref_intertwine(J, K, V, draws, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        p = _ref_params(rng)
+        rot = 1j * sum(p.theta[i] * J[i + 1] for i in range(3))
+        boost = 1j * sum(p.phi[i] * K[i + 1] for i in range(3))
+        D = mat_exp(boost) @ mat_exp(rot)
+        Dinv = mat_exp(-rot) @ mat_exp(-boost)
+        lam = d4(p)
+        for mu in range(4):
+            rhs = sum(lam[mu, nu] * V[nu + 1] for nu in range(4))
+            worst = max(worst, float(np.linalg.norm(Dinv @ V[mu + 1] @ D - rhs)))
+    return worst
+
+
+def _sweeps():
+    J22, K22 = rep22_jk()
+    j5, k5, p5 = affine_generators()
+    return [
+        (rotation_invariance_check, _ref_rotation),
+        (boost_invariance_check, _ref_boost),
+        (det_interval_check, _ref_det),
+        (affine_composition_check, _ref_affine),
+        (translation_check, _ref_translation),
+        (
+            lambda trials, seed: intertwine_sweep(J22, K22, gamma(), trials, seed=seed),
+            lambda trials, seed: _ref_intertwine(J22, K22, gamma(), trials, seed),
+        ),
+        (
+            lambda trials, seed: intertwine_sweep(j5, k5, p5, trials, seed=seed),
+            lambda trials, seed: _ref_intertwine(j5, k5, p5, trials, seed),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 9, 123])
+def test_batched_sweeps_reproduce_per_trial_loops(seed):
+    reports = []
+    for check, reference in _sweeps():
+        reports.append(check(trials=200, seed=seed))
+        expected = reference(200, seed)
+        assert abs(reports[-1].max_residual - expected) <= 1e-14
+        assert reports[-1].passed == (expected < reports[-1].tolerance)
+    assert [(r.identity.value, r.subject) for r in reports] == [
+        ("rotation-invariance", "4-rep"),
+        ("interval-invariance", "4-rep"),
+        ("determinant-interval", "4-vector"),
+        ("affine-composition", "5-affine"),
+        ("translation-displacement", "5-affine"),
+        ("intertwining", "2+2-rep"),
+        ("intertwining", "5-affine-rep"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, check", [("_K4", boost_invariance_check), ("_J4", rotation_invariance_check)]
+)
+def test_perturbed_generator_fails_the_sweep(monkeypatch, name, check):
+    # An imaginary bump keeps exp(i theta.G) real but no longer Lorentz.
+    gens = getattr(spacetime, name)
+    bumped = gens[1].copy()
+    bumped[1, 2] += 1e-6j
+    monkeypatch.setattr(spacetime, name, gens.with_member(1, bumped))
+    report = check(trials=200, seed=5)
+    assert not report.passed
+    assert 0 <= report.witness["indices"][0] < 200
+    assert report.witness["description"].startswith(f"trial {report.witness['indices'][0]}:")
+
+
+def test_sweep_memory_does_not_grow_with_trials():
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            boost_invariance_check(trials=trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20000) < 2 * peak(2048)
