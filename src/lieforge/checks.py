@@ -35,6 +35,7 @@ __all__ = [
     "residual_report",
     "check_su2_fundamental",
     "check_lorentz",
+    "vector_family_reports",
     "check_poincare",
     "check_2rep_vk_asymmetry",
     "gamma_match_report",
@@ -309,7 +310,7 @@ def vector_relation_reports(
     ]
 
 
-def check_poincare(
+def vector_family_reports(
     J: GeneratorSet,
     K: GeneratorSet,
     V: GeneratorSet,
@@ -317,15 +318,13 @@ def check_poincare(
     alpha: complex = 1.0,
     subject: str | None = None,
 ) -> list[CheckReport]:
-    """Full bracket table of rotations, boosts and a vector family.
+    """The vector-family part of the Poincare table.
 
-    Runs the Lorentz closure, both vector relations at the given alpha, and,
-    when the vector family is a momentum set, the mutual-commutation check
-    over all 16 pairs.
+    Both vector relations at the given alpha and, when the vector family is a
+    momentum set, the mutual-commutation check over all 16 pairs.
     """
     subject = subject if subject is not None else f"{V.rep.tag}-rep"
-    reports = check_lorentz(J, K, tol)
-    reports.extend(vector_relation_reports(J, K, V, tol, alpha, subject=subject))
+    reports = vector_relation_reports(J, K, V, tol, alpha, subject=subject)
     if V.kind is Kind.MOMENTUM:
         Vs = V.stack
         reports.append(
@@ -338,6 +337,19 @@ def check_poincare(
             )
         )
     return reports
+
+
+def check_poincare(
+    J: GeneratorSet,
+    K: GeneratorSet,
+    V: GeneratorSet,
+    tol: Tolerance = DEFAULT_TOL,
+    alpha: complex = 1.0,
+    subject: str | None = None,
+) -> list[CheckReport]:
+    """Full bracket table of rotations, boosts and a vector family: the
+    Lorentz closure followed by :func:`vector_family_reports`."""
+    return check_lorentz(J, K, tol) + vector_family_reports(J, K, V, tol, alpha, subject)
 
 
 def check_2rep_vk_asymmetry(tol: Tolerance = DEFAULT_TOL) -> CheckReport:

@@ -6,15 +6,20 @@ the finite-transformation checks, ``sun`` compares su(2) with su(3), and
 ``exercises`` runs the worked-problem suite; ``all`` chains everything.  Exit
 code 0 means every emitted report passed.
 
+Each command appends titled sections to one per-run object, whose table
+computes each generator set, check, seeded sweep, coefficient tensor and
+structure extraction once, however many sections print it.
+
 Output is deterministic for a fixed configuration (including the seed); the
 JSON format emits one object per line, with bare report objects and
 ``type``-tagged payloads.  The environment variable ``LIEFORGE_TOL``
 overrides the absolute tolerance; ``LIEFORGE_PERTURB`` injects a perturbation
-into the verify suite (a negative-control hook used by the tests).  Bad input
-(an out-of-range option or environment value, a requested transform that
-overflows, an output path that cannot be written) ends with one
-``lieforge: error: ...`` line on stderr and exit code 2, as argparse does for
-its own errors; exit code 1 is reserved for a failed check.
+into the su(2) trio of verify's fundamental relations (a negative-control
+hook used by the tests).  Bad input (an out-of-range option or environment
+value, a requested transform that overflows, an output path that cannot be
+written) ends with one ``lieforge: error: ...`` line on stderr and exit code
+2, as argparse does for its own errors; exit code 1 is reserved for a failed
+check.
 """
 
 from __future__ import annotations
@@ -23,18 +28,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import (
     CheckReport,
+    Identity,
     all_passed,
     check_2rep_vk_asymmetry,
     check_lorentz,
-    check_poincare,
     check_su2_fundamental,
     gamma_match_report,
+    make_report,
+    vector_family_reports,
 )
 from .generators import (
     Branch,
@@ -53,7 +60,6 @@ from .generators import (
     rep22_v,
 )
 from .linalg import Tolerance, matrix_to_json
-from .checks import Identity, make_report
 from .spacetime import (
     RotBoostParams,
     affine_composition_check,
@@ -68,7 +74,7 @@ from .spacetime import (
 )
 from .spacetime import d4 as spacetime_d4
 from .su_n import boost_obstruction_report, extract_structure, gell_mann, structure_reports
-from .transfer import extract_coeffs, build_j4, build_k4, verify_transfer
+from .transfer import build_j4, build_k4, extract_coeffs, transfer_reports
 
 __all__ = ["InputError", "RunConfig", "main"]
 
@@ -96,28 +102,15 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if not np.isfinite(self.alpha) or self.alpha == 0.0:
             raise InputError("alpha must be finite and nonzero")
         for name in ("theta", "phi", "x"):
             if not np.all(np.isfinite(getattr(self, name) or ())):
                 raise InputError(f"--{name} must be finite")
-
-
-@dataclass
-class RunResult:
-    """Titled report sections plus format-specific extra output."""
-
-    sections: list[tuple[str, list[CheckReport]]] = field(default_factory=list)
-    json_extra: list[dict] = field(default_factory=list)
-    text_extra: list[str] = field(default_factory=list)
-
-    def reports(self) -> list[CheckReport]:
-        return [r for _, rs in self.sections for r in rs]
-
-    def merge(self, other: "RunResult") -> None:
-        self.sections.extend(other.sections)
-        self.json_extra.extend(other.json_extra)
-        self.text_extra.extend(other.text_extra)
+        if self.x is None and (self.theta is not None or self.phi is not None):
+            raise InputError("--theta/--phi need --x to act on")
 
 
 def _env_float(name: str, env) -> float | None:
@@ -164,78 +157,114 @@ def _fmt_matrix(m: np.ndarray, indent: str = "    ") -> str:
     )
 
 
-def run_verify(cfg: RunConfig, tol: Tolerance) -> RunResult:
-    res = RunResult()
-    j = j2()
+class _Run:
+    """One run of a command: its settings, its output sections and extras,
+    and a table of everything it computes.
+
+    ``run(fn, *args)`` is ``fn(*args)``, computed at most once per run, on
+    first use, and keyed on ``fn`` and every argument: numbers, strings,
+    tolerances and parameter records by value, anything else by identity
+    (the table keeps it alive, so the identity is not reused).  Entries are
+    shared: concatenate report lists, never extend one in place.
+    """
+
+    _BY_VALUE = (int, float, str, Tolerance, VectorParams)
+
+    def __init__(self, cfg: RunConfig, tol: Tolerance):
+        self.cfg, self.tol = cfg, tol
+        self.sections: list[tuple[str, list[CheckReport]]] = []
+        self.json_extra: list[dict] = []
+        self.text_extra: list[str] = []
+        self._entries: dict = {}
+
+    def __call__(self, fn, *args):
+        key = (fn, *(a if isinstance(a, self._BY_VALUE) else ("id", id(a)) for a in args))
+        if key not in self._entries:
+            self._entries[key] = (args, fn(*args))
+        return self._entries[key][1]
+
+    def reports(self) -> list[CheckReport]:
+        return [r for _, rs in self.sections for r in rs]
+
+    def poincare(self, J, K, alpha, families) -> list[CheckReport]:
+        """``check_poincare`` of each ``(subject, V)`` in ``families``, all
+        sharing the one Lorentz table of ``J`` and ``K``."""
+        lorentz = self(check_lorentz, J, K, self.tol)
+        parts = (self(vector_family_reports, J, K, V, self.tol, alpha, s) for s, V in families)
+        return [r for part in parts for r in lorentz + part]
+
+
+def _projected(V: GeneratorSet) -> list[tuple[str, GeneratorSet]]:
+    """The chiral projections of the doubled vector family ``V``."""
+    return [
+        (name, GeneratorSet(REP22, Kind.MOMENTUM, tuple(proj @ V[mu] for mu in range(1, 5))))
+        for name, proj in zip(("projected-plus", "projected-minus"), gamma5_projectors())
+    ]
+
+
+def _structures(J: GeneratorSet, tol: Tolerance) -> tuple:
+    """Structure tensors of su(2), from the trio ``J``, and of su(3), both
+    from bases with tr(T_a T_b) = delta_ab / 2."""
+    return extract_structure(J.members, tol), extract_structure([l / 2 for l in gell_mann()], tol)
+
+
+def _verify(run: _Run) -> None:
+    cfg, tol = run.cfg, run.tol
+    j = run(j2)
     if cfg.perturb != 0.0:
         bumped = j[1].copy()
         bumped[0, 0] += cfg.perturb
         j = j.with_member(1, bumped)
-    k = k2()
-    fundamental = check_su2_fundamental(j, tol) + check_lorentz(j, k, tol)
-    fundamental.append(check_2rep_vk_asymmetry(tol))
-    res.sections.append(("fundamental relations", fundamental))
+    fundamental = run(check_su2_fundamental, j, tol) + run(check_lorentz, j, run(k2), tol)
+    fundamental.append(run(check_2rep_vk_asymmetry, tol))
+    run.sections.append(("fundamental relations", fundamental))
 
     alpha = cfg.alpha
-    J22, K22 = rep22_jk()
-    doubled = check_lorentz(J22, K22, tol)
-    generic_v = rep22_v(VectorParams(alpha=alpha))
-    doubled += check_poincare(J22, K22, generic_v, tol, alpha, subject="vector-generic")
-    res.sections.append(("doubled-rep closure", doubled))
+    J22, K22 = run(rep22_jk)
+    generic_v = run(rep22_v, VectorParams(alpha=alpha))
+    doubled = run.poincare(J22, K22, alpha, [("vector-generic", generic_v)])
+    run.sections.append(("doubled-rep closure", run(check_lorentz, J22, K22, tol) + doubled))
 
-    momenta: list[CheckReport] = []
-    p_plus = momentum(VectorParams(GAMMA_C_PLUS, 0.0, alpha), Branch.PLUS)
-    p_minus = momentum(VectorParams(0.0, GAMMA_C_MINUS, alpha), Branch.MINUS)
-    momenta += check_poincare(J22, K22, p_plus, tol, alpha, subject="momentum-plus")
-    momenta += check_poincare(J22, K22, p_minus, tol, alpha, subject="momentum-minus")
-    proj_plus, proj_minus = gamma5_projectors()
-    projected_plus = GeneratorSet(
-        REP22, Kind.MOMENTUM, tuple(proj_plus @ generic_v[mu] for mu in range(1, 5))
-    )
-    projected_minus = GeneratorSet(
-        REP22, Kind.MOMENTUM, tuple(proj_minus @ generic_v[mu] for mu in range(1, 5))
-    )
-    momenta += check_poincare(J22, K22, projected_plus, tol, alpha, subject="projected-plus")
-    momenta += check_poincare(J22, K22, projected_minus, tol, alpha, subject="projected-minus")
-    res.sections.append(("momentum families", momenta))
-    return res
+    families = [
+        ("momentum-plus", run(momentum, VectorParams(GAMMA_C_PLUS, 0.0, alpha), Branch.PLUS)),
+        ("momentum-minus", run(momentum, VectorParams(0.0, GAMMA_C_MINUS, alpha), Branch.MINUS)),
+        *run(_projected, generic_v),
+    ]
+    run.sections.append(("momentum families", run.poincare(J22, K22, alpha, families)))
 
 
-def run_transfer(cfg: RunConfig, tol: Tolerance) -> RunResult:
-    res = RunResult()
-    res.sections.append(("generator transfer", verify_transfer(tol)))
+def _transfer(run: _Run) -> None:
+    tol = run.tol
+    J22, K22 = run(rep22_jk)
+    V = run(rep22_v, VectorParams(alpha=1.0))
+    a = run(extract_coeffs, V, J22, tol)
+    b = run(extract_coeffs, V, K22, tol)
+    p = run(momentum, VectorParams(GAMMA_C_PLUS, 0.0, 1.0), Branch.PLUS)
+    a_single = run(extract_coeffs, p, J22, tol)
+    run.sections.append(("generator transfer", run(transfer_reports, a, b, tol)))
 
-    J22, K22 = rep22_jk()
-    V = rep22_v(VectorParams(alpha=1.0))
-    a = extract_coeffs(V, J22, tol)
-    b = extract_coeffs(V, K22, tol)
-    p = momentum(VectorParams(GAMMA_C_PLUS, 0.0, 1.0), Branch.PLUS)
-    a_single = extract_coeffs(p, J22, tol)
-
-    res.json_extra.append({"type": "coeff-tensor", "against": "rotations", **a.to_json()})
-    res.json_extra.append({"type": "coeff-tensor", "against": "boosts", **b.to_json()})
-    res.json_extra.append(
-        {
-            "type": "coeff-tensor",
-            "against": "rotations (single-block momentum family)",
-            "note": a_single.note,
-            **a_single.to_json(),
-        }
-    )
-    j4, k4 = build_j4(), build_k4()
+    for against, tensor, note in (
+        ("rotations", a, {}),
+        ("boosts", b, {}),
+        ("rotations (single-block momentum family)", a_single, {"note": a_single.note}),
+    ):
+        run.json_extra.append(
+            {"type": "coeff-tensor", "against": against, **note, **tensor.to_json()}
+        )
+    j4, k4 = run(build_j4), run(build_k4)
     for name, gens in (("rotation generator", j4), ("boost generator", k4)):
         for i in range(1, 4):
-            res.json_extra.append(
+            run.json_extra.append(
                 {"type": "matrix", "name": f"{name} {i}", **matrix_to_json(gens[i])}
             )
-            res.text_extra.append(f"{name} {i}:\n" + _fmt_matrix(gens[i]))
+            run.text_extra.append(f"{name} {i}:\n" + _fmt_matrix(gens[i]))
     if a_single.note:
-        res.text_extra.append(f"momentum-family extraction: {a_single.note}")
-    return res
+        run.text_extra.append(f"momentum-family extraction: {a_single.note}")
 
 
-def _single_transform(cfg: RunConfig, tol: Tolerance, res: RunResult) -> None:
+def _single_transform(run: _Run) -> None:
     """Transform one user-supplied vector with explicit angles/rapidities."""
+    cfg, tol = run.cfg, run.tol
     params = RotBoostParams(theta=cfg.theta or (0.0, 0.0, 0.0), phi=cfg.phi or (0.0, 0.0, 0.0))
     x = np.asarray(cfg.x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,21 +274,15 @@ def _single_transform(cfg: RunConfig, tol: Tolerance, res: RunResult) -> None:
         raise InputError(f"the requested transform of x overflows (rapidity |phi| = {rapidity:g})")
     before, after = interval_sq(x), interval_sq(moved)
     scale = max(1.0, float(np.dot(x, x)))
-    res.sections.append(
-        (
-            "requested transform",
-            [
-                make_report(
-                    Identity.INTERVAL_INVARIANCE,
-                    abs(after - before) / scale,
-                    tol.exp_eps,
-                    subject="single-input",
-                    note=f"theta={list(params.theta)}, phi={list(params.phi)}",
-                )
-            ],
-        )
+    report = make_report(
+        Identity.INTERVAL_INVARIANCE,
+        abs(after - before) / scale,
+        tol.exp_eps,
+        subject="single-input",
+        note=f"theta={list(params.theta)}, phi={list(params.phi)}",
     )
-    res.json_extra.append(
+    run.sections.append(("requested transform", [report]))
+    run.json_extra.append(
         {
             "type": "transform",
             "theta": list(params.theta),
@@ -270,7 +293,7 @@ def _single_transform(cfg: RunConfig, tol: Tolerance, res: RunResult) -> None:
             "interval_out": after,
         }
     )
-    res.text_extra.append(
+    run.text_extra.append(
         "requested transform detail\n"
         f"    x        = {x.tolist()}\n"
         f"    x'       = {moved.tolist()}\n"
@@ -278,109 +301,89 @@ def _single_transform(cfg: RunConfig, tol: Tolerance, res: RunResult) -> None:
     )
 
 
-def run_invariants(cfg: RunConfig, tol: Tolerance) -> RunResult:
-    res = RunResult()
-    if cfg.x is not None or cfg.theta is not None or cfg.phi is not None:
-        if cfg.x is None:
-            raise ValueError("--theta/--phi need --x to act on")
-        _single_transform(cfg, tol, res)
+def _invariants(run: _Run) -> None:
+    cfg, tol = run.cfg, run.tol
+    if cfg.x is not None:
+        _single_transform(run)
     small = max(1, cfg.trials // 10)
+    draws = min(100, cfg.trials)
+    J22, K22 = run(rep22_jk)
+    j5, k5, p5 = run(affine_generators)
     reports = [
-        rotation_invariance_check(cfg.trials, tol, cfg.seed),
-        boost_invariance_check(cfg.trials, tol, cfg.seed),
-        det_interval_check(cfg.trials, tol, cfg.seed),
-        affine_composition_check(small, tol, cfg.seed),
-        translation_check(small, tol, cfg.seed),
+        run(rotation_invariance_check, cfg.trials, tol, cfg.seed),
+        run(boost_invariance_check, cfg.trials, tol, cfg.seed),
+        run(det_interval_check, cfg.trials, tol, cfg.seed),
+        run(affine_composition_check, small, tol, cfg.seed),
+        run(translation_check, small, tol, cfg.seed),
+        run(intertwine_sweep, J22, K22, run(gamma), draws, tol, cfg.seed),
+        run(intertwine_sweep, j5, k5, p5, draws, tol, cfg.seed),
     ]
-    J22, K22 = rep22_jk()
-    draws = min(100, cfg.trials)
-    reports.append(intertwine_sweep(J22, K22, gamma(), draws, tol, cfg.seed))
-    j5, k5, p5 = affine_generators()
-    reports.append(intertwine_sweep(j5, k5, p5, draws, tol, cfg.seed))
-    reports += check_poincare(j5, k5, p5, tol, alpha=1.0, subject="5-affine")
-    res.sections.append(("spacetime invariants", reports))
-    return res
+    reports += run.poincare(j5, k5, 1.0, [("5-affine", p5)])
+    run.sections.append(("spacetime invariants", reports))
 
 
-def run_sun(cfg: RunConfig, tol: Tolerance) -> RunResult:
-    res = RunResult()
-    st2 = extract_structure(list(j2().members), tol)
-    st3 = extract_structure([l / 2 for l in gell_mann()], tol)
-    reports = structure_reports(st2, tol) + structure_reports(st3, tol)
-    res.sections.append(("group comparison", reports))
-
-    def tensor_summary(st):
-        f_nonzero = int(np.count_nonzero(np.abs(st.f) > tol.abs_eps))
-        d_nonzero = int(np.count_nonzero(np.abs(st.d) > tol.abs_eps))
-        return f_nonzero, d_nonzero
-
-    f2, d2 = tensor_summary(st2)
-    f3, d3 = tensor_summary(st3)
-    res.text_extra.append(
-        "structure-tensor comparison\n"
-        f"    su(2): f nonzeros {f2:3d}   d nonzeros {d2:3d}   delta_coeff {st2.delta_coeff:.12g}   max|d| {np.abs(st2.d).max():.12g}\n"
-        f"    su(3): f nonzeros {f3:3d}   d nonzeros {d3:3d}   delta_coeff {st3.delta_coeff:.12g}   max|d| {np.abs(st3.d).max():.12g}"
+def _group_comparison(run: _Run) -> tuple:
+    """Append the su(2) and su(3) structure reports; return both tensors."""
+    structures = run(_structures, run(j2), run.tol)
+    run.sections.append(
+        ("group comparison", [r for st in structures for r in run(structure_reports, st, run.tol)])
     )
-    res.json_extra.append({"type": "structure-tensors", "group": "su2", **st2.to_json()})
-    res.json_extra.append({"type": "structure-tensors", "group": "su3", **st3.to_json()})
-    res.json_extra.append(
-        {"type": "obstruction", "group": "su2", **boost_obstruction_report(st2, tol).to_json()}
-    )
-    res.json_extra.append(
-        {"type": "obstruction", "group": "su3", **boost_obstruction_report(st3, tol).to_json()}
-    )
-    return res
+    return structures
 
 
-def run_exercises(cfg: RunConfig, tol: Tolerance) -> RunResult:
-    res = RunResult()
-    reports: list[CheckReport] = []
-    reports.append(det_interval_check(cfg.trials, tol, cfg.seed))
-    reports += check_su2_fundamental(j2(), tol)
-    reports.append(gamma_match_report(tol))
-
-    J22, K22 = rep22_jk()
-    generic_v = rep22_v()
-    proj_plus, proj_minus = gamma5_projectors()
-    for name, proj in (("projected-plus", proj_plus), ("projected-minus", proj_minus)):
-        projected = GeneratorSet(
-            REP22, Kind.MOMENTUM, tuple(proj @ generic_v[mu] for mu in range(1, 5))
+def _sun(run: _Run) -> None:
+    tol = run.tol
+    groups = list(zip(("2", "3"), _group_comparison(run)))
+    summary = ["structure-tensor comparison"]
+    for n, st in groups:
+        f_nz, d_nz = (int(np.count_nonzero(np.abs(c) > tol.abs_eps)) for c in (st.f, st.d))
+        summary.append(
+            f"    su({n}): f nonzeros {f_nz:3d}   d nonzeros {d_nz:3d}   "
+            f"delta_coeff {st.delta_coeff:.12g}   max|d| {np.abs(st.d).max():.12g}"
         )
-        reports += check_poincare(J22, K22, projected, tol, alpha=1.0, subject=name)
+    run.text_extra.append("\n".join(summary))
+    for n, st in groups:
+        run.json_extra.append({"type": "structure-tensors", "group": f"su{n}", **st.to_json()})
+    for n, st in groups:
+        obstruction = run(boost_obstruction_report, st, tol).to_json()
+        run.json_extra.append({"type": "obstruction", "group": f"su{n}", **obstruction})
 
-    j5, k5, p5 = affine_generators()
-    reports += check_poincare(j5, k5, p5, tol, alpha=1.0, subject="5-affine")
-    reports.append(translation_check(max(1, cfg.trials // 10), tol, cfg.seed))
 
+def _exercises(run: _Run) -> None:
+    cfg, tol = run.cfg, run.tol
     draws = min(100, cfg.trials)
-    reports.append(intertwine_sweep(J22, K22, gamma(), draws, tol, cfg.seed))
-    reports.append(intertwine_sweep(j5, k5, p5, draws, tol, cfg.seed))
-    res.sections.append(("worked problems", reports))
+    J22, K22 = run(rep22_jk)
+    j5, k5, p5 = run(affine_generators)
+    projected = run(_projected, run(rep22_v, VectorParams(alpha=1.0)))
+    reports = [run(det_interval_check, cfg.trials, tol, cfg.seed)]
+    reports += run(check_su2_fundamental, run(j2), tol)
+    reports.append(run(gamma_match_report, tol))
+    reports += run.poincare(J22, K22, 1.0, projected)
+    reports += run.poincare(j5, k5, 1.0, [("5-affine", p5)])
+    reports.append(run(translation_check, max(1, cfg.trials // 10), tol, cfg.seed))
+    reports.append(run(intertwine_sweep, J22, K22, run(gamma), draws, tol, cfg.seed))
+    reports.append(run(intertwine_sweep, j5, k5, p5, draws, tol, cfg.seed))
+    run.sections.append(("worked problems", reports))
+    _group_comparison(run)
 
-    st2 = extract_structure(list(j2().members), tol)
-    st3 = extract_structure([l / 2 for l in gell_mann()], tol)
-    res.sections.append(
-        ("group comparison", structure_reports(st2, tol) + structure_reports(st3, tol))
-    )
-    return res
 
-
-_RUNNERS = {
-    "verify": (run_verify,),
-    "transfer": (run_transfer,),
-    "invariants": (run_invariants,),
-    "sun": (run_sun,),
-    "exercises": (run_exercises,),
-    "all": (run_verify, run_transfer, run_invariants, run_sun, run_exercises),
+# In the order ``all`` runs them.
+_COMMANDS = {
+    "verify": _verify,
+    "transfer": _transfer,
+    "invariants": _invariants,
+    "sun": _sun,
+    "exercises": _exercises,
 }
 
 
-def _render_text(cfg: RunConfig, tol: Tolerance, result: RunResult) -> str:
+def _render_text(run: _Run) -> str:
+    cfg, tol = run.cfg, run.tol
     lines = [
         f"lieforge {cfg.command}  seed={cfg.seed} trials={cfg.trials} alpha={cfg.alpha:g} "
         f"abs_eps={tol.abs_eps:g} exp_eps={tol.exp_eps:g}"
     ]
-    for title, reports in result.sections:
+    for title, reports in run.sections:
         lines.append("")
         lines.append(f"== {title} ==")
         for r in reports:
@@ -391,17 +394,18 @@ def _render_text(cfg: RunConfig, tol: Tolerance, result: RunResult) -> str:
             )
             if not r.passed and r.witness is not None:
                 lines.append(f"      witness: {r.witness['description']}")
-    for block in result.text_extra:
+    for block in run.text_extra:
         lines.append("")
         lines.append(block)
-    reports = result.reports()
+    reports = run.reports()
     failed = sum(1 for r in reports if not r.passed)
     lines.append("")
     lines.append(f"summary: {len(reports)} checks, {len(reports) - failed} passed, {failed} failed")
     return "\n".join(lines) + "\n"
 
 
-def _render_json(cfg: RunConfig, tol: Tolerance, result: RunResult) -> str:
+def _render_json(run: _Run) -> str:
+    cfg, tol = run.cfg, run.tol
     objs: list[dict] = [
         {
             "type": "config",
@@ -413,8 +417,8 @@ def _render_json(cfg: RunConfig, tol: Tolerance, result: RunResult) -> str:
             "exp_eps": tol.exp_eps,
         }
     ]
-    objs.extend(r.to_json() for r in result.reports())
-    objs.extend(result.json_extra)
+    objs.extend(r.to_json() for r in run.reports())
+    objs.extend(run.json_extra)
     return "\n".join(json.dumps(o, separators=(",", ":")) for o in objs) + "\n"
 
 
@@ -442,30 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default=None, help="write output to this path instead of stdout")
         if name in ("invariants", "all"):
-            p.add_argument(
-                "--theta",
-                type=float,
-                nargs=3,
-                default=None,
-                metavar=("T1", "T2", "T3"),
-                help="rotation angles for a single requested transform",
-            )
-            p.add_argument(
-                "--phi",
-                type=float,
-                nargs=3,
-                default=None,
-                metavar=("P1", "P2", "P3"),
-                help="boost rapidities for a single requested transform",
-            )
-            p.add_argument(
-                "--x",
-                type=float,
-                nargs=4,
-                default=None,
-                metavar=("X1", "X2", "X3", "X4"),
-                help="four-vector to transform (index 4 is time)",
-            )
+            for flag, metavar, about in (
+                ("--theta", ("T1", "T2", "T3"), "rotation angles for a single requested transform"),
+                ("--phi", ("P1", "P2", "P3"), "boost rapidities for a single requested transform"),
+                ("--x", ("X1", "X2", "X3", "X4"), "four-vector to transform (index 4 is time)"),
+            ):
+                p.add_argument(flag, type=float, nargs=len(metavar), metavar=metavar, help=about)
     return parser
 
 
@@ -484,13 +470,10 @@ def main(argv=None) -> int:
             phi=tuple(args.phi) if getattr(args, "phi", None) else None,
             x=tuple(args.x) if getattr(args, "x", None) else None,
         )
-        tol = tolerance_from_env()
-        result = RunResult()
-        for runner in _RUNNERS[cfg.command]:
-            result.merge(runner(cfg, tol))
-        rendered = (
-            _render_json(cfg, tol, result) if cfg.fmt == "json" else _render_text(cfg, tol, result)
-        )
+        run = _Run(cfg, tolerance_from_env())
+        for command in _COMMANDS if cfg.command == "all" else (cfg.command,):
+            _COMMANDS[command](run)
+        rendered = (_render_json if cfg.fmt == "json" else _render_text)(run)
         if cfg.out:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
@@ -499,7 +482,7 @@ def main(argv=None) -> int:
     except (InputError, OSError) as exc:
         print(f"lieforge: error: {exc}", file=sys.stderr)
         return 2
-    return 0 if all_passed(result.reports()) else 1
+    return 0 if all_passed(run.reports()) else 1
 
 
 if __name__ == "__main__":

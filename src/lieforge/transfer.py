@@ -48,6 +48,7 @@ __all__ = [
     "build_j4",
     "build_k4",
     "verify_transfer",
+    "transfer_reports",
 ]
 
 
@@ -224,22 +225,23 @@ _BRACKET_TABLE = {
 
 
 def verify_transfer(tol: Tolerance = DEFAULT_TOL) -> list[CheckReport]:
-    """End-to-end check that extraction transfers the algebra.
-
-    Extracts the coefficient tensors of the canonical doubled family against
-    its rotations and boosts, then verifies that the extracted slices obey the
-    same bracket table (with the table's structure constants tabulated as
-    literal data, independent of the extraction), that they coincide with the
-    closed forms, and that the closed forms close the Lorentz algebra
-    directly.
-    """
+    """End-to-end check that extraction transfers the algebra: the canonical
+    doubled family's coefficient tensors against its rotations and boosts,
+    checked by :func:`transfer_reports`."""
     J22, K22 = rep22_jk()
     V = rep22_v()
+    return transfer_reports(extract_coeffs(V, J22, tol), extract_coeffs(V, K22, tol), tol)
+
+
+def transfer_reports(
+    rotations: CoeffTensor, boosts: CoeffTensor, tol: Tolerance = DEFAULT_TOL
+) -> list[CheckReport]:
+    """The coefficient tensors extracted against rotations and boosts obey the
+    same bracket table (its structure constants tabulated as literal data,
+    independent of the extraction) and coincide with the closed forms, and
+    the closed forms close the Lorentz algebra directly."""
     # slices[X][i - 1] is the 4x4 matrix CoeffTensor.slice(i).
-    slices = {
-        name: extract_coeffs(V, A, tol).values.transpose(1, 0, 2)
-        for name, A in (("J", J22), ("K", K22))
-    }
+    slices = {"J": rotations.values.transpose(1, 0, 2), "K": boosts.values.transpose(1, 0, 2)}
 
     reports = [
         residual_report(

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import pathlib
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import lieforge
+import lieforge.cli as cli
 from lieforge.cli import RunConfig, main, tolerance_from_env
 
 COMMANDS = ["verify", "transfer", "invariants", "sun", "exercises"]
@@ -138,9 +140,11 @@ def test_single_transform_interface(capsys):
     assert abs(transform["x_out"][3] - 2.0) > 1.0
 
 
-def test_single_transform_requires_vector(capsys):
+def test_single_transform_requires_vector():
     with pytest.raises(ValueError):
-        main(["invariants", "--trials", "5", "--phi", "1", "0", "0"])
+        RunConfig(command="invariants", phi=(1, 0, 0))
+    with pytest.raises(ValueError):
+        RunConfig(command="invariants", theta=(1, 0, 0))
 
 
 def test_run_config_validation():
@@ -161,10 +165,13 @@ def test_run_config_validation():
         ({}, ["verify", "--out", "{missing}/x"]),
         ({}, ["invariants", "--x", "nan", "0", "0", "1"]),
         ({}, ["invariants", "--phi", "1000", "0", "0", "--x", "1", "0", "0", "2"]),
+        ({}, ["invariants", "--trials", "5", "--seed", "-1"]),
+        ({}, ["invariants", "--trials", "5", "--phi", "1", "0", "0"]),
     ],
     ids=[
         "trials-0", "alpha-0", "tol-abc", "tol-2",
         "perturb-abc", "out-missing-dir", "x-nan", "phi-1000",
+        "seed-negative", "phi-without-x",
     ],
 )
 def test_bad_input_exits_2_with_one_line(monkeypatch, capsys, tmp_path, env, argv):
@@ -191,3 +198,94 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "summary" in proc.stdout
+
+
+def _reports_and_extras(capsys, argv):
+    """The bare report objects and the ``type``-tagged extras (config aside)
+    of one JSON-mode run."""
+    assert main(argv) in (0, 1)
+    objs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    reports = [o for o in objs if "type" not in o]
+    extras = [o for o in objs if o.get("type") not in (None, "config")]
+    return reports, extras
+
+
+@pytest.mark.parametrize(
+    "env, args, transform",
+    [
+        ({}, [], []),
+        ({"LIEFORGE_PERTURB": "1e-6"}, [], []),
+        ({}, ["--alpha", "2"], []),
+        ({}, ["--alpha", "-1"], []),
+        ({}, [], ["--phi", "2", "0", "0", "--x", "1", "0", "0", "2"]),
+    ],
+    ids=["default", "perturb", "alpha-2", "alpha-minus-1", "transform"],
+)
+def test_all_equals_its_parts(monkeypatch, capsys, env, args, transform):
+    # The sections of ``all`` share one computation per check, so a check
+    # keyed on too few of its inputs would print another section's result.
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    common = ["--format", "json", *args]
+    whole = _reports_and_extras(capsys, ["all", *common, *transform])
+    parts = [
+        _reports_and_extras(
+            capsys, [command, *common, *(transform if command == "invariants" else [])]
+        )
+        for command in COMMANDS
+    ]
+    assert whole[0] == [r for reports, _ in parts for r in reports]
+    assert whole[1] == [x for _, extras in parts for x in extras]
+    if env:
+        # verify checks the perturbed su(2) trio, the worked problems the plain one.
+        jj = [r for r in whole[0] if (r["identity"], r["subject"]) == ("jj-commutation", "2-rep")]
+        assert [r["passed"] for r in jj] == [False, True]
+
+
+def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
+    calls = collections.Counter()
+
+    def count(name, key):
+        fn = getattr(cli, name)
+
+        def counted(*args):
+            calls[(name, key(*args))] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    count("check_lorentz", lambda J, K, *rest: J.rep.tag)
+    for name in (
+        "rotation_invariance_check",
+        "boost_invariance_check",
+        "det_interval_check",
+        "affine_composition_check",
+        "translation_check",
+    ):
+        count(name, lambda trials, tol, seed: trials)
+    count("intertwine_sweep", lambda J, K, V, *rest: V.rep.tag)
+    count("extract_structure", lambda generators, tol: len(generators[0]))
+    count("extract_coeffs", lambda V, A, tol: (V.kind.value, A.kind.value))
+    once = {
+        ("check_lorentz", "2"): 1,
+        ("check_lorentz", "2+2"): 1,
+        ("check_lorentz", "5-affine"): 1,
+        ("rotation_invariance_check", 10): 1,
+        ("boost_invariance_check", 10): 1,
+        ("det_interval_check", 10): 1,
+        ("affine_composition_check", 1): 1,
+        ("translation_check", 1): 1,
+        ("intertwine_sweep", "2+2"): 1,
+        ("intertwine_sweep", "5-affine"): 1,
+        ("extract_structure", 2): 1,
+        ("extract_structure", 3): 1,
+        ("extract_coeffs", ("vector", "angular-momentum")): 1,
+        ("extract_coeffs", ("vector", "boost")): 1,
+        ("extract_coeffs", ("momentum", "angular-momentum")): 1,
+    }
+    assert main(["all", "--trials", "10"]) == 0
+    assert calls == once
+    # Nothing is kept between runs: a second run computes everything again.
+    assert main(["all", "--trials", "10"]) == 0
+    assert calls == {key: 2 * n for key, n in once.items()}
+    capsys.readouterr()
