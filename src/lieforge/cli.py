@@ -118,9 +118,12 @@ def _env_float(name: str, env) -> float | None:
     if not raw:
         return None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise InputError(f"{name}={raw!r} is not a number") from None
+    if not np.isfinite(value):
+        raise InputError(f"{name}={raw!r} is not finite")
+    return value
 
 
 def tolerance_from_env(env=os.environ) -> Tolerance:

@@ -162,6 +162,8 @@ def test_run_config_validation():
         ({"LIEFORGE_TOL": "abc"}, ["verify"]),
         ({"LIEFORGE_TOL": "2"}, ["verify"]),
         ({"LIEFORGE_PERTURB": "abc"}, ["verify"]),
+        ({"LIEFORGE_PERTURB": "nan"}, ["verify"]),
+        ({"LIEFORGE_PERTURB": "inf"}, ["verify"]),
         ({}, ["verify", "--out", "{missing}/x"]),
         ({}, ["invariants", "--x", "nan", "0", "0", "1"]),
         ({}, ["invariants", "--phi", "1000", "0", "0", "--x", "1", "0", "0", "2"]),
@@ -170,7 +172,7 @@ def test_run_config_validation():
     ],
     ids=[
         "trials-0", "alpha-0", "tol-abc", "tol-2",
-        "perturb-abc", "out-missing-dir", "x-nan", "phi-1000",
+        "perturb-abc", "perturb-nan", "perturb-inf", "out-missing-dir", "x-nan", "phi-1000",
         "seed-negative", "phi-without-x",
     ],
 )

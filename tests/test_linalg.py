@@ -151,6 +151,50 @@ def test_mat_exp_stack_against_scipy_and_single():
         assert frobenius_distance(got[k], mat_exp(a[k])) <= 1e-14 * scale
 
 
+def _real_norm_ladder():
+    """A seeded real (20, 4, 4) stack whose infinity norms are 0, 1e-3, 1, 10, 40.
+
+    On about 1 seed in 10 of this construction, scipy's expm itself is off by
+    up to 1.8e-12 relative on the norm-40 members (against a 40-digit mpmath
+    exponential, which mat_exp matches to 6e-14); seed 12 is the seed of the
+    complex stack above.
+    """
+    a = np.random.default_rng(12).normal(size=(5, 4, 4, 4))
+    a /= np.abs(a).sum(axis=-1).max(axis=-1)[..., None, None]
+    a *= np.array([0.0, 1e-3, 1.0, 10.0, 40.0])[:, None, None, None]
+    return a.reshape(20, 4, 4)
+
+
+def test_mat_exp_real_stack_against_scipy():
+    # An exactly real stack takes the float64 path and still returns complex128.
+    a = _real_norm_ladder()
+    for stack in (a, a.astype(complex)):
+        got = mat_exp(stack)
+        assert got.dtype == np.complex128 and got.shape == a.shape
+        for k in range(len(a)):
+            ref = scipy.linalg.expm(a[k])
+            scale = max(1.0, float(np.linalg.norm(ref)))
+            assert frobenius_distance(got[k], ref) < 1e-12 * scale
+
+
+def test_mat_exp_real_nilpotent_stack_is_exactly_i_plus_a():
+    a = np.zeros((3, 5, 5))
+    a[:, :4, 4] = np.random.default_rng(14).uniform(-10.0, 10.0, size=(3, 4))
+    np.testing.assert_array_equal(mat_exp(a), np.eye(5) + a)
+
+
+def test_mat_exp_tiny_imaginary_part_takes_the_complex_path():
+    # One 1e-300j entry sends the whole stack through complex arithmetic; the
+    # real members still agree with their own (real-path) exponentials.
+    a = _real_norm_ladder().astype(complex)
+    a[7, 2, 1] += 1e-300j
+    got = mat_exp(a)
+    assert got[7].imag.any()
+    for k in range(len(a)):
+        scale = max(1.0, float(np.linalg.norm(got[k])))
+        assert frobenius_distance(got[k], mat_exp(a[k])) <= 1e-14 * scale
+
+
 def test_mat_exp_stack_shapes_and_validation():
     a = 0.5j * np.stack([S1, S2, S3, S4]).reshape(2, 2, 2, 2)
     got = mat_exp(a)

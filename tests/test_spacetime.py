@@ -478,6 +478,20 @@ def test_perturbed_generator_fails_the_sweep(monkeypatch, name, check):
     assert report.witness["description"].startswith(f"trial {report.witness['indices'][0]}:")
 
 
+@pytest.mark.parametrize(
+    "name, check", [("_K4", boost_invariance_check), ("_J4", rotation_invariance_check)]
+)
+def test_real_bump_to_a_generator_fails_the_purity_check(monkeypatch, name, check):
+    # A real bump makes i theta.G non-real, so mat_exp takes its complex path
+    # and the transform's imaginary part must still be caught.
+    gens = getattr(spacetime, name)
+    bumped = gens[1].copy()
+    bumped[1, 2] += 1e-6
+    monkeypatch.setattr(spacetime, name, gens.with_member(1, bumped))
+    with pytest.raises(PurityError, match="transform has imaginary residue"):
+        check(trials=200, seed=5)
+
+
 def test_sweep_memory_does_not_grow_with_trials():
     def peak(trials):
         tracemalloc.start()
