@@ -271,8 +271,9 @@ def _single_transform(run: _Run) -> None:
     params = RotBoostParams(theta=cfg.theta or (0.0, 0.0, 0.0), phi=cfg.phi or (0.0, 0.0, 0.0))
     x = np.asarray(cfg.x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        moved = apply(spacetime_d4(params, tol), x, tol)
-    if not np.all(np.isfinite(moved)):
+        D = spacetime_d4(params, tol)
+        moved = apply(D, x, tol) if np.all(np.isfinite(D)) else None
+    if moved is None or not np.all(np.isfinite(moved)):
         rapidity = float(np.linalg.norm(params.phi))
         raise InputError(f"the requested transform of x overflows (rapidity |phi| = {rapidity:g})")
     before, after = interval_sq(x), interval_sq(moved)

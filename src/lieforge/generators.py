@@ -29,7 +29,6 @@ __all__ = [
     "SU3_FUND",
     "SU3_ADJOINT",
     "adjoint_rep",
-    "fundamental_rep",
     "Kind",
     "Branch",
     "GeneratorSet",
@@ -71,15 +70,6 @@ SU3_FUND = Rep("su3-fund", 3)
 SU3_ADJOINT = Rep("su3-adjoint", 8)
 
 _CANONICAL_REPS = {r.tag: r for r in (REP2, REP22, REP4, REP5_AFFINE, SU3_FUND, SU3_ADJOINT)}
-
-
-def fundamental_rep(n: int) -> Rep:
-    """Defining-rep label for su(n)."""
-    if n == 2:
-        return REP2
-    if n == 3:
-        return SU3_FUND
-    return Rep(f"su{n}-fund", n)
 
 
 def adjoint_rep(n: int) -> Rep:

@@ -4,9 +4,11 @@ Four-vectors are plain length-4 float arrays; component mu lives at array
 index mu - 1 and index 4 (the last slot) is time.  The metric convention is
 (+, +, +, -): the squared interval is x1^2 + x2^2 + x3^2 - x4^2.
 
-Transformations are built in complex arithmetic (the generators are imaginary
-valued) and checked to be real before use; a failed purity check signals a
-convention bug, typically a stray factor of i.
+The 4-vector generators are imaginary valued, so i J and i K are real: that
+is checked exactly where they are read, and from there on every 4-vector and
+5-affine transform, image and residual is float64.  A transform from outside
+is checked once where it enters (:func:`apply`, :class:`AffineTransform`).  A
+failed purity check signals a convention bug, typically a stray factor of i.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ DEFAULT_SEED = 1
 
 
 class PurityError(ValueError):
-    """A transform or transformed vector has a non-negligible imaginary part."""
+    """A generator or transform that must be real has an imaginary part."""
 
 
 class PrecondError(ValueError):
@@ -94,6 +96,21 @@ def _four_vector(x) -> np.ndarray:
     return a
 
 
+def _real_transform(m, what: str, tol: Tolerance) -> np.ndarray:
+    """A 4x4 transform from outside as float64: ``ValueError`` unless it is
+    finite, :class:`PurityError` unless its imaginary parts are within
+    ``tol.exp_eps`` of max(1, its largest entry)."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise ValueError(f"{what} must be 4x4")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} must be finite")
+    residue = np.abs(m.imag).max()
+    if residue > tol.exp_eps * max(1.0, np.abs(m).max()):
+        raise PurityError(f"{what} has imaginary residue {residue:.3g}")
+    return m.real.copy()
+
+
 def _affine5(linear: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """The append-one matrices [[linear, shift], [0, 1]] of a stack of linear
     parts ``(T, 4, 4)`` and shifts ``(T, 4)``."""
@@ -117,9 +134,7 @@ class AffineTransform:
     shift: np.ndarray
 
     def __post_init__(self):
-        lin = np.array(self.linear, dtype=complex)
-        if lin.shape != (4, 4):
-            raise ValueError("linear part must be 4x4")
+        lin = _real_transform(self.linear, "linear part", DEFAULT_TOL)
         if abs(det(lin)) < 1e-12:
             raise ValueError("linear part must be invertible")
         lin.flags.writeable = False
@@ -145,39 +160,33 @@ _SIGMA4 = np.array([pauli(mu) for mu in range(1, 5)])
 _BLOCK = 256
 
 
-def _require_real(z: np.ndarray, what: str, tol: Tolerance) -> None:
-    """Raise :class:`PurityError` unless every item of the stack ``z`` (one
-    per entry of its first axis) has imaginary parts within ``tol.exp_eps``
-    of max(1, its largest entry)."""
-    z = z.reshape(len(z), -1)
-    residue = np.abs(z.imag).max(axis=1)
-    bad = residue > tol.exp_eps * np.maximum(1.0, np.abs(z).max(axis=1))
-    if bad.any():
-        raise PurityError(f"{what} has imaginary residue {residue[bad][0]:.3g}")
+def _real_generators(G: GeneratorSet) -> np.ndarray:
+    """The stack i G as float64; :class:`PurityError` if any entry of it has
+    an imaginary part, however small."""
+    iG = 1j * G.stack
+    if iG.imag.any():
+        residue = np.abs(iG.imag).max()
+        raise PurityError(f"4-vector {G.kind.value} generators have imaginary part {residue:.3g}")
+    return iG.real
 
 
-def _exponents(theta, phi, J: GeneratorSet, K: GeneratorSet) -> np.ndarray:
-    """The ``(2, T, n, n)`` stack of i theta.J and i phi.K for every row of
+def _exponents(theta, phi, iJ: np.ndarray, iK: np.ndarray) -> np.ndarray:
+    """The ``(2, T, n, n)`` stack of theta.iJ and phi.iK for every row of
     the ``(T, 3)`` arrays ``theta`` and ``phi``."""
-    return 1j * np.stack(
-        [np.einsum("ti,iab->tab", theta, J.stack), np.einsum("ti,iab->tab", phi, K.stack)]
-    )
+    return np.stack([np.einsum("ti,iab->tab", theta, iJ), np.einsum("ti,iab->tab", phi, iK)])
 
 
 def _d4_stack(theta, phi, tol: Tolerance) -> np.ndarray:
-    """exp(i phi.K) exp(i theta.J) in the 4-vector rep for every row of the
-    ``(T, 3)`` arrays ``theta`` and ``phi``, checked to be real."""
-    rot, boost = mat_exp(_exponents(theta, phi, _J4, _K4), tol)
-    out = boost @ rot
-    _require_real(out, "transform", tol)
-    return out
+    """exp(i phi.K) exp(i theta.J) in the 4-vector rep, as float64, for every
+    row of the ``(T, 3)`` arrays ``theta`` and ``phi``."""
+    iJ, iK = _real_generators(_J4), _real_generators(_K4)
+    rot, boost = mat_exp(_exponents(theta, phi, iJ, iK), tol).real
+    return boost @ rot
 
 
-def _apply_stack(D: np.ndarray, x: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Real components of D_t x_t for a ``(T, 4, 4)`` and a ``(T, 4)`` stack."""
-    y = (D @ x[:, :, None])[:, :, 0]
-    _require_real(y, "transformed vector", tol)
-    return y.real
+def _apply_stack(D: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """D_t x_t for a ``(T, 4, 4)`` and a ``(T, 4)`` stack."""
+    return (D @ x[:, :, None])[:, :, 0]
 
 
 def _interval(x: np.ndarray) -> np.ndarray:
@@ -196,8 +205,7 @@ def _affine_images(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = (M @ _append_one(x)[:, :, None])[:, :, 0]
     if np.any(out[:, 4] != 1.0):
         raise PurityError("appended component did not come back as exactly 1")
-    _require_real(out[:, :4], "affine image", DEFAULT_TOL)
-    return out[:, :4].real
+    return out[:, :4]
 
 
 def d4(params: RotBoostParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -207,11 +215,8 @@ def d4(params: RotBoostParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def apply(D, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Apply a 4x4 transform to a four-vector, returning real components."""
-    D = np.asarray(D, dtype=complex)
-    if D.shape != (4, 4):
-        raise ValueError("transform must be 4x4")
-    return _apply_stack(D[None], _four_vector(x)[None], tol)[0]
+    """Apply a finite, real 4x4 transform to a four-vector."""
+    return _apply_stack(_real_transform(D, "transform", tol)[None], _four_vector(x)[None])[0]
 
 
 def interval_sq(x) -> float:
@@ -232,7 +237,7 @@ def affine_apply(t: AffineTransform, x) -> np.ndarray:
 def affine_compose(t2: AffineTransform, t1: AffineTransform) -> AffineTransform:
     """The transform equal to applying t1 first, then t2 (5x5 product)."""
     m = t2.as_matrix5() @ t1.as_matrix5()
-    return AffineTransform(linear=m[:4, :4], shift=m[:4, 4].real)
+    return AffineTransform(linear=m[:4, :4], shift=m[:4, 4])
 
 
 def affine_generators() -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
@@ -271,7 +276,7 @@ def _intertwine_residuals(
 ) -> np.ndarray:
     """``(T, 4)`` Frobenius norms of D^-1 V^mu D - Lambda^mu_nu V^nu for
     mu = 1..4 and every row of the ``(T, 3)`` arrays ``theta`` and ``phi``."""
-    rot, boost = _exponents(theta, phi, J, K)
+    rot, boost = _exponents(theta, phi, 1j * J.stack, 1j * K.stack)
     e_rot, e_boost, e_mrot, e_mboost = mat_exp(np.stack([rot, boost, -rot, -boost]), tol)
     D, Dinv = e_boost @ e_rot, e_mrot @ e_mboost
     rhs = np.einsum("tmn,nab->tmab", _d4_stack(theta, phi, tol), V.stack)
@@ -386,7 +391,7 @@ def _draw_rotation(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rotation_residuals(x: np.ndarray, theta: np.ndarray, tol: Tolerance) -> np.ndarray:
-    xr = _apply_stack(_d4_stack(theta, np.zeros_like(theta), tol), x, tol)
+    xr = _apply_stack(_d4_stack(theta, np.zeros_like(theta), tol), x)
     space = np.einsum("ti,ti->t", x[:, :3], x[:, :3])
     moved = np.einsum("ti,ti->t", xr[:, :3], xr[:, :3])
     return np.maximum(
@@ -423,7 +428,7 @@ def _draw_boost(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def _boost_residuals(x, theta, phi, tol: Tolerance) -> np.ndarray:
-    xb = _apply_stack(_d4_stack(theta, phi, tol), x, tol)
+    xb = _apply_stack(_d4_stack(theta, phi, tol), x)
     return np.abs(_interval(xb) - _interval(x)) / np.maximum(1.0, np.einsum("ti,ti->t", x, x))
 
 
@@ -483,7 +488,7 @@ def _draw_affine(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
 
 def _affine_residuals(theta1, phi1, theta2, phi2, shift1, shift2, x, shift, x0, tol) -> np.ndarray:
     t = len(x)
-    linear = _d4_stack(np.concatenate([theta1, theta2]), np.concatenate([phi1, phi2]), tol).real
+    linear = _d4_stack(np.concatenate([theta1, theta2]), np.concatenate([phi1, phi2]), tol)
     m1, m2 = _affine5(linear[:t], shift1), _affine5(linear[t:], shift2)
     seq = _affine_images(m2, _affine_images(m1, x))
     combined = _affine_images(m2 @ m1, x)

@@ -34,8 +34,6 @@ from .linalg import (
     BasisError,
     DEFAULT_TOL,
     Tolerance,
-    commutator,
-    decompose_in_basis,
     frobenius_norms,
 )
 
@@ -114,8 +112,22 @@ class CoeffTensor:
         return cls(values=vals, source_kind=SourceKind(obj["source_kind"]))
 
 
-def _split_blocks(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:]
+# Where the two block families of a doubled 4x4 matrix live, and the mask of
+# its diagonal blocks, where no vector matrix lives.
+_BLOCKS = {"upper": np.s_[..., :2, 2:], "lower": np.s_[..., 2:, :2]}
+_DIAGONAL = np.kron(np.eye(2), np.ones((2, 2))).astype(bool)
+
+
+def _solve_blocks(basis: np.ndarray, targets: np.ndarray, name: str) -> tuple[np.ndarray, ...]:
+    """Least-squares coefficients of the ``(4, 3, 2, 2)`` target blocks over
+    the four ``(4, 2, 2)`` basis blocks, ``(4, 3, 4)``, and their ``(4, 3)``
+    residual norms, from one solve with twelve right-hand sides."""
+    a = basis.reshape(4, 4).T
+    b = targets.reshape(12, 4).T
+    coeffs, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < 4:
+        raise BasisError(f"{name} 2x2 blocks are linearly dependent")
+    return coeffs.T.reshape(4, 3, 4), frobenius_norms((b - a @ coeffs).T.reshape(4, 3, 2, 2))
 
 
 def extract_coeffs(
@@ -123,75 +135,63 @@ def extract_coeffs(
 ) -> CoeffTensor:
     """Expand every commutator [V^mu, A^i] over the vector family, per block.
 
-    Raises :class:`NotVClosedError` when a commutator leaves the family's
-    span (including any leak into the diagonal blocks, where no vector matrix
-    lives), :class:`BasisError` when a nonzero block family is linearly
-    dependent, and :class:`InconsistentBlocksError` when the two block
-    decompositions of a generic family disagree.
+    The twelve commutators form one ``(4, 3, 4, 4)`` stack.  Each nonzero
+    block family of V (a momentum branch has one identically zero) is the
+    basis of one least-squares solve for that block of all twelve; the
+    coefficients come from the upper blocks when present.
+
+    Raises ``ValueError`` when V has a diagonal block, then
+    :class:`BasisError` when V is zero or a nonzero block family is linearly
+    dependent.  Then the first pair (mu, i) in row-major order that fails a
+    check is reported, with the first check it fails: a leak into the
+    diagonal blocks (:class:`NotVClosedError`), a non-finite commutator
+    (``ValueError``), an upper, then a lower, block off the family's span
+    (:class:`NotVClosedError`), disagreeing block decompositions
+    (:class:`InconsistentBlocksError`).  Each bound is ``tol.abs_eps`` times
+    max(1, ||[V^mu, A^i]||_F).
     """
     if V.rep.dim != 4 or len(V) != 4:
         raise ValueError("expected a 4-dimensional 4-member vector family")
     if len(A) != 3 or A.rep.dim != 4:
         raise ValueError("expected a 4-dimensional 3-member generator set")
-
-    uppers, lowers = [], []
-    for mu in range(1, 5):
-        ul, ur, ll, lr = _split_blocks(V[mu])
-        if max(np.abs(ul).max(), np.abs(lr).max()) > tol.abs_eps:
-            raise ValueError("vector family must be off-block-diagonal")
-        uppers.append(ur)
-        lowers.append(ll)
-
-    def family_nonzero(blocks) -> bool:
-        return max(np.abs(b).max() for b in blocks) > tol.abs_eps
-
-    use_upper = family_nonzero(uppers)
-    use_lower = family_nonzero(lowers)
-    if not use_upper and not use_lower:
+    v, a = V.stack, A.stack
+    if np.abs(v[:, _DIAGONAL]).max() > tol.abs_eps:
+        raise ValueError("vector family must be off-block-diagonal")
+    names = [name for name, at in _BLOCKS.items() if np.abs(v[at]).max() > tol.abs_eps]
+    if not names:
         raise BasisError("vector family is identically zero")
-    for use, blocks, name in ((use_upper, uppers, "upper"), (use_lower, lowers, "lower")):
-        if use:
-            stack = np.stack([b.reshape(-1) for b in blocks], axis=1)
-            if np.linalg.matrix_rank(stack) < 4:
-                raise BasisError(f"{name} 2x2 blocks are linearly dependent")
 
-    values = np.zeros((4, 3, 4), dtype=complex)
-    for mu in range(1, 5):
-        for i in range(1, 4):
-            c = commutator(V[mu], A[i])
-            ul, ur, ll, lr = _split_blocks(c)
-            scale = max(1.0, float(np.linalg.norm(c)))
-            if max(np.abs(ul).max(), np.abs(lr).max()) > tol.abs_eps * scale:
-                raise NotVClosedError(
-                    f"[V^{mu}, A^{i}] has diagonal blocks outside the family span"
-                )
-            coeffs_u = coeffs_l = None
-            if use_upper:
-                coeffs_u, resid = decompose_in_basis(ur, uppers, tol)
-                if resid > tol.abs_eps * scale:
-                    raise NotVClosedError(
-                        f"[V^{mu}, A^{i}] upper block off-span, residual {resid:.3g}"
-                    )
-            if use_lower:
-                coeffs_l, resid = decompose_in_basis(ll, lowers, tol)
-                if resid > tol.abs_eps * scale:
-                    raise NotVClosedError(
-                        f"[V^{mu}, A^{i}] lower block off-span, residual {resid:.3g}"
-                    )
-            if coeffs_u is not None and coeffs_l is not None:
-                gap = max(abs(u - l) for u, l in zip(coeffs_u, coeffs_l))
-                if gap > tol.abs_eps * scale:
-                    raise InconsistentBlocksError(
-                        f"[V^{mu}, A^{i}] block decompositions differ by {gap:.3g}"
-                    )
-            values[mu - 1, i - 1, :] = coeffs_u if coeffs_u is not None else coeffs_l
+    comm = v[:, None] @ a[None] - a[None] @ v[:, None]
+    solved = {name: _solve_blocks(v[_BLOCKS[name]], comm[_BLOCKS[name]], name) for name in names}
+    bound = tol.abs_eps * np.fmax(1.0, frobenius_norms(comm))
+    leak = np.abs(comm[..., _DIAGONAL]).max(axis=-1)
+    infinite = ~np.isfinite(comm).all(axis=(-2, -1))
+    # (exception, message formatting the pair's value, value per pair, failing pairs)
+    faults = [
+        (NotVClosedError, "has diagonal blocks outside the family span", leak, leak > bound),
+        (ValueError, "is not finite", infinite, infinite),
+    ]
+    faults += [
+        (NotVClosedError, f"{name} block off-span, residual {{:.3g}}", resid, resid > bound)
+        for name, (_, resid) in solved.items()
+    ]
+    if len(solved) == 2:
+        gap = np.abs(solved["upper"][0] - solved["lower"][0]).max(axis=-1)
+        faults.append(
+            (InconsistentBlocksError, "block decompositions differ by {:.3g}", gap, gap > bound)
+        )
+    failed = np.array([mask for *_, mask in faults])
+    if failed.any():
+        mu, i = np.argwhere(failed.any(axis=0))[0]
+        error, message, value, _ = faults[int(np.argmax(failed[:, mu, i]))]
+        raise error(f"[V^{mu + 1}, A^{i + 1}] " + message.format(value[mu, i]))
 
-    note = None
-    if not (use_upper and use_lower):
-        side = "upper" if use_upper else "lower"
-        note = f"single-block family: extracted from the {side} blocks alone, cross-block consistency not applicable"
+    note = None if len(names) == 2 else (
+        f"single-block family: extracted from the {names[0]} blocks alone, "
+        "cross-block consistency not applicable"
+    )
     kind = SourceKind.FROM_J if A.kind is Kind.ANGULAR_MOMENTUM else SourceKind.FROM_K
-    return CoeffTensor(values=values, source_kind=kind, note=note)
+    return CoeffTensor(values=solved[names[0]][0], source_kind=kind, note=note)
 
 
 def build_j4() -> GeneratorSet:

@@ -92,6 +92,31 @@ def test_apply_purity_error():
         apply(1j * np.eye(4), [1.0, 0, 0, 0])
 
 
+def test_apply_rejects_a_non_finite_transform():
+    for bad in (np.nan, np.inf, -np.inf):
+        D = np.eye(4)
+        D[0, 3] = bad
+        with pytest.raises(ValueError, match="transform must be finite"):
+            apply(D, [1.0, 0, 0, 0])
+    with pytest.raises(ValueError, match="transform must be finite"):
+        apply(np.full((4, 4), np.nan), [1.0, 0, 0, 0])
+
+
+def test_transforms_are_float64():
+    params = RotBoostParams(theta=(0.3, -1.0, 2.0), phi=(0.5, 0.1, -0.7))
+    assert d4(params).dtype == np.float64
+    t = AffineTransform(np.eye(4, dtype=complex), np.zeros(4))
+    assert t.linear.dtype == np.float64
+    assert affine_compose(t, AffineTransform(d4(params), np.ones(4))).linear.dtype == np.float64
+
+
+def test_affine_rejects_an_imaginary_linear_part():
+    linear = np.eye(4, dtype=complex)
+    linear[1, 2] += 1e-6j
+    with pytest.raises(PurityError, match="linear part has imaginary residue"):
+        AffineTransform(linear, np.zeros(4))
+
+
 def test_interval_values():
     assert interval_sq([1, 0, 0, 2]) == pytest.approx(-3.0)
     assert interval_sq([0, 0, 0, 0]) == 0.0
@@ -482,13 +507,13 @@ def test_perturbed_generator_fails_the_sweep(monkeypatch, name, check):
     "name, check", [("_K4", boost_invariance_check), ("_J4", rotation_invariance_check)]
 )
 def test_real_bump_to_a_generator_fails_the_purity_check(monkeypatch, name, check):
-    # A real bump makes i theta.G non-real, so mat_exp takes its complex path
-    # and the transform's imaginary part must still be caught.
+    # A real bump makes i G non-real; the generator check must catch it
+    # before any transform is built.
     gens = getattr(spacetime, name)
     bumped = gens[1].copy()
     bumped[1, 2] += 1e-6
     monkeypatch.setattr(spacetime, name, gens.with_member(1, bumped))
-    with pytest.raises(PurityError, match="transform has imaginary residue"):
+    with pytest.raises(PurityError, match="4-vector .* generators have imaginary part"):
         check(trials=200, seed=5)
 
 

@@ -13,7 +13,7 @@ from lieforge.generators import (
     rep22_jk,
     rep22_v,
 )
-from lieforge.linalg import BasisError
+from lieforge.linalg import BasisError, commutator, decompose_in_basis
 from lieforge.transfer import (
     CoeffTensor,
     InconsistentBlocksError,
@@ -90,6 +90,54 @@ def test_extract_random_constants():
             b = extract_coeffs(V, K22)
             np.testing.assert_allclose(a.values, rotation_tensor(), atol=1e-12)
             np.testing.assert_allclose(b.values, boost_tensor(alpha), atol=1e-12)
+
+
+def _per_pair_coeffs(V, A):
+    """The definition, one pair at a time: each [V^mu, A^i] has its upper
+    block (its lower block for a family with zero upper blocks) decomposed
+    over the same blocks of V."""
+    at = np.s_[:2, 2:] if np.abs(V.stack[:, :2, 2:]).max() > 0 else np.s_[2:, :2]
+    basis = [V[mu][at] for mu in range(1, 5)]
+    return np.array(
+        [
+            [decompose_in_basis(commutator(V[mu], A[i])[at], basis)[0] for i in range(1, 4)]
+            for mu in range(1, 5)
+        ]
+    )
+
+
+def test_extract_equals_the_per_pair_definition():
+    rng = np.random.default_rng(23)
+    params = [
+        VectorParams(complex(*rng.uniform(-2, 2, 2)), complex(*rng.uniform(-2, 2, 2)), alpha)
+        for alpha in (1.0, -1.0, 2.0, 0.37)
+        for _ in range(3)
+    ]
+    families = [gamma()] + [rep22_v(p) for p in params]
+    families += [momentum(VectorParams(1.5, 0.0, 1.0), Branch.PLUS)]
+    families += [momentum(VectorParams(0.0, -0.7j, 2.0), Branch.MINUS)]
+    for V in families:
+        for A in rep22_jk():
+            np.testing.assert_array_equal(extract_coeffs(V, A).values, _per_pair_coeffs(V, A))
+
+
+def test_extract_reports_the_first_failing_pair():
+    # The lower time block is flipped, so the pairs [V^j, K^j] have
+    # inconsistent blocks; the off-diagonal member [[0, s3], [s3, 0]] leaks
+    # into the diagonal blocks.  The earliest failing pair is reported, with
+    # the first check it fails.
+    V = rep22_v(VectorParams(1.0, 1.0, 1.0))
+    bad_time = V[4].copy()
+    bad_time[2:, :2] = -bad_time[2:, :2]
+    broken = GeneratorSet(REP22, Kind.VECTOR, (V[1], V[2], V[3], bad_time))
+    K22 = rep22_jk()[1]
+    leak = np.kron([[0, 1], [1, 0]], np.diag([1.0, -1.0]))
+    gap_first = GeneratorSet(REP22, Kind.BOOST, (K22[1], K22[2], leak))
+    with pytest.raises(InconsistentBlocksError, match=r"^\[V\^1, A\^1\] block decompositions"):
+        extract_coeffs(broken, gap_first)
+    leak_first = GeneratorSet(REP22, Kind.BOOST, (K22[2], leak, K22[1]))
+    with pytest.raises(NotVClosedError, match=r"^\[V\^1, A\^2\] has diagonal blocks"):
+        extract_coeffs(broken, leak_first)
 
 
 def test_extract_single_block_families():

@@ -40,7 +40,11 @@ def _invocations() -> list[tuple[dict, list[str]]]:
     for alpha in ("2", "-1"):
         pairs.append(({}, ["all", "--alpha", alpha]))
     pairs.append(({}, ["all", *TRANSFORM]))
-    runs = [(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
+    # Large rapidities: the failing interval check (8, 300) and the overflow
+    # error (1000) print x' and the interval, which no residual mask covers.
+    for phi in ("8", "300", "1000"):
+        pairs.append(({}, ["invariants", "--trials", "10", "--phi", phi, *TRANSFORM[2:]]))
+    runs =[(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
     runs.append(({}, ["invariants", *TRANSFORM]))
     return runs
 
