@@ -77,7 +77,6 @@ from .transfer import (
     build_j4,
     build_k4,
     extract_coeffs,
-    verify_transfer,
 )
 
 __version__ = "0.1.0"

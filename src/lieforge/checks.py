@@ -35,7 +35,7 @@ __all__ = [
     "residual_report",
     "check_su2_fundamental",
     "check_lorentz",
-    "vector_family_reports",
+    "vector_relation_reports",
     "check_poincare",
     "check_2rep_vk_asymmetry",
     "gamma_match_report",
@@ -283,12 +283,14 @@ def vector_relation_reports(
     alpha: complex = 1.0,
     subject: str | None = None,
 ) -> list[CheckReport]:
-    """The two vector-family relations.
+    """The vector-family part of the Poincare table.
 
     Rotations mix only the spatial members: [V^mu, J^j] = i eps(mu,j,k) V^k
     with eps vanishing whenever mu is the time index.  Boosts swap each
     spatial member with the time member, scaled by alpha:
-    [V^mu, K^j] = -i (alpha d(j,mu) V^4 + (1/alpha) d(4,mu) V^j).
+    [V^mu, K^j] = -i (alpha d(j,mu) V^4 + (1/alpha) d(4,mu) V^j).  When the
+    vector family is a momentum set, its members also commute: [V^mu, V^nu]
+    = 0 over all 16 pairs.
     """
     if len(V) != 4:
         raise ShapeError("expected a 4-member vector family")
@@ -300,43 +302,17 @@ def vector_relation_reports(
     subject = subject if subject is not None else f"{V.rep.tag}-rep"
     Vs = V.stack
     boost = -1j * (alpha * _BOOST_TO_TIME + (1 / alpha) * _BOOST_FROM_TIME)
+    tables = [
+        (Identity.VECTOR_ROTATION, J.stack, _VECTOR_ROTATION, "pair (mu={}, j={})"),
+        (Identity.VECTOR_BOOST, K.stack, boost, "pair (mu={}, j={})"),
+    ]
+    if V.kind is Kind.MOMENTUM:
+        tables.append((Identity.MOMENTA_COMMUTE, Vs, np.zeros((4, 4, 4)), "pair (mu={}, nu={})"))
     return [
         residual_report(identity, bracket_table(Vs, other, coeffs, Vs), tol.abs_eps,
-                        "pair (mu={}, j={})", subject=subject)
-        for identity, other, coeffs in (
-            (Identity.VECTOR_ROTATION, J.stack, _VECTOR_ROTATION),
-            (Identity.VECTOR_BOOST, K.stack, boost),
-        )
+                        description, subject=subject)
+        for identity, other, coeffs, description in tables
     ]
-
-
-def vector_family_reports(
-    J: GeneratorSet,
-    K: GeneratorSet,
-    V: GeneratorSet,
-    tol: Tolerance = DEFAULT_TOL,
-    alpha: complex = 1.0,
-    subject: str | None = None,
-) -> list[CheckReport]:
-    """The vector-family part of the Poincare table.
-
-    Both vector relations at the given alpha and, when the vector family is a
-    momentum set, the mutual-commutation check over all 16 pairs.
-    """
-    subject = subject if subject is not None else f"{V.rep.tag}-rep"
-    reports = vector_relation_reports(J, K, V, tol, alpha, subject=subject)
-    if V.kind is Kind.MOMENTUM:
-        Vs = V.stack
-        reports.append(
-            residual_report(
-                Identity.MOMENTA_COMMUTE,
-                bracket_table(Vs, Vs, np.zeros((4, 4, 4)), Vs),
-                tol.abs_eps,
-                "pair (mu={}, nu={})",
-                subject=subject,
-            )
-        )
-    return reports
 
 
 def check_poincare(
@@ -348,8 +324,8 @@ def check_poincare(
     subject: str | None = None,
 ) -> list[CheckReport]:
     """Full bracket table of rotations, boosts and a vector family: the
-    Lorentz closure followed by :func:`vector_family_reports`."""
-    return check_lorentz(J, K, tol) + vector_family_reports(J, K, V, tol, alpha, subject)
+    Lorentz closure followed by :func:`vector_relation_reports`."""
+    return check_lorentz(J, K, tol) + vector_relation_reports(J, K, V, tol, alpha, subject)
 
 
 def check_2rep_vk_asymmetry(tol: Tolerance = DEFAULT_TOL) -> CheckReport:

@@ -41,7 +41,7 @@ from .checks import (
     check_su2_fundamental,
     gamma_match_report,
     make_report,
-    vector_family_reports,
+    vector_relation_reports,
 )
 from .generators import (
     Branch,
@@ -193,7 +193,7 @@ class _Run:
         """``check_poincare`` of each ``(subject, V)`` in ``families``, all
         sharing the one Lorentz table of ``J`` and ``K``."""
         lorentz = self(check_lorentz, J, K, self.tol)
-        parts = (self(vector_family_reports, J, K, V, self.tol, alpha, s) for s, V in families)
+        parts = (self(vector_relation_reports, J, K, V, self.tol, alpha, s) for s, V in families)
         return [r for part in parts for r in lorentz + part]
 
 
@@ -273,11 +273,14 @@ def _single_transform(run: _Run) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         D = spacetime_d4(params, tol)
         moved = apply(D, x, tol) if np.all(np.isfinite(D)) else None
-    if moved is None or not np.all(np.isfinite(moved)):
+        if moved is not None and np.all(np.isfinite(moved)):
+            before, after = interval_sq(x), interval_sq(moved)
+            scale = max(1.0, float(np.dot(x, x)))
+        else:
+            before = after = scale = np.inf
+    if not np.all(np.isfinite((before, after, scale))):
         rapidity = float(np.linalg.norm(params.phi))
         raise InputError(f"the requested transform of x overflows (rapidity |phi| = {rapidity:g})")
-    before, after = interval_sq(x), interval_sq(moved)
-    scale = max(1.0, float(np.dot(x, x)))
     report = make_report(
         Identity.INTERVAL_INVARIANCE,
         abs(after - before) / scale,

@@ -22,10 +22,9 @@ from .checks import (
     CheckReport,
     Identity,
     all_passed,
-    check_lorentz,
+    check_poincare,
     make_report,
     residual_report,
-    vector_relation_reports,
 )
 from .generators import (
     REP5_AFFINE,
@@ -265,7 +264,7 @@ def affine_generators() -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
 def _require_closure(J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, tol: Tolerance) -> None:
     """Raise :class:`PrecondError` unless the triple satisfies the closure
     table at ratio +1."""
-    pre = check_lorentz(J, K, tol) + vector_relation_reports(J, K, V, tol, alpha=1.0)
+    pre = check_poincare(J, K, V, tol)
     if not all_passed(pre):
         bad = [r.identity.value for r in pre if not r.passed]
         raise PrecondError(f"inputs fail the closure precheck: {', '.join(bad)}")
@@ -315,8 +314,19 @@ def intertwine_check(
     )
 
 
-def _seeded_sweep(trials: int, seed: int, draw, residuals, describe) -> tuple[float, dict | None]:
-    """Worst residual over ``trials`` seeded random trials, and its witness.
+def _seeded_sweep(
+    identity: Identity,
+    subject: str,
+    bound: float,
+    note: str,
+    trials: int,
+    seed: int,
+    draw,
+    residuals,
+    describe,
+) -> CheckReport:
+    """The report of the worst residual over ``trials`` seeded random trials,
+    held to ``bound``.
 
     ``draw(rng)`` returns one trial's inputs as a tuple of arrays, drawing
     from the generator in the same calls and order for every trial, so a seed
@@ -327,7 +337,7 @@ def _seeded_sweep(trials: int, seed: int, draw, residuals, describe) -> tuple[fl
     The witness is the first maximum: earliest trial, then row-major over the
     trailing axes.  Its ``indices`` are the 0-based trial followed by the
     1-based trailing indices, described by ``describe(indices, inputs)``.
-    When no residual exceeds zero the result is ``(0.0, None)``.
+    When no residual exceeds zero the residual is 0.0 and there is no witness.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -341,7 +351,7 @@ def _seeded_sweep(trials: int, seed: int, draw, residuals, describe) -> tuple[fl
             worst = float(r[at])
             indices = [start + int(at[0])] + [int(k) + 1 for k in at[1:]]
             witness = {"indices": indices, "description": describe(indices, block[at[0]])}
-    return worst, witness
+    return make_report(identity, worst, bound, subject=subject, witness=witness, note=note)
 
 
 def _random_direction_scaled(rng: np.random.Generator, max_norm: float) -> np.ndarray:
@@ -369,20 +379,16 @@ def intertwine_sweep(
     if draws < 1:
         raise ValueError("draws must be >= 1")
     _require_closure(J, K, V, tol)
-    worst, witness = _seeded_sweep(
+    return _seeded_sweep(
+        Identity.INTERTWINING,
+        f"{V.rep.tag}-rep",
+        tol.exp_eps,
+        f"seed={seed}, draws={draws}",
         draws,
         seed,
         _random_rotboost,
         lambda theta, phi: _intertwine_residuals(J, K, V, theta, phi, tol),
         lambda idx, _: f"draw {idx[0]}, member mu={idx[1]}",
-    )
-    return make_report(
-        Identity.INTERTWINING,
-        worst,
-        tol.exp_eps,
-        subject=f"{V.rep.tag}-rep",
-        witness=witness,
-        note=f"seed={seed}, draws={draws}",
     )
 
 
@@ -404,20 +410,16 @@ def rotation_invariance_check(
     trials: int = 1000, tol: Tolerance = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> CheckReport:
     """Finite rotations preserve the spatial square and the time component."""
-    worst, witness = _seeded_sweep(
+    return _seeded_sweep(
+        Identity.ROTATION_INVARIANCE,
+        "4-rep",
+        tol.exp_eps,
+        f"seed={seed}, trials={trials}, residuals relative to max(1, |x_space|^2)",
         trials,
         seed,
         _draw_rotation,
         lambda x, theta: _rotation_residuals(x, theta, tol),
         lambda idx, inp: f"trial {idx[0]}: x={inp[0].tolist()}, theta={inp[1].tolist()}",
-    )
-    return make_report(
-        Identity.ROTATION_INVARIANCE,
-        worst,
-        tol.exp_eps,
-        subject="4-rep",
-        witness=witness,
-        note=f"seed={seed}, trials={trials}, residuals relative to max(1, |x_space|^2)",
     )
 
 
@@ -436,7 +438,11 @@ def boost_invariance_check(
     trials: int = 1000, tol: Tolerance = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> CheckReport:
     """Finite rotation-plus-boost transforms preserve the squared interval."""
-    worst, witness = _seeded_sweep(
+    return _seeded_sweep(
+        Identity.INTERVAL_INVARIANCE,
+        "4-rep",
+        tol.exp_eps,
+        f"seed={seed}, trials={trials}, residuals relative to max(1, |x|^2)",
         trials,
         seed,
         _draw_boost,
@@ -445,35 +451,23 @@ def boost_invariance_check(
             f"trial {idx[0]}: x={inp[0].tolist()}, theta={inp[1].tolist()}, phi={inp[2].tolist()}"
         ),
     )
-    return make_report(
-        Identity.INTERVAL_INVARIANCE,
-        worst,
-        tol.exp_eps,
-        subject="4-rep",
-        witness=witness,
-        note=f"seed={seed}, trials={trials}, residuals relative to max(1, |x|^2)",
-    )
 
 
 def det_interval_check(
     trials: int = 1000, tol: Tolerance = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> CheckReport:
     """The determinant route to the interval agrees with the direct formula."""
-    worst, witness = _seeded_sweep(
+    return _seeded_sweep(
+        Identity.DETERMINANT_INTERVAL,
+        "4-vector",
+        tol.abs_eps,
+        f"seed={seed}, trials={trials}",
         trials,
         seed,
         lambda rng: (rng.uniform(-10.0, 10.0, size=4),),
         lambda x: np.abs(_interval_via_det(x) - _interval(x))
         / np.maximum(1.0, np.einsum("ti,ti->t", x, x)),
         lambda idx, inp: f"trial {idx[0]}: x={inp[0].tolist()}",
-    )
-    return make_report(
-        Identity.DETERMINANT_INTERVAL,
-        worst,
-        tol.abs_eps,
-        subject="4-vector",
-        witness=witness,
-        note=f"seed={seed}, trials={trials}",
     )
 
 
@@ -504,20 +498,16 @@ def affine_composition_check(
 ) -> CheckReport:
     """Applying two affine transforms in sequence equals applying their 5x5
     product, and pure translations leave coordinate differences alone."""
-    worst, witness = _seeded_sweep(
+    return _seeded_sweep(
+        Identity.AFFINE_COMPOSITION,
+        "5-affine",
+        tol.exp_eps,
+        f"seed={seed}, trials={trials}",
         trials,
         seed,
         _draw_affine,
         lambda *inputs: _affine_residuals(*inputs, tol),
         lambda idx, _: f"trial {idx[0]}",
-    )
-    return make_report(
-        Identity.AFFINE_COMPOSITION,
-        worst,
-        tol.exp_eps,
-        subject="5-affine",
-        witness=witness,
-        note=f"seed={seed}, trials={trials}",
     )
 
 
@@ -543,7 +533,11 @@ def translation_check(
     the exponential terminates after its linear term and the check is exact.
     """
     _, _, p5 = affine_generators()
-    worst, witness = _seeded_sweep(
+    report = _seeded_sweep(
+        Identity.TRANSLATION_DISPLACEMENT,
+        "5-affine",
+        tol.abs_eps,
+        f"seed={seed}, trials={trials}, exact nilpotent exponential",
         trials,
         seed,
         lambda rng: (rng.uniform(-10.0, 10.0, size=4), rng.uniform(-10.0, 10.0, size=4)),
@@ -551,13 +545,9 @@ def translation_check(
         lambda idx, inp: f"trial {idx[0]}: a={inp[0].tolist()}",
     )
     sq = float(np.abs(p5.stack[:, None] @ p5.stack[None]).max())
-    if sq >= worst and sq > 0.0:
-        worst, witness = sq, {"indices": [], "description": "generator products"}
-    return make_report(
-        Identity.TRANSLATION_DISPLACEMENT,
-        worst,
-        tol.abs_eps,
-        subject="5-affine",
-        witness=witness,
-        note=f"seed={seed}, trials={trials}, exact nilpotent exponential",
-    )
+    if sq >= report.max_residual and sq > 0.0:
+        witness = {"indices": [], "description": "generator products"}
+        return make_report(
+            report.identity, sq, report.tolerance, report.subject, witness, report.note
+        )
+    return report

@@ -29,7 +29,7 @@ from .checks import (
     check_lorentz,
     residual_report,
 )
-from .generators import REP4, GeneratorSet, Kind, rep22_jk, rep22_v
+from .generators import REP4, GeneratorSet, Kind
 from .linalg import (
     BasisError,
     DEFAULT_TOL,
@@ -45,7 +45,6 @@ __all__ = [
     "extract_coeffs",
     "build_j4",
     "build_k4",
-    "verify_transfer",
     "transfer_reports",
 ]
 
@@ -222,15 +221,6 @@ _BRACKET_TABLE = {
     ("K", "J"): (+1.0, "K"),
     ("K", "K"): (-1.0, "J"),
 }
-
-
-def verify_transfer(tol: Tolerance = DEFAULT_TOL) -> list[CheckReport]:
-    """End-to-end check that extraction transfers the algebra: the canonical
-    doubled family's coefficient tensors against its rotations and boosts,
-    checked by :func:`transfer_reports`."""
-    J22, K22 = rep22_jk()
-    V = rep22_v()
-    return transfer_reports(extract_coeffs(V, J22, tol), extract_coeffs(V, K22, tol), tol)
 
 
 def transfer_reports(

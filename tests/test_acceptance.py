@@ -44,7 +44,7 @@ from lieforge.spacetime import (
     translation_check,
 )
 from lieforge.su_n import boost_obstruction_report, extract_structure, gell_mann
-from lieforge.transfer import build_j4, build_k4, extract_coeffs, verify_transfer
+from lieforge.transfer import build_j4, build_k4, extract_coeffs, transfer_reports
 
 TOL = Tolerance()  # abs_eps 1e-12, exp_eps 1e-10
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "su3_obstruction.json"
@@ -155,7 +155,8 @@ def test_c05_extraction_matches_closed_forms():
         for i in (1, 2, 3):
             assert float(np.linalg.norm(a.slice(i) - j4[i])) < 1e-12
             assert float(np.linalg.norm(b.slice(i) - k4[i])) < 1e-12
-    transfer = verify_transfer(TOL)
+    V = rep22_v()
+    transfer = transfer_reports(extract_coeffs(V, J22, TOL), extract_coeffs(V, K22, TOL), TOL)
     pair_reports = [r for r in transfer if r.identity is Identity.TRANSFER_COMMUTATION]
     assert {r.subject for r in pair_reports} == {"JJ", "JK", "KJ", "KK"}
     assert all_passed(transfer)

@@ -19,6 +19,7 @@ from lieforge.checks import (
     make_report,
     reports_to_json_lines,
     residual_report,
+    vector_relation_reports,
 )
 from lieforge.generators import (
     Branch,
@@ -126,6 +127,24 @@ def test_poincare_generic_vector_family():
     reports = check_poincare(J, K, mislabeled)
     commute = by_identity(reports, Identity.MOMENTA_COMMUTE)[0]
     assert not commute.passed
+
+
+def test_vector_relation_reports_adds_momenta_commute_for_momenta_only():
+    J, K = rep22_jk()
+    V = rep22_v(VectorParams(1.0, 1.0, 1.0))
+    P = momentum(VectorParams(1.0, 0.0, 1.0), Branch.PLUS)
+    pinned = [
+        (V, ["vector-rotation", "vector-boost"]),
+        (P, ["vector-rotation", "vector-boost", "momenta-commute"]),
+    ]
+    for family, identities in pinned:
+        reports = vector_relation_reports(J, K, family, subject="pinned")
+        assert [r.identity.value for r in reports] == identities
+        assert {r.subject for r in reports} == {"pinned"}
+        assert all_passed(reports)
+        assert check_poincare(J, K, family) == check_lorentz(J, K) + vector_relation_reports(
+            J, K, family
+        )
 
 
 def test_poincare_alpha_variants():

@@ -167,12 +167,15 @@ def test_run_config_validation():
         ({}, ["verify", "--out", "{missing}/x"]),
         ({}, ["invariants", "--x", "nan", "0", "0", "1"]),
         ({}, ["invariants", "--phi", "1000", "0", "0", "--x", "1", "0", "0", "2"]),
+        ({}, ["invariants", "--phi", "400", "0", "0", "--x", "1", "0", "0", "2"]),
+        ({}, ["invariants", "--x", "1e200", "0", "0", "2"]),
         ({}, ["invariants", "--trials", "5", "--seed", "-1"]),
         ({}, ["invariants", "--trials", "5", "--phi", "1", "0", "0"]),
     ],
     ids=[
         "trials-0", "alpha-0", "tol-abc", "tol-2",
         "perturb-abc", "perturb-nan", "perturb-inf", "out-missing-dir", "x-nan", "phi-1000",
+        "phi-400", "x-1e200",
         "seed-negative", "phi-without-x",
     ],
 )

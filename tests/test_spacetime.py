@@ -7,7 +7,7 @@ import pytest
 from lieforge import spacetime
 from lieforge.checks import all_passed, check_poincare
 from lieforge.generators import GeneratorSet, Kind, REP5_AFFINE, gamma, j2, rep22_jk, v2
-from lieforge.linalg import DEFAULT_TOL, mat_exp
+from lieforge.linalg import DEFAULT_TOL, Tolerance, mat_exp
 from lieforge.spacetime import (
     AffineTransform,
     PrecondError,
@@ -527,3 +527,68 @@ def test_sweep_memory_does_not_grow_with_trials():
             tracemalloc.stop()
 
     assert peak(20000) < 2 * peak(2048)
+
+
+def _all_seven(trials, tol, seed):
+    J22, K22 = rep22_jk()
+    j5, k5, p5 = affine_generators()
+    return [
+        rotation_invariance_check(trials, tol, seed),
+        boost_invariance_check(trials, tol, seed),
+        det_interval_check(trials, tol, seed),
+        affine_composition_check(trials, tol, seed),
+        translation_check(trials, tol, seed),
+        intertwine_sweep(J22, K22, gamma(), trials, tol, seed),
+        intertwine_sweep(j5, k5, p5, trials, tol, seed),
+    ]
+
+
+def test_sweep_reports_do_not_depend_on_the_block_size(monkeypatch):
+    # At a tolerance nothing meets, every inexact sweep fails and carries the
+    # witness of its first worst trial, which must be the same whether the
+    # 300 trials run as one block or as 43 blocks of 7.
+    tol = Tolerance(1e-300, 1e-300)
+    whole = [r.to_json() for r in _all_seven(300, tol, 4)]
+    monkeypatch.setattr(spacetime, "_BLOCK", 7)
+    assert [r.to_json() for r in _all_seven(300, tol, 4)] == whole
+    assert [r["passed"] for r in whole] == [False] * 4 + [True] + [False] * 2
+    assert whole[4]["max_residual"] == 0.0
+    assert all(r["witness"] is not None for i, r in enumerate(whole) if i != 4)
+    assert [r["note"] for r in whole] == [
+        "seed=4, trials=300, residuals relative to max(1, |x_space|^2)",
+        "seed=4, trials=300, residuals relative to max(1, |x|^2)",
+        "seed=4, trials=300",
+        "seed=4, trials=300",
+        "seed=4, trials=300, exact nilpotent exponential",
+        "seed=4, draws=300",
+        "seed=4, draws=300",
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_every_sweep_rejects_zero_trials(index):
+    # The last triple does not close: the draw count is checked before the
+    # closure precheck, which would raise a PrecondError naming neither.
+    sweeps = [
+        rotation_invariance_check,
+        boost_invariance_check,
+        det_interval_check,
+        affine_composition_check,
+        translation_check,
+        lambda trials: intertwine_sweep(*rep22_jk(), gamma(), trials),
+        lambda trials: intertwine_sweep(*affine_generators(), trials),
+        lambda trials: intertwine_sweep(j2(), j2(), v2(1.0, 1.0), trials),
+    ]
+    with pytest.raises(ValueError, match="(trials|draws) must be >= 1"):
+        sweeps[index](0)
+
+
+def test_a_momentum_family_whose_members_do_not_commute_fails_the_precheck():
+    # gamma closes the vector relations, so as a vector family it passes;
+    # labelled as momenta it must also commute, and its members do not.
+    J22, K22 = rep22_jk()
+    V = gamma()
+    assert intertwine_check(J22, K22, V, RotBoostParams()).passed
+    relabelled = GeneratorSet(V.rep, Kind.MOMENTUM, V.members)
+    with pytest.raises(PrecondError, match="momenta-commute$"):
+        intertwine_check(J22, K22, relabelled, RotBoostParams())

@@ -22,7 +22,7 @@ from lieforge.transfer import (
     build_j4,
     build_k4,
     extract_coeffs,
-    verify_transfer,
+    transfer_reports,
 )
 
 
@@ -208,7 +208,8 @@ def test_extract_deterministic():
 
 
 def test_verify_transfer_all_pass():
-    reports = verify_transfer()
+    J22, K22 = rep22_jk()
+    reports = transfer_reports(extract_coeffs(rep22_v(), J22), extract_coeffs(rep22_v(), K22))
     assert all_passed(reports)
     subjects = {r.subject for r in reports if r.identity is Identity.TRANSFER_COMMUTATION}
     assert subjects == {"JJ", "JK", "KJ", "KK"}

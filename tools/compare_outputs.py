@@ -41,9 +41,12 @@ def _invocations() -> list[tuple[dict, list[str]]]:
         pairs.append(({}, ["all", "--alpha", alpha]))
     pairs.append(({}, ["all", *TRANSFORM]))
     # Large rapidities: the failing interval check (8, 300) and the overflow
-    # error (1000) print x' and the interval, which no residual mask covers.
-    for phi in ("8", "300", "1000"):
+    # errors (400: the interval overflows, 1000: the transform does) print x'
+    # and the interval, which no residual mask covers.  So does an identity
+    # transform of an x whose interval overflows.
+    for phi in ("8", "300", "1000", "400"):
         pairs.append(({}, ["invariants", "--trials", "10", "--phi", phi, *TRANSFORM[2:]]))
+    pairs.append(({}, ["invariants", "--trials", "10", "--x", "1e200", "0", "0", "2"]))
     runs =[(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
     runs.append(({}, ["invariants", *TRANSFORM]))
     return runs
