@@ -156,13 +156,16 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
     with the commutator by default and the anticommutator when ``anti``.
     Rows are formed one ``i`` at a time in two reused ``(p, n, n)`` buffers:
     the full ``(m, p, n, n)`` table of an su(6) adjoint (m = p = n = 35) would
-    take 24 MB per complex temporary.  The sum over k runs through einsum in
-    index order, as a hand loop adds it (a BLAS product reorders and fuses
-    it), so every entry is bit-identical to the per-pair residual.
+    take 24 MB per complex temporary.  The sum over k is one BLAS product
+    per row, ``coeffs[i]`` times T flattened to ``(q, n^2)``, with
+    ``coeffs`` cast once to the stacks' dtype.  BLAS may reorder and fuse
+    the sum, so an entry can differ from a hand loop's residual in the last
+    bits; where every product and partial sum is exact (dyadic entries) it
+    is the same exact value.
     """
     coeffs = np.asarray(coeffs)
     dtype = np.result_type(A, B, T, coeffs)
-    A, B, T = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T))
+    A, B, T, coeffs = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T, coeffs))
     if coeffs.shape != (len(A), len(B), len(T)):
         raise ShapeError(
             f"coefficients of shape {coeffs.shape} do not match stacks of "
@@ -171,11 +174,13 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
     out = np.empty((len(A), len(B)))
     table = np.empty(B.shape, dtype=dtype)
     scratch = np.empty(B.shape, dtype=dtype)
+    size = B.shape[1] * B.shape[2]
+    flat_T, flat_scratch = T.reshape(len(T), size), scratch.reshape(len(B), size)
     for i, a in enumerate(A):
         np.matmul(a, B, out=table)
         np.matmul(B, a, out=scratch)
         (np.add if anti else np.subtract)(table, scratch, out=table)
-        np.einsum("jk,kab->jab", coeffs[i], T, out=scratch)
+        np.matmul(coeffs[i], flat_T, out=flat_scratch)
         table -= scratch
         out[i] = frobenius_norms(table)
     return out

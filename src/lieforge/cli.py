@@ -279,8 +279,10 @@ def _single_transform(run: _Run) -> None:
         else:
             before = after = scale = np.inf
     if not np.all(np.isfinite((before, after, scale))):
-        rapidity = float(np.linalg.norm(params.phi))
-        raise InputError(f"the requested transform of x overflows (rapidity |phi| = {rapidity:g})")
+        theta, phi = (float(np.linalg.norm(v)) for v in (params.theta, params.phi))
+        raise InputError(
+            f"the requested transform of x overflows (|theta| = {theta:g}, |phi| = {phi:g})"
+        )
     report = make_report(
         Identity.INTERVAL_INVARIANCE,
         abs(after - before) / scale,

@@ -144,6 +144,30 @@ def gell_mann() -> list[np.ndarray]:
     return generalized_gell_mann(3)
 
 
+def _transposed_rows(S: np.ndarray) -> np.ndarray:
+    """Row c is S_c transposed and flattened, so that X.reshape(n^2) @ row c
+    is trace(X S_c) for any n x n matrix X."""
+    return S.transpose(0, 2, 1).reshape(len(S), -1)
+
+
+def _trace_tensor(S: np.ndarray) -> np.ndarray:
+    """t[a, b, c] = trace(S_a S_b S_c) over an ``(m, n, n)`` stack.
+
+    Row a is one BLAS product, (S_a S_b) flattened over b times the
+    transposed rows, with S_a S_b formed in a reused ``(m, n, n)`` slab: the
+    whole ``(m^2, n^2)`` product over (a, b) would be as large as t itself
+    (47 MB at N = 12).
+    """
+    m = len(S)
+    rows = _transposed_rows(S).T
+    t = np.empty((m, m, m), dtype=S.dtype)
+    slab = np.empty_like(S)
+    for a in range(m):
+        np.matmul(S[a], S, out=slab)
+        np.matmul(slab.reshape(m, -1), rows, out=t[a])
+    return t
+
+
 def extract_structure(generators, tol: Tolerance = DEFAULT_TOL) -> StructureTensors:
     """Extract f, d and the identity coefficient by the trace oracle.
 
@@ -173,7 +197,7 @@ def extract_structure(generators, tol: Tolerance = DEFAULT_TOL) -> StructureTens
     kappa = float(np.trace(gens[0] @ gens[0]).real)
     if kappa <= 0:
         raise BasisError("trace normalisation must be positive")
-    gram = np.einsum("aij,bji->ab", S, S)
+    gram = S.reshape(m, dim * dim) @ _transposed_rows(S).T
     off = np.abs(gram - kappa * np.eye(m)) > ortho_tol
     if off.any():
         a, b = np.unravel_index(np.argmax(off), off.shape)
@@ -181,12 +205,13 @@ def extract_structure(generators, tol: Tolerance = DEFAULT_TOL) -> StructureTens
             f"generators {a + 1}, {b + 1} are not trace-orthogonal with common norm"
         )
 
-    # t[a, b, c] = trace(J_a J_b J_c); f and d are its parts antisymmetric and
-    # symmetric in (a, b).
-    t = np.einsum("aij,bjk,cki->abc", S, S, S, optimize=True)
-    f = (t.imag - t.imag.transpose(1, 0, 2)) / kappa
-    d = (t.real + t.real.transpose(1, 0, 2)) / kappa
-    del t  # frees 0.7 MB at N = 6 before the residual tables
+    # f and d are the parts of t[a, b, c] = trace(J_a J_b J_c) antisymmetric
+    # and symmetric in (a, b).  Adding 0.0 turns the -0.0 of a sum of two
+    # zeros of either sign into 0.0.
+    t = _trace_tensor(S)
+    f = (t.imag - t.imag.transpose(1, 0, 2)) / kappa + 0.0
+    d = (t.real + t.real.transpose(1, 0, 2)) / kappa + 0.0
+    del t  # 47 MB at N = 12; freed before the residual tables
     delta_coeff = 2.0 * kappa / dim
 
     # [J_a, J_b] = f_abc (i J_c).

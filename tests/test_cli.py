@@ -191,6 +191,21 @@ def test_bad_input_exits_2_with_one_line(monkeypatch, capsys, tmp_path, env, arg
     assert len(lines) == 1 and lines[0].startswith("lieforge: error: ")
 
 
+@pytest.mark.parametrize(
+    "angles, norms",
+    [
+        (["--theta", "1e20", "0", "0"], "|theta| = 1e+20, |phi| = 0"),
+        (["--phi", "1000", "0", "0"], "|theta| = 0, |phi| = 1000"),
+    ],
+    ids=["theta-1e20", "phi-1000"],
+)
+def test_overflow_error_names_both_norms(capsys, angles, norms):
+    assert main(["invariants", "--trials", "10", *angles, "--x", "0", "1", "0", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"lieforge: error: the requested transform of x overflows ({norms})\n"
+    )
+
+
 def test_module_entry_point():
     # The child imports the same package as this test, installed or not.
     src = str(pathlib.Path(lieforge.__file__).resolve().parents[1])

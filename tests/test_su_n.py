@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lieforge.generators import SU3_ADJOINT, Rep, j2, pauli
 from lieforge.linalg import BasisError
 from lieforge.su_n import (
     StructureTensors,
+    _trace_tensor,
     adjoint_from_f,
     boost_obstruction_report,
     extract_structure,
@@ -215,18 +217,50 @@ def haar_unitary(rng, n):
     return q * (d / np.abs(d))
 
 
+def haar_basis(n):
+    """The generalized Gell-Mann basis / 2 conjugated by a seeded Haar unitary."""
+    u = haar_unitary(np.random.default_rng(n), n)
+    return [u @ (g / 2) @ u.conj().T for g in generalized_gell_mann(n)]
+
+
 @pytest.mark.parametrize("n", range(2, 7))
+def test_trace_tensor_matches_per_triple_traces(n):
+    S = np.stack(haar_basis(n))
+    m = len(S)
+    ref = np.array(
+        [[[np.trace(S[a] @ S[b] @ S[c]) for c in range(m)] for b in range(m)] for a in range(m)]
+    )
+    kappa = np.trace(S[0] @ S[0]).real
+    assert np.abs(_trace_tensor(S) - ref).max() <= 1e-15 * kappa
+
+
+def test_trace_tensor_forms_one_row_at_a_time():
+    # The (m^2, n^2) product over all pairs (a, b) is as large as t itself;
+    # beyond t the kernel may hold only a few (m, n, n) slabs.
+    S = np.stack(haar_basis(6))
+    tracemalloc.start()
+    try:
+        t = _trace_tensor(S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < t.nbytes + 4 * S.nbytes
+
+
+def test_su2_structure_tensors_have_no_negative_zeros():
+    st = extract_structure(list(j2().members))
+    for tensor in (st.f, st.d):
+        assert not np.signbit(tensor[tensor == 0.0]).any()
+
+
+@pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("conjugated", [False, True], ids=["gell-mann", "haar"])
 def test_structure_tensors_satisfy_exact_sum_rules(n, conjugated):
     # With trace(T_a T_b) = delta_ab / 2 (Haber, arXiv:1912.13302):
     # sum f^2 = N (N^2 - 1), sum d^2 = (N^2 - 4)(N^2 - 1) / N, and max|d| is
     # |d| of the last Cartan generator with itself.  All three are invariant
     # under conjugation by a unitary.
-    basis = [g / 2 for g in generalized_gell_mann(n)]
-    if conjugated:
-        u = haar_unitary(np.random.default_rng(n), n)
-        basis = [u @ g @ u.conj().T for g in basis]
-    st = extract_structure(basis)
+    st = extract_structure(haar_basis(n) if conjugated else [g / 2 for g in generalized_gell_mann(n)])
 
     def close(got, exact):
         return abs(got - exact) <= 1e-12 * max(1.0, abs(exact))

@@ -1,0 +1,93 @@
+"""Time the su(N) kernels at several N and print one JSON line.
+
+    python tools/bench_kernels.py [SRC]
+
+SRC is a directory holding a ``lieforge`` package (a checkout's ``src``;
+default: the ``src`` beside this directory), so one copy of this script
+times any version of the package.  Cases: ``extract_structure`` on the
+generalized Gell-Mann basis T = lambda / 2 at N = 2..9 and 12, and
+``adjoint_from_f`` on its structure tensors at N = 4 and 6.  Each case runs
+once untimed, then REPEATS times; the line gives the median and quartiles of the
+raw wall times in seconds, with the Python, numpy and BLAS versions and a
+hash of the package sources.  The thread variables are set to
+``perfbench/run.py``'s ``THREAD_ENV`` (BLAS on one thread) before numpy is
+imported, so both tools run under the same threading.  Not part of the tests.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+_perfbench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_perfbench)
+THREAD_ENV = _perfbench.THREAD_ENV
+EXTRACT_N = (*range(2, 10), 12)
+ADJOINT_N = (4, 6)
+REPEATS = 5
+
+
+def _timed(fn, arg) -> dict:
+    fn(arg)
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn(arg)
+        times.append(time.perf_counter() - t0)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "repeats": REPEATS}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", type=Path, default=ROOT / "src")
+    args = parser.parse_args(argv)
+    if not (args.src / "lieforge").is_dir():
+        parser.error(f"{args.src} holds no lieforge package")
+    os.environ.update(THREAD_ENV)  # before numpy is imported
+    sys.path.insert(0, str(args.src))
+    import numpy as np
+
+    from lieforge.su_n import adjoint_from_f, extract_structure, generalized_gell_mann
+
+    bases = {n: [g / 2 for g in generalized_gell_mann(n)] for n in EXTRACT_N}
+    cases = [
+        {"case": f"extract_structure n={n}", **_timed(extract_structure, bases[n])}
+        for n in EXTRACT_N
+    ]
+    cases += [
+        {"case": f"adjoint_from_f n={n}", **_timed(adjoint_from_f, extract_structure(bases[n]))}
+        for n in ADJOINT_N
+    ]
+    digest = hashlib.sha256()
+    for path in sorted((args.src / "lieforge").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = None
+    provenance = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {k: os.environ[k] for k in THREAD_ENV},
+        "nproc": os.cpu_count(),
+        "source_sha256": digest.hexdigest(),
+    }
+    print(json.dumps({"cases": cases, "provenance": provenance}, separators=(",", ":")))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -47,6 +47,8 @@ def _invocations() -> list[tuple[dict, list[str]]]:
     for phi in ("8", "300", "1000", "400"):
         pairs.append(({}, ["invariants", "--trials", "10", "--phi", phi, *TRANSFORM[2:]]))
     pairs.append(({}, ["invariants", "--trials", "10", "--x", "1e200", "0", "0", "2"]))
+    # A rotation angle whose transform overflows: the error names both norms.
+    pairs.append(({}, ["invariants", "--trials", "10", "--theta", "1e20", "0", "0", "--x", "0", "1", "0", "2"]))
     runs =[(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
     runs.append(({}, ["invariants", *TRANSFORM]))
     return runs
