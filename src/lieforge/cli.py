@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -273,16 +274,18 @@ def _single_transform(run: _Run) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         D = spacetime_d4(params, tol)
         moved = apply(D, x, tol) if np.all(np.isfinite(D)) else None
+        x_sq = float(np.dot(x, x))
         if moved is not None and np.all(np.isfinite(moved)):
             before, after = interval_sq(x), interval_sq(moved)
-            scale = max(1.0, float(np.dot(x, x)))
+            scale = max(1.0, x_sq)
         else:
             before = after = scale = np.inf
     if not np.all(np.isfinite((before, after, scale))):
-        theta, phi = (float(np.linalg.norm(v)) for v in (params.theta, params.phi))
-        raise InputError(
-            f"the requested transform of x overflows (|theta| = {theta:g}, |phi| = {phi:g})"
-        )
+        norms = {"theta": params.theta, "phi": params.phi}
+        if math.isinf(x_sq):  # x overflows whatever the transform
+            norms["x"] = x
+        named = ", ".join(f"|{k}| = {math.hypot(*v):g}" for k, v in norms.items())
+        raise InputError(f"the requested transform of x overflows ({named})")
     report = make_report(
         Identity.INTERVAL_INVARIANCE,
         abs(after - before) / scale,

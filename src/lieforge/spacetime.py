@@ -13,7 +13,6 @@ failed purity check signals a convention bug, typically a stray factor of i.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,6 +313,11 @@ def intertwine_check(
     )
 
 
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The normal and the uniform stream of a seeded sweep, spawned from ``seed``."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
 def _seeded_sweep(
     identity: Identity,
     subject: str,
@@ -328,43 +332,58 @@ def _seeded_sweep(
     """The report of the worst residual over ``trials`` seeded random trials,
     held to ``bound``.
 
-    ``draw(rng)`` returns one trial's inputs as a tuple of arrays, drawing
-    from the generator in the same calls and order for every trial, so a seed
-    fixes each trial's inputs whatever the block size.  ``residuals`` maps the
-    inputs of a block, stacked along a new first axis, to a ``(B, ...)``
-    residual array.  Trials run in blocks of ``_BLOCK``.
+    ``draw(streams, B)`` returns the inputs of ``B`` trials as a tuple of
+    ``(B, ...)`` arrays, drawing once from each of ``streams`` (a normal and a
+    uniform stream spawned from ``seed``), trial-major: a trial's values are
+    one row of each draw.  Consecutive draws from a numpy ``Generator`` equal
+    one draw of their total size, so a seed fixes each trial's inputs whatever
+    the block size.  Versions that drew one trial at a time from a single
+    stream gave other inputs for the same seed: their seeded residuals and
+    witnesses are not comparable.  ``residuals`` maps those arrays to a
+    ``(B, ...)`` residual array.  Trials run in blocks of ``_BLOCK``.
 
     The witness is the first maximum: earliest trial, then row-major over the
     trailing axes.  Its ``indices`` are the 0-based trial followed by the
-    1-based trailing indices, described by ``describe(indices, inputs)``.
-    When no residual exceeds zero the residual is 0.0 and there is no witness.
+    1-based trailing indices, described by ``describe(indices, inputs)`` with
+    that trial's row of each input.  When no residual exceeds zero the
+    residual is 0.0 and there is no witness.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    streams = _streams(seed)
     worst, witness = 0.0, None
     for start in range(0, trials, _BLOCK):
-        block = [draw(rng) for _ in range(min(_BLOCK, trials - start))]
-        r = residuals(*(np.array(column) for column in zip(*block)))
+        inputs = draw(streams, min(_BLOCK, trials - start))
+        r = residuals(*inputs)
         at = np.unravel_index(int(np.argmax(r)), r.shape)
         if r[at] > worst:
             worst = float(r[at])
             indices = [start + int(at[0])] + [int(k) + 1 for k in at[1:]]
-            witness = {"indices": indices, "description": describe(indices, block[at[0]])}
+            row = [q[at[0]] for q in inputs]
+            witness = {"indices": indices, "description": describe(indices, row)}
     return make_report(identity, worst, bound, subject=subject, witness=witness, note=note)
 
 
-def _random_direction_scaled(rng: np.random.Generator, max_norm: float) -> np.ndarray:
-    v = rng.normal(size=3)
-    n = math.sqrt(v @ v)  # the value np.linalg.norm returns, without its overhead
-    if n == 0.0:
-        return np.zeros(3)
-    return v * (rng.uniform(0.0, max_norm) / n)
+def _random_direction_scaled(normals: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each 3-vector row of ``normals`` rescaled to the matching entry of
+    ``norms``: a uniformly random direction when the rows are normal.  A row
+    of exact zeros stays exactly zero."""
+    n = np.sqrt(np.einsum("...i,...i->...", normals, normals))
+    return normals * (norms / np.where(n == 0.0, 1.0, n))[..., None]
 
 
-def _random_rotboost(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Angles of a rotation by up to pi and rapidities of a boost up to 2."""
-    return _random_direction_scaled(rng, np.pi), _random_direction_scaled(rng, 2.0)
+def _draw(streams, size: int, half_widths=(), max_norms=()) -> tuple[np.ndarray, ...]:
+    """``size`` trials of a point uniform in [-h, h)^4 per half-width h, then
+    a 3-vector in a random direction with norm uniform in [0, m) per max norm
+    m.  A trial's uniforms are one row of the uniform draw, points first,
+    mapped as ``Generator.uniform`` maps them; its directions are one row of
+    the normal draw."""
+    normal, uniform = streams
+    h, m = np.repeat(half_widths, 4), np.asarray(max_norms)
+    u = uniform.random((size, len(h) + len(m)))
+    points = (-h + (2.0 * h) * u[:, : len(h)]).reshape(size, -1, 4)
+    angles = _random_direction_scaled(normal.normal(size=(size, len(m), 3)), m * u[:, len(h) :])
+    return *np.moveaxis(points, 1, 0), *np.moveaxis(angles, 1, 0)
 
 
 def intertwine_sweep(
@@ -386,14 +405,15 @@ def intertwine_sweep(
         f"seed={seed}, draws={draws}",
         draws,
         seed,
-        _random_rotboost,
+        lambda streams, size: _draw(streams, size, (), (np.pi, 2.0)),
         lambda theta, phi: _intertwine_residuals(J, K, V, theta, phi, tol),
         lambda idx, _: f"draw {idx[0]}, member mu={idx[1]}",
     )
 
 
-def _draw_rotation(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    return rng.uniform(-10.0, 10.0, size=4), _random_direction_scaled(rng, np.pi)
+def _draw_rotation(streams, size: int) -> tuple[np.ndarray, ...]:
+    """A point in [-10, 10)^4 and rotation angles up to pi per trial."""
+    return _draw(streams, size, (10.0,), (np.pi,))
 
 
 def _rotation_residuals(x: np.ndarray, theta: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -423,10 +443,10 @@ def rotation_invariance_check(
     )
 
 
-def _draw_boost(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = rng.uniform(-10.0, 10.0, size=4)
-    theta = _random_direction_scaled(rng, np.pi)
-    return x, theta, _random_direction_scaled(rng, 3.0)
+def _draw_boost(streams, size: int) -> tuple[np.ndarray, ...]:
+    """A point in [-10, 10)^4, rotation angles up to pi and boost rapidities
+    up to 3 per trial."""
+    return _draw(streams, size, (10.0,), (np.pi, 3.0))
 
 
 def _boost_residuals(x, theta, phi, tol: Tolerance) -> np.ndarray:
@@ -464,23 +484,20 @@ def det_interval_check(
         f"seed={seed}, trials={trials}",
         trials,
         seed,
-        lambda rng: (rng.uniform(-10.0, 10.0, size=4),),
+        lambda streams, size: _draw(streams, size, (10.0,)),
         lambda x: np.abs(_interval_via_det(x) - _interval(x))
         / np.maximum(1.0, np.einsum("ti,ti->t", x, x)),
         lambda idx, inp: f"trial {idx[0]}: x={inp[0].tolist()}",
     )
 
 
-def _draw_affine(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Two rotation-boosts, their shifts, a point, a pure shift and a second point."""
-    (theta1, phi1), (theta2, phi2) = _random_rotboost(rng), _random_rotboost(rng)
-    shift1, shift2 = rng.uniform(-5, 5, size=4), rng.uniform(-5, 5, size=4)
-    x = rng.uniform(-10.0, 10.0, size=4)
-    shift, x0 = rng.uniform(-5, 5, size=4), rng.uniform(-10.0, 10.0, size=4)
-    return theta1, phi1, theta2, phi2, shift1, shift2, x, shift, x0
+def _draw_affine(streams, size: int) -> tuple[np.ndarray, ...]:
+    """Two shifts, a point, a pure shift and a second point, then the angles
+    and rapidities of two rotation-boosts."""
+    return _draw(streams, size, (5.0, 5.0, 10.0, 5.0, 10.0), (np.pi, 2.0, np.pi, 2.0))
 
 
-def _affine_residuals(theta1, phi1, theta2, phi2, shift1, shift2, x, shift, x0, tol) -> np.ndarray:
+def _affine_residuals(shift1, shift2, x, shift, x0, theta1, phi1, theta2, phi2, tol) -> np.ndarray:
     t = len(x)
     linear = _d4_stack(np.concatenate([theta1, theta2]), np.concatenate([phi1, phi2]), tol)
     m1, m2 = _affine5(linear[:t], shift1), _affine5(linear[t:], shift2)
@@ -540,7 +557,7 @@ def translation_check(
         f"seed={seed}, trials={trials}, exact nilpotent exponential",
         trials,
         seed,
-        lambda rng: (rng.uniform(-10.0, 10.0, size=4), rng.uniform(-10.0, 10.0, size=4)),
+        lambda streams, size: _draw(streams, size, (10.0, 10.0)),
         lambda a, x: _translation_residuals(a, x, p5, tol),
         lambda idx, inp: f"trial {idx[0]}: a={inp[0].tolist()}",
     )

@@ -192,15 +192,18 @@ def test_bad_input_exits_2_with_one_line(monkeypatch, capsys, tmp_path, env, arg
 
 
 @pytest.mark.parametrize(
-    "angles, norms",
+    "args, norms",
     [
-        (["--theta", "1e20", "0", "0"], "|theta| = 1e+20, |phi| = 0"),
-        (["--phi", "1000", "0", "0"], "|theta| = 0, |phi| = 1000"),
+        (["--theta", "1e20", "0", "0", "--x", "0", "1", "0", "2"], "|theta| = 1e+20, |phi| = 0"),
+        (["--phi", "1000", "0", "0", "--x", "0", "1", "0", "2"], "|theta| = 0, |phi| = 1000"),
+        (["--x", "1e200", "0", "0", "2"], "|theta| = 0, |phi| = 0, |x| = 1e+200"),
     ],
-    ids=["theta-1e20", "phi-1000"],
+    ids=["theta-1e20", "phi-1000", "x-1e200"],
 )
-def test_overflow_error_names_both_norms(capsys, angles, norms):
-    assert main(["invariants", "--trials", "10", *angles, "--x", "0", "1", "0", "2"]) == 2
+def test_overflow_error_names_both_norms(capsys, args, norms):
+    # |x| is named only when its own square overflows: for the identity
+    # transform of a huge x, neither angle is the cause.
+    assert main(["invariants", "--trials", "10", *args]) == 2
     assert capsys.readouterr().err == (
         f"lieforge: error: the requested transform of x overflows ({norms})\n"
     )

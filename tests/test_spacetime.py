@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -345,21 +346,29 @@ def test_stacked_d4_matches_closed_forms():
 
 
 # Per-trial references for the batched sweeps: the loops the sweeps replaced,
-# written with the public one-transform functions on the same rng stream.
+# written with the public one-transform functions.  They draw from the same two
+# spawned streams, a normal and a uniform one, but one trial and one quantity at
+# a time, in the order a sweep lays out a trial's row; a match against sweeps
+# drawn in blocks of 256 checks that the layout does not depend on block size.
 
 
-def _direction(rng, max_norm):
-    v = rng.normal(size=3)
+def _streams(seed):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+
+
+def _direction(normal, uniform, max_norm):
+    v = normal.normal(size=3)
     n = float(np.linalg.norm(v))
-    return np.zeros(3) if n == 0.0 else v * (rng.uniform(0.0, max_norm) / n)
+    scale = uniform.uniform(0.0, max_norm)
+    return np.zeros(3) if n == 0.0 else v * (scale / n)
 
 
 def _ref_rotation(trials, seed):
-    rng = np.random.default_rng(seed)
+    normal, uniform = _streams(seed)
     worst = 0.0
     for _ in range(trials):
-        x = rng.uniform(-10.0, 10.0, size=4)
-        theta = _direction(rng, np.pi)
+        x = uniform.uniform(-10.0, 10.0, size=4)
+        theta = _direction(normal, uniform, np.pi)
         xr = apply(d4(RotBoostParams(theta=tuple(theta))), x)
         space = float(np.dot(x[:3], x[:3]))
         worst = max(
@@ -371,43 +380,44 @@ def _ref_rotation(trials, seed):
 
 
 def _ref_boost(trials, seed):
-    rng = np.random.default_rng(seed)
+    normal, uniform = _streams(seed)
     worst = 0.0
     for _ in range(trials):
-        x = rng.uniform(-10.0, 10.0, size=4)
-        theta, phi = _direction(rng, np.pi), _direction(rng, 3.0)
+        x = uniform.uniform(-10.0, 10.0, size=4)
+        theta, phi = _direction(normal, uniform, np.pi), _direction(normal, uniform, 3.0)
         xb = apply(d4(RotBoostParams(theta=tuple(theta), phi=tuple(phi))), x)
         worst = max(worst, abs(interval_sq(xb) - interval_sq(x)) / max(1.0, float(np.dot(x, x))))
     return worst
 
 
 def _ref_det(trials, seed):
-    rng = np.random.default_rng(seed)
+    _, uniform = _streams(seed)
     worst = 0.0
     for _ in range(trials):
-        x = rng.uniform(-10.0, 10.0, size=4)
+        x = uniform.uniform(-10.0, 10.0, size=4)
         r = abs(interval_sq_via_det(x) - interval_sq(x)) / max(1.0, float(np.dot(x, x)))
         worst = max(worst, r)
     return worst
 
 
-def _ref_params(rng):
-    return RotBoostParams(theta=tuple(_direction(rng, np.pi)), phi=tuple(_direction(rng, 2.0)))
+def _ref_params(normal, uniform):
+    theta = _direction(normal, uniform, np.pi)
+    return RotBoostParams(theta=tuple(theta), phi=tuple(_direction(normal, uniform, 2.0)))
 
 
 def _ref_affine(trials, seed):
-    rng = np.random.default_rng(seed)
+    normal, uniform = _streams(seed)
     worst = 0.0
     for _ in range(trials):
-        p1, p2 = _ref_params(rng), _ref_params(rng)
-        t1 = AffineTransform(d4(p1).real, rng.uniform(-5, 5, size=4))
-        t2 = AffineTransform(d4(p2).real, rng.uniform(-5, 5, size=4))
-        x = rng.uniform(-10.0, 10.0, size=4)
+        shift1, shift2 = uniform.uniform(-5, 5, size=4), uniform.uniform(-5, 5, size=4)
+        x = uniform.uniform(-10.0, 10.0, size=4)
+        shift = AffineTransform(np.eye(4), uniform.uniform(-5, 5, size=4))
+        x0 = uniform.uniform(-10.0, 10.0, size=4)
+        p1, p2 = _ref_params(normal, uniform), _ref_params(normal, uniform)
+        t1, t2 = AffineTransform(d4(p1).real, shift1), AffineTransform(d4(p2).real, shift2)
         seq = affine_apply(t2, affine_apply(t1, x))
         scale = max(1.0, float(np.abs(seq).max()))
         r = float(np.abs(seq - affine_apply(affine_compose(t2, t1), x)).max()) / scale
-        shift = AffineTransform(np.eye(4), rng.uniform(-5, 5, size=4))
-        x0 = rng.uniform(-10.0, 10.0, size=4)
         diff = affine_apply(shift, x) - affine_apply(shift, x0)
         worst = max(worst, r, float(np.abs(diff - (x - x0)).max()) / scale)
     return worst
@@ -415,14 +425,14 @@ def _ref_affine(trials, seed):
 
 def _ref_translation(trials, seed):
     _, _, p5 = affine_generators()
-    rng = np.random.default_rng(seed)
+    _, uniform = _streams(seed)
     worst = 0.0
     for _ in range(trials):
-        a = rng.uniform(-10.0, 10.0, size=4)
+        a = uniform.uniform(-10.0, 10.0, size=4)
         g = mat_exp(1j * sum(a[mu] * p5[mu + 1] for mu in range(4)))
         expected = np.eye(5, dtype=complex)
         expected[:4, 4] = a
-        x = rng.uniform(-10.0, 10.0, size=4)
+        x = uniform.uniform(-10.0, 10.0, size=4)
         moved = g @ np.append(x, 1.0)
         worst = max(
             worst,
@@ -434,10 +444,10 @@ def _ref_translation(trials, seed):
 
 
 def _ref_intertwine(J, K, V, draws, seed):
-    rng = np.random.default_rng(seed)
+    normal, uniform = _streams(seed)
     worst = 0.0
     for _ in range(draws):
-        p = _ref_params(rng)
+        p = _ref_params(normal, uniform)
         rot = 1j * sum(p.theta[i] * J[i + 1] for i in range(3))
         boost = 1j * sum(p.phi[i] * K[i + 1] for i in range(3))
         D = mat_exp(boost) @ mat_exp(rot)
@@ -563,6 +573,117 @@ def test_sweep_reports_do_not_depend_on_the_block_size(monkeypatch):
         "seed=4, draws=300",
         "seed=4, draws=300",
     ]
+
+
+class _ZeroRow:
+    """A normal stream whose every draw is exactly 0 at one index."""
+
+    def __init__(self, rng, at):
+        self._rng, self._at = rng, at
+
+    def normal(self, size):
+        v = self._rng.normal(size=size)
+        v[self._at] = 0.0
+        return v
+
+
+@pytest.mark.parametrize(
+    "draw, member, at, check",
+    [
+        (spacetime._draw_rotation, 1, (3, 0), rotation_invariance_check),
+        (spacetime._draw_boost, 1, (3, 0), boost_invariance_check),
+        (spacetime._draw_boost, 2, (3, 1), boost_invariance_check),
+    ],
+    ids=["rotation-theta", "boost-theta", "boost-phi"],
+)
+def test_a_zero_normal_row_gives_exactly_zero_angles(monkeypatch, draw, member, at, check):
+    normal, uniform = spacetime._streams(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        angles = draw((_ZeroRow(normal, at), uniform), 8)[member]
+        monkeypatch.setattr(spacetime, "_streams", lambda seed: (_ZeroRow(normal, at), uniform))
+        assert check(trials=8).passed
+    assert angles[3].tolist() == [0.0, 0.0, 0.0]
+    assert np.all(np.delete(angles, 3, axis=0) != 0.0)
+
+
+def test_seeded_inputs_are_pinned():
+    # Trials 0 and 1 at seed 1.  The points are -h + 2h u of the uniform
+    # stream, exact in any IEEE arithmetic; the angles pass through a sum of
+    # squares and a square root, so they are held to 1e-15 relative.  A
+    # reordered stream or column moves every value by far more.
+    x, theta, phi = spacetime._draw_boost(spacetime._streams(1), 2)
+    np.testing.assert_array_equal(
+        x,
+        [
+            [-0.48470962820018926, 2.0117680781695633, -5.098275519278694, -5.492171970976938],
+            [9.602229974811806, -2.768186288469634, -3.2497251802384053, 6.084168111156551],
+        ],
+    )
+    np.testing.assert_allclose(
+        [theta, phi],
+        [
+            [
+                [-1.4540723582083332, 0.8919310049496959, -0.8927931777041553],
+                [-0.3023623077181099, 1.2365496295110907, 1.0290609566723923],
+            ],
+            [
+                [0.22001548236904872, -0.5359271051878363, -0.2220184210370371],
+                [0.38646606951593654, -0.20465500134404935, -0.5184116917833091],
+            ],
+        ],
+        rtol=1e-15,
+        atol=0,
+    )
+    shift1, shift2, x, shift, x0, *angles = spacetime._draw_affine(spacetime._streams(1), 2)
+    np.testing.assert_array_equal(
+        [shift1, shift2, x, shift, x0],
+        [
+            [
+                [-0.24235481410009463, 1.0058840390847816, -2.549137759639347, -2.746085985488469],
+                [-4.317278142549624, 3.455067603148297, 1.9402525636754753, -1.5540109728575358],
+            ],
+            [
+                [1.1285582121960083, -2.9319444080197288, 4.801114987405903, -1.384093144234817],
+                [-3.461043033312584, 2.1949772807691144, 2.347532637248678, -3.104599531498551],
+            ],
+            [
+                [-3.2497251802384053, 6.084168111156551, 0.42083448691181147, -5.478493984228203],
+                [-8.454987964060134, -1.924877159338802, -8.397753697461525, 5.927656176801001],
+            ],
+            [
+                [3.004012124812469, -1.6934461571766155, -1.6017172824048975, 2.924806700942952],
+                [-3.4636481179642056, -0.6638250582450302, 2.222677264836893, -4.446892559451438],
+            ],
+            [
+                [-4.225397305265258, 4.269856670582389, -1.7673405885304572, -2.399606541140469],
+                [3.391562701159419, -4.954615484040941, 9.273003405715336, -0.5426632894469954],
+            ],
+        ],
+    )
+    np.testing.assert_allclose(
+        angles,
+        [
+            [
+                [-1.7046503340631491, 1.0456360558440234, -1.0466468054574196],
+                [0.5905791698205981, -1.00655682121923, -2.1725804780686144],
+            ],
+            [
+                [0.20367086973722287, -0.4961139027764807, -0.20552501316452607],
+                [0.4182576184375813, -0.6165113145704189, 0.14716421117473627],
+            ],
+            [
+                [-0.035664432328067396, 0.14585429286744958, 0.12138045620724253],
+                [-0.8234931721357017, -0.7550226518186707, -1.7992306028901612],
+            ],
+            [
+                [0.014404058448191034, -0.007627739751555967, -0.019321831585436138],
+                [0.30436730411360496, -0.7280842710588391, 1.0570473319513596],
+            ],
+        ],
+        rtol=1e-15,
+        atol=0,
+    )
 
 
 @pytest.mark.parametrize("index", range(8))

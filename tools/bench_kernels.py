@@ -1,15 +1,18 @@
-"""Time the su(N) kernels at several N and print one JSON line.
+"""Time lieforge's kernels and print one JSON line.
 
     python tools/bench_kernels.py [SRC]
 
 SRC is a directory holding a ``lieforge`` package (a checkout's ``src``;
 default: the ``src`` beside this directory), so one copy of this script
 times any version of the package.  Cases: ``extract_structure`` on the
-generalized Gell-Mann basis T = lambda / 2 at N = 2..9 and 12, and
-``adjoint_from_f`` on its structure tensors at N = 4 and 6.  Each case runs
-once untimed, then REPEATS times; the line gives the median and quartiles of the
-raw wall times in seconds, with the Python, numpy and BLAS versions and a
-hash of the package sources.  The thread variables are set to
+generalized Gell-Mann basis T = lambda / 2 at N = 2..9 and 12,
+``adjoint_from_f`` on its structure tensors at N = 4 and 6, the seeded
+sweeps ``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
+trials, and one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
+exponents theta.(i J4) of 256 seeded angle triples, one sweep block.  Each
+case runs once untimed, then REPEATS times; the line gives the median and
+quartiles of the raw wall times in seconds, with the Python, numpy and BLAS
+versions and a hash of the package sources.  The thread variables are set to
 ``perfbench/run.py``'s ``THREAD_ENV`` (BLAS on one thread) before numpy is
 imported, so both tools run under the same threading.  Not part of the tests.
 """
@@ -58,7 +61,10 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src))
     import numpy as np
 
+    from lieforge.linalg import mat_exp
+    from lieforge.spacetime import boost_invariance_check, rotation_invariance_check
     from lieforge.su_n import adjoint_from_f, extract_structure, generalized_gell_mann
+    from lieforge.transfer import build_j4
 
     bases = {n: [g / 2 for g in generalized_gell_mann(n)] for n in EXTRACT_N}
     cases = [
@@ -69,6 +75,13 @@ def main(argv: list[str] | None = None) -> int:
         {"case": f"adjoint_from_f n={n}", **_timed(adjoint_from_f, extract_structure(bases[n]))}
         for n in ADJOINT_N
     ]
+    cases += [
+        {"case": f"{check.__name__}(1000)", **_timed(check, 1000)}
+        for check in (boost_invariance_check, rotation_invariance_check)
+    ]
+    theta = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(256, 3))
+    rotations = np.einsum("ti,iab->tab", theta, (1j * build_j4().stack).real)
+    cases.append({"case": "mat_exp real (256, 4, 4)", **_timed(mat_exp, rotations)})
     digest = hashlib.sha256()
     for path in sorted((args.src / "lieforge").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
