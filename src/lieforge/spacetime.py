@@ -168,10 +168,16 @@ def _real_generators(G: GeneratorSet) -> np.ndarray:
     return iG.real
 
 
+def _combine(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The combinations sum_k c[..., k] stack[k] of a ``(K, n, n)`` stack, one
+    per row of ``c``, as one matrix product."""
+    return (c @ stack.reshape(len(stack), -1)).reshape(*c.shape[:-1], *stack.shape[1:])
+
+
 def _exponents(theta, phi, iJ: np.ndarray, iK: np.ndarray) -> np.ndarray:
     """The ``(2, T, n, n)`` stack of theta.iJ and phi.iK for every row of
     the ``(T, 3)`` arrays ``theta`` and ``phi``."""
-    return np.stack([np.einsum("ti,iab->tab", theta, iJ), np.einsum("ti,iab->tab", phi, iK)])
+    return np.stack([_combine(theta, iJ), _combine(phi, iK)])
 
 
 def _d4_stack(theta, phi, tol: Tolerance) -> np.ndarray:
@@ -194,7 +200,7 @@ def _interval(x: np.ndarray) -> np.ndarray:
 
 def _interval_via_det(x: np.ndarray) -> np.ndarray:
     """-det(sum_mu x^mu sigma^mu) for every row of a ``(T, 4)`` array."""
-    return (-np.linalg.det(np.einsum("tm,mab->tab", x, _SIGMA4))).real
+    return (-np.linalg.det(_combine(x, _SIGMA4))).real
 
 
 def _affine_images(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -277,7 +283,7 @@ def _intertwine_residuals(
     rot, boost = _exponents(theta, phi, 1j * J.stack, 1j * K.stack)
     e_rot, e_boost, e_mrot, e_mboost = mat_exp(np.stack([rot, boost, -rot, -boost]), tol)
     D, Dinv = e_boost @ e_rot, e_mrot @ e_mboost
-    rhs = np.einsum("tmn,nab->tmab", _d4_stack(theta, phi, tol), V.stack)
+    rhs = _combine(_d4_stack(theta, phi, tol), V.stack)
     return frobenius_norms(Dinv[:, None] @ V.stack @ D[:, None] - rhs)
 
 
@@ -529,7 +535,7 @@ def affine_composition_check(
 
 
 def _translation_residuals(a, x, p5: GeneratorSet, tol: Tolerance) -> np.ndarray:
-    g = mat_exp(1j * np.einsum("tm,mab->tab", a, p5.stack), tol)
+    g = mat_exp(1j * _combine(a, p5.stack), tol)
     expected = _affine5(np.broadcast_to(np.eye(4), (len(a), 4, 4)), a)
     moved = (g @ _append_one(x)[:, :, None])[:, :, 0]
     return np.maximum.reduce(

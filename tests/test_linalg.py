@@ -136,7 +136,10 @@ def test_mat_exp_against_scipy():
 
 def test_mat_exp_stack_against_scipy_and_single():
     # One seeded stack whose infinity norms are 0, 1e-3, 1, 10 and 40, so the
-    # matrices of one batch need 0 to 6 squarings.
+    # matrices of one batch need 0 to 6 squarings.  As in the real ladder
+    # below, the norm-40 members are checked against a 40-digit mpmath
+    # exponential, since scipy's own error grows with the norm.
+    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(12)
     a = rng.normal(size=(5, 4, 4, 4)) + 1j * rng.normal(size=(5, 4, 4, 4))
     a /= np.abs(a).sum(axis=-1).max(axis=-1)[..., None, None]
@@ -145,10 +148,34 @@ def test_mat_exp_stack_against_scipy_and_single():
     got = mat_exp(a)
     assert got.shape == a.shape
     for k in range(len(a)):
-        ref = scipy.linalg.expm(a[k])
+        if _LADDER_NORMS[k // 4] > 10.0:
+            ref = _mpmath_expm(a[k], mpmath)
+        else:
+            ref = scipy.linalg.expm(a[k])
         scale = max(1.0, float(np.linalg.norm(ref)))
         assert frobenius_distance(got[k], ref) < 1e-12 * scale
         assert frobenius_distance(got[k], mat_exp(a[k])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_mat_exp_series_equals_the_term_by_term_sum(n):
+    # At ||B||_inf <= 1 nothing is squared, so mat_exp returns its degree-18
+    # Taylor polynomial; summed term by term, the same polynomial may differ
+    # only by rounding, a few units of u = 2^-53 (at most 5.7 u seen).
+    u = 2.0**-53
+    rng = np.random.default_rng(30 + n)
+    real = rng.normal(size=(100, n, n))
+    for b in (real, real + 1j * rng.normal(size=(100, n, n))):
+        norms = np.abs(b).sum(axis=-1).max(axis=-1)
+        b *= (rng.uniform(0.0, 1.0, size=100) / norms)[:, None, None]
+        series, term = np.eye(n) + b, b
+        for k in range(2, 19):
+            term = term @ b / k
+            series = series + term
+        got = mat_exp(b)
+        for k in range(len(b)):
+            scale = max(1.0, float(np.linalg.norm(series[k])))
+            assert frobenius_distance(got[k], series[k]) <= 16 * u * scale
 
 
 _LADDER_NORMS = (0.0, 1e-3, 1.0, 10.0, 40.0)
@@ -164,9 +191,9 @@ def _real_norm_ladder(seed=12):
 
 
 def _mpmath_expm(a, mpmath):
-    """exp(a) of a real matrix to 40 digits, rounded to float64."""
+    """exp(a) of a real or complex matrix to 40 digits, rounded to complex128."""
     with mpmath.workdps(40):
-        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
 
 
 def test_mat_exp_real_stack_against_scipy():

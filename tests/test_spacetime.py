@@ -345,6 +345,29 @@ def test_stacked_d4_matches_closed_forms():
         np.testing.assert_allclose(both[t], single, rtol=0, atol=1e-14)
 
 
+def test_stack_combinations_equal_their_einsum_forms():
+    # Every canonical generator entry is dyadic and every entry of a
+    # combination sums at most two nonzero terms, so one matrix product gives
+    # the values of the einsum contractions it replaced; only the sign of an
+    # exact zero may differ, which assert_array_equal does not see.
+    rng = np.random.default_rng(31)
+    J22, K22 = rep22_jk()
+    j5, k5, p5 = affine_generators()
+    stacks = [spacetime._real_generators(spacetime._J4), spacetime._real_generators(spacetime._K4)]
+    stacks += [1j * G.stack for G in (J22, K22, j5, k5)] + [spacetime._SIGMA4, p5.stack]
+    for stack in stacks:
+        c = rng.uniform(-10.0, 10.0, size=(300, len(stack)))
+        np.testing.assert_array_equal(
+            spacetime._combine(c, stack), np.einsum("tk,kab->tab", c, stack)
+        )
+    theta, phi = rng.uniform(-np.pi, np.pi, size=(2, 300, 3))
+    lam = spacetime._d4_stack(theta, phi, DEFAULT_TOL)
+    for V in (gamma(), p5):
+        np.testing.assert_array_equal(
+            spacetime._combine(lam, V.stack), np.einsum("tmn,nab->tmab", lam, V.stack)
+        )
+
+
 # Per-trial references for the batched sweeps: the loops the sweeps replaced,
 # written with the public one-transform functions.  They draw from the same two
 # spawned streams, a normal and a uniform one, but one trial and one quantity at
@@ -358,17 +381,21 @@ def _streams(seed):
 
 def _direction(normal, uniform, max_norm):
     v = normal.normal(size=3)
-    n = float(np.linalg.norm(v))
+    # The norm the sweeps take: np.linalg.norm can differ from it in the last bit.
+    n = float(np.sqrt(np.einsum("...i,...i->...", v, v)))
     scale = uniform.uniform(0.0, max_norm)
     return np.zeros(3) if n == 0.0 else v * (scale / n)
+
+
+def _rotation_trial(normal, uniform):
+    return uniform.uniform(-10.0, 10.0, size=4), _direction(normal, uniform, np.pi)
 
 
 def _ref_rotation(trials, seed):
     normal, uniform = _streams(seed)
     worst = 0.0
     for _ in range(trials):
-        x = uniform.uniform(-10.0, 10.0, size=4)
-        theta = _direction(normal, uniform, np.pi)
+        x, theta = _rotation_trial(normal, uniform)
         xr = apply(d4(RotBoostParams(theta=tuple(theta))), x)
         space = float(np.dot(x[:3], x[:3]))
         worst = max(
@@ -379,12 +406,16 @@ def _ref_rotation(trials, seed):
     return worst
 
 
+def _boost_trial(normal, uniform):
+    x = uniform.uniform(-10.0, 10.0, size=4)
+    return x, _direction(normal, uniform, np.pi), _direction(normal, uniform, 3.0)
+
+
 def _ref_boost(trials, seed):
     normal, uniform = _streams(seed)
     worst = 0.0
     for _ in range(trials):
-        x = uniform.uniform(-10.0, 10.0, size=4)
-        theta, phi = _direction(normal, uniform, np.pi), _direction(normal, uniform, 3.0)
+        x, theta, phi = _boost_trial(normal, uniform)
         xb = apply(d4(RotBoostParams(theta=tuple(theta), phi=tuple(phi))), x)
         worst = max(worst, abs(interval_sq(xb) - interval_sq(x)) / max(1.0, float(np.dot(x, x))))
     return worst
@@ -405,15 +436,21 @@ def _ref_params(normal, uniform):
     return RotBoostParams(theta=tuple(theta), phi=tuple(_direction(normal, uniform, 2.0)))
 
 
+def _affine_trial(normal, uniform):
+    shift1, shift2 = uniform.uniform(-5, 5, size=4), uniform.uniform(-5, 5, size=4)
+    x = uniform.uniform(-10.0, 10.0, size=4)
+    shift, x0 = uniform.uniform(-5, 5, size=4), uniform.uniform(-10.0, 10.0, size=4)
+    p1, p2 = _ref_params(normal, uniform), _ref_params(normal, uniform)
+    return shift1, shift2, x, shift, x0, p1.theta, p1.phi, p2.theta, p2.phi
+
+
 def _ref_affine(trials, seed):
     normal, uniform = _streams(seed)
     worst = 0.0
     for _ in range(trials):
-        shift1, shift2 = uniform.uniform(-5, 5, size=4), uniform.uniform(-5, 5, size=4)
-        x = uniform.uniform(-10.0, 10.0, size=4)
-        shift = AffineTransform(np.eye(4), uniform.uniform(-5, 5, size=4))
-        x0 = uniform.uniform(-10.0, 10.0, size=4)
-        p1, p2 = _ref_params(normal, uniform), _ref_params(normal, uniform)
+        shift1, shift2, x, shift, x0, *angles = _affine_trial(normal, uniform)
+        shift = AffineTransform(np.eye(4), shift)
+        p1, p2 = RotBoostParams(*angles[:2]), RotBoostParams(*angles[2:])
         t1, t2 = AffineTransform(d4(p1).real, shift1), AffineTransform(d4(p2).real, shift2)
         seq = affine_apply(t2, affine_apply(t1, x))
         scale = max(1.0, float(np.abs(seq).max()))
@@ -477,6 +514,21 @@ def _sweeps():
             lambda trials, seed: _ref_intertwine(j5, k5, p5, trials, seed),
         ),
     ]
+
+
+@pytest.mark.parametrize("seed", [1, 9, 123])
+def test_reference_inputs_are_the_sweep_inputs_bit_for_bit(seed):
+    # The references below match the sweeps to 1e-14 only if both transform
+    # the same inputs: a last-bit change in an angle moves a residual by more.
+    for draw, trial in (
+        (spacetime._draw_rotation, _rotation_trial),
+        (spacetime._draw_boost, _boost_trial),
+        (spacetime._draw_affine, _affine_trial),
+    ):
+        normal, uniform = _streams(seed)
+        for row in zip(*draw(spacetime._streams(seed), 200)):
+            ref = trial(normal, uniform)
+            assert [np.asarray(q).tobytes() for q in ref] == [q.tobytes() for q in row]
 
 
 @pytest.mark.parametrize("seed", [1, 9, 123])

@@ -8,8 +8,12 @@ times any version of the package.  Cases: ``extract_structure`` on the
 generalized Gell-Mann basis T = lambda / 2 at N = 2..9 and 12,
 ``adjoint_from_f`` on its structure tensors at N = 4 and 6, the seeded
 sweeps ``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
-trials, and one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
-exponents theta.(i J4) of 256 seeded angle triples, one sweep block.  Each
+trials, one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
+exponents theta.(i J4) of 256 seeded angle triples, one sweep block; one
+``mat_exp`` of a complex ``(400, 4, 4)`` stack: the exponents +-theta.(i J)
+and +-phi.(i K) of the 2+2 rep at 100 seeded draws, as the 2+2 intertwining
+sweep stacks them (random directions, norms uniform below pi and 2); and
+``_d4_stack``, the stacked 4-vector transform, at 256 seeded trials.  Each
 case runs once untimed, then REPEATS times; the line gives the median and
 quartiles of the raw wall times in seconds, with the Python, numpy and BLAS
 versions and a hash of the package sources.  The thread variables are set to
@@ -61,8 +65,9 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src))
     import numpy as np
 
-    from lieforge.linalg import mat_exp
-    from lieforge.spacetime import boost_invariance_check, rotation_invariance_check
+    from lieforge.generators import rep22_jk
+    from lieforge.linalg import DEFAULT_TOL, mat_exp
+    from lieforge.spacetime import _d4_stack, boost_invariance_check, rotation_invariance_check
     from lieforge.su_n import adjoint_from_f, extract_structure, generalized_gell_mann
     from lieforge.transfer import build_j4
 
@@ -82,6 +87,26 @@ def main(argv: list[str] | None = None) -> int:
     theta = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(256, 3))
     rotations = np.einsum("ti,iab->tab", theta, (1j * build_j4().stack).real)
     cases.append({"case": "mat_exp real (256, 4, 4)", **_timed(mat_exp, rotations)})
+    rng = np.random.default_rng(1)
+
+    def angles(max_norms, size):
+        """``size`` 3-vectors per max norm m, as a sweep draws them: random
+        directions, norms uniform in [0, m)."""
+        v = rng.normal(size=(len(max_norms), size, 3))
+        norms = np.array(max_norms)[:, None] * rng.random((len(max_norms), size))
+        return v * (norms / np.linalg.norm(v, axis=-1))[..., None]
+
+    J22, K22 = rep22_jk()
+    rot, boost = (
+        np.einsum("ti,iab->tab", v, 1j * G.stack)
+        for v, G in zip(angles((np.pi, 2.0), 100), (J22, K22))
+    )
+    exponents = np.concatenate([rot, boost, -rot, -boost])
+    cases.append({"case": "mat_exp complex (400, 4, 4)", **_timed(mat_exp, exponents)})
+    transforms = angles((np.pi, 3.0), 256)
+    cases.append(
+        {"case": "_d4_stack (256 trials)", **_timed(lambda a: _d4_stack(*a, DEFAULT_TOL), transforms)}
+    )
     digest = hashlib.sha256()
     for path in sorted((args.src / "lieforge").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())

@@ -40,11 +40,13 @@ def _invocations() -> list[tuple[dict, list[str]]]:
     for alpha in ("2", "-1"):
         pairs.append(({}, ["all", "--alpha", alpha]))
     pairs.append(({}, ["all", *TRANSFORM]))
-    # Large rapidities: the failing interval check (8, 300) and the overflow
-    # errors (400: the interval overflows, 1000: the transform does) print x'
-    # and the interval, which no residual mask covers.  So does an identity
-    # transform of an x whose interval overflows.
-    for phi in ("8", "300", "1000", "400"):
+    # Large rapidities: the interval check near the edge of the supported
+    # range (7, 8), where rounding decides pass or fail under the flat bound,
+    # the failing check (300) and the overflow errors (400: the interval
+    # overflows, 1000: the transform does) print x' and the interval, which no
+    # residual mask covers.  So does an identity transform of an x whose
+    # interval overflows.
+    for phi in ("7", "8", "300", "1000", "400"):
         pairs.append(({}, ["invariants", "--trials", "10", "--phi", phi, *TRANSFORM[2:]]))
     pairs.append(({}, ["invariants", "--trials", "10", "--x", "1e200", "0", "0", "2"]))
     # A rotation angle whose transform overflows: the error names both norms.
