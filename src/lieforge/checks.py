@@ -6,16 +6,19 @@ residual, the tolerance it was held to, and a witness when it failed.
 Each bracket relation [A_i, B_j] (or {A_i, B_j}) = sum_k C_ijk T_k is one
 call to :func:`bracket_table`, which takes stacked ``(m, n, n)`` generator
 arrays and a coefficient table and returns the Frobenius norm of (left side -
-right side) for every index pair.  It forms one row i at a time in reused
-``(p, n, n)`` buffers, so memory stays at two slabs where the whole table
-would need m of them.  :func:`residual_report` turns any residual array into
-a report whose witness is the first worst index tuple, so the same engine
-validates hand-built, extracted and candidate generator sets alike.
+right side) for every index pair.  It forms rows in blocks in two reused
+buffers of at most 64 KB or one ``(p, n, n)`` slab each, where the whole
+table would need m slabs, and forms a stack's table with itself under
+(anti)symmetric coefficients only on and above the diagonal.
+:func:`residual_report` turns any residual array into a report whose witness
+is the first worst index tuple, so the same engine validates hand-built,
+extracted and candidate generator sets alike.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -144,6 +147,11 @@ def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
 
 
+# Byte budget of one row block of bracket_table: a stack B smaller than this
+# takes several rows per block, a larger one a row at a time.
+_BLOCK_BYTES = 64 * 1024
+
+
 def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
     """Residuals of a whole bracket table over stacked generator arrays.
 
@@ -154,35 +162,58 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
         A_i B_j -/+ B_j A_i - sum_k coeffs[i, j, k] T_k
 
     with the commutator by default and the anticommutator when ``anti``.
-    Rows are formed one ``i`` at a time in two reused ``(p, n, n)`` buffers:
-    the full ``(m, p, n, n)`` table of an su(6) adjoint (m = p = n = 35) would
-    take 24 MB per complex temporary.  The sum over k is one BLAS product
-    per row, ``coeffs[i]`` times T flattened to ``(q, n^2)``, with
-    ``coeffs`` cast once to the stacks' dtype.  BLAS may reorder and fuse
-    the sum, so an entry can differ from a hand loop's residual in the last
-    bits; where every product and partial sum is exact (dyadic entries) it
-    is the same exact value.
+    Rows are formed in blocks, ``A[I, None] @ B[None, :]`` and the reverse
+    product in two reused buffers of at most ``_BLOCK_BYTES`` or one
+    ``(p, n, n)`` slab each: the full ``(m, p, n, n)`` table of an su(6)
+    adjoint (m = p = n = 35) would take 24 MB per complex temporary.  The
+    sum over k is one BLAS product per block, the block's slice of
+    ``coeffs`` cast to the stacks' dtype times T flattened to ``(q, n^2)``.
+    BLAS may reorder and fuse the sum, so an entry can differ from a hand
+    loop's residual in the last bits; where every product and partial sum
+    is exact (dyadic entries) it is the same exact value.
+
+    When ``A is B`` and ``coeffs[j, i] == -coeffs[i, j]`` (commutator) or
+    ``coeffs[j, i] == coeffs[i, j]`` (anticommutator) exactly for every
+    j > i, the matrix behind entry (j, i) is -/+ the one behind (i, j), so
+    only entries with j >= i are formed and the upper triangle is copied
+    into the lower.
     """
+    same = A is B  # before the cast, which may copy
     coeffs = np.asarray(coeffs)
     dtype = np.result_type(A, B, T, coeffs)
-    A, B, T, coeffs = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T, coeffs))
-    if coeffs.shape != (len(A), len(B), len(T)):
+    A, B, T = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T))
+    m, p, q = len(A), len(B), len(T)
+    if coeffs.shape != (m, p, q):
         raise ShapeError(
             f"coefficients of shape {coeffs.shape} do not match stacks of "
-            f"{len(A)}, {len(B)} and {len(T)} members"
+            f"{m}, {p} and {q} members"
         )
-    out = np.empty((len(A), len(B)))
-    table = np.empty(B.shape, dtype=dtype)
-    scratch = np.empty(B.shape, dtype=dtype)
-    size = B.shape[1] * B.shape[2]
-    flat_T, flat_scratch = T.reshape(len(T), size), scratch.reshape(len(B), size)
-    for i, a in enumerate(A):
-        np.matmul(a, B, out=table)
-        np.matmul(B, a, out=scratch)
+    # Tested a row at a time: a whole transposed copy would be one more
+    # (m, m, q) table.
+    sign = 1 if anti else -1
+    mirror = same and all(
+        np.array_equal(coeffs[i + 1:, i], sign * coeffs[i, i + 1:]) for i in range(m)
+    )
+    rows = max(1, _BLOCK_BYTES // max(B.nbytes, 1))
+    buffers = np.empty((2, min(rows, m) * B.size), dtype=dtype)
+    flat_T = T.reshape(q, -1)
+    out = np.empty((m, p))
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        first = lo if mirror else 0
+        shape = (hi - lo, p - first, *B.shape[1:])
+        table, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in buffers)
+        a, b = A[lo:hi, None], B[None, first:]
+        np.matmul(a, b, out=table)
+        np.matmul(b, a, out=scratch)
         (np.add if anti else np.subtract)(table, scratch, out=table)
-        np.matmul(coeffs[i], flat_T, out=flat_scratch)
+        block = np.asarray(coeffs[lo:hi, first:], dtype=dtype).reshape(-1, q)
+        np.matmul(block, flat_T, out=scratch.reshape(len(block), -1))
         table -= scratch
-        out[i] = frobenius_norms(table)
+        out[lo:hi, first:] = frobenius_norms(table)
+    if mirror:
+        lower = np.tril_indices(m, -1)
+        out[lower] = out.T[lower]
     return out
 
 

@@ -188,12 +188,13 @@ def extract_structure(generators, tol: Tolerance = DEFAULT_TOL) -> StructureTens
     m = len(gens)
     dim = gens[0].shape[0]
     ortho_tol = 1e-9
-    for a, g in enumerate(gens):
-        if g.shape != (dim, dim):
-            raise BasisError("generators must share one dimension")
-        if np.abs(g - g.conj().T).max() > ortho_tol or abs(np.trace(g)) > ortho_tol:
-            raise BasisError(f"generator {a + 1} is not hermitian traceless")
+    if any(g.shape != (dim, dim) for g in gens):
+        raise BasisError("generators must share one dimension")
     S = np.stack(gens)
+    asymmetry = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = (asymmetry > ortho_tol) | (np.abs(np.trace(S, axis1=1, axis2=2)) > ortho_tol)
+    if bad.any():
+        raise BasisError(f"generator {np.argmax(bad) + 1} is not hermitian traceless")
     kappa = float(np.trace(gens[0] @ gens[0]).real)
     if kappa <= 0:
         raise BasisError("trace normalisation must be positive")
@@ -206,12 +207,15 @@ def extract_structure(generators, tol: Tolerance = DEFAULT_TOL) -> StructureTens
         )
 
     # f and d are the parts of t[a, b, c] = trace(J_a J_b J_c) antisymmetric
-    # and symmetric in (a, b).  Adding 0.0 turns the -0.0 of a sum of two
-    # zeros of either sign into 0.0.
+    # and symmetric in (a, b), each formed in its own buffer.  Adding 0.0
+    # turns the -0.0 of a sum of two zeros of either sign into 0.0.
     t = _trace_tensor(S)
-    f = (t.imag - t.imag.transpose(1, 0, 2)) / kappa + 0.0
-    d = (t.real + t.real.transpose(1, 0, 2)) / kappa + 0.0
+    f = np.subtract(t.imag, t.imag.transpose(1, 0, 2))
+    d = np.add(t.real, t.real.transpose(1, 0, 2))
     del t  # 47 MB at N = 12; freed before the residual tables
+    for x in (f, d):
+        x /= kappa
+        x += 0.0
     delta_coeff = 2.0 * kappa / dim
 
     # [J_a, J_b] = f_abc (i J_c).
@@ -220,6 +224,7 @@ def extract_structure(generators, tol: Tolerance = DEFAULT_TOL) -> StructureTens
     d_coeffs = np.concatenate([d, delta_coeff * np.eye(m)[:, :, None]], axis=2)
     with_one = np.concatenate([S, np.eye(dim, dtype=complex)[None]])
     d_res = float(bracket_table(S, S, d_coeffs, with_one, anti=True).max())
+    del d_coeffs  # freed before StructureTensors copies f and d
     return StructureTensors(
         n=dim, f=f, d=d, delta_coeff=delta_coeff, f_residual=f_res, d_residual=d_res
     )

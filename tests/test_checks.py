@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lieforge.checks as checks
 from lieforge.checks import (
     EPS3,
     Identity,
@@ -37,7 +38,7 @@ from lieforge.generators import (
     rep22_v,
     v2,
 )
-from lieforge.linalg import commutator
+from lieforge.linalg import commutator, frobenius_norms
 from lieforge.su_n import gell_mann
 from lieforge.transfer import build_j4, build_k4
 
@@ -242,6 +243,71 @@ def test_bracket_table_matches_double_loop(n, anti):
         i, j = (int(k) + 1 for k in np.unravel_index(np.argmax(ref), ref.shape))
         assert report.witness == {"indices": [i, j], "description": f"pair (i={i}, j={j})"}
         assert report.max_residual == got.max()
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8])
+@pytest.mark.parametrize("anti", [False, True])
+def test_self_bracket_table_matches_double_loop(n, anti):
+    # A with itself and coefficients with coeffs[j, i] = -/+ coeffs[i, j]:
+    # only entries with j >= i are formed, the rest are copied.  40 members
+    # take 2 row blocks at n = 2, 7 at n = 4, 10 at n = 5 and 40 at n = 8.
+    rng = np.random.default_rng(1000 + 100 * n + anti)
+    m, q = 40, 4
+    A, T = random_stack(rng, m, n), random_stack(rng, q, n)
+    sign = 1 if anti else -1
+    for raw in (rng.normal(size=(m, m, q)), random_stack(rng, m, m)[:, :, :q]):
+        coeffs = raw + sign * raw.transpose(1, 0, 2)
+        got = bracket_table(A, A, coeffs, T, anti=anti)
+        ref = reference_table(A, A, coeffs, T, anti)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        assert np.array_equal(got, got.T)
+        np.testing.assert_allclose(bracket_table(A, A.copy(), coeffs, T, anti=anti), got, rtol=1e-13, atol=0)
+        i, j = residual_report(Identity.LORENTZ_JJ, got, 1e-12, "pair (i={}, j={})").witness["indices"]
+        assert i <= j
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_self_bracket_table_forms_each_unordered_pair_once(monkeypatch, anti):
+    # Each formed entry gets one norm; a 20-member stack of 16 x 16 complex
+    # matrices is above the block budget, so rows go one at a time and a
+    # mirrored table forms only its m (m + 1) / 2 entries with j >= i.
+    formed = []
+
+    def counting_norms(stack):
+        norms = frobenius_norms(stack)
+        formed.append(norms.size)
+        return norms
+
+    monkeypatch.setattr(checks, "frobenius_norms", counting_norms)
+    rng = np.random.default_rng(3)
+    m, n = 20, 16
+    A = random_stack(rng, m, n)
+    raw = rng.normal(size=(m, m, m))
+    coeffs = raw + (1 if anti else -1) * raw.transpose(1, 0, 2)
+    mirrored = bracket_table(A, A, coeffs, A, anti=anti)
+    assert sum(formed) == m * (m + 1) // 2
+    formed.clear()
+    full = bracket_table(A, A.copy(), coeffs, A, anti=anti)
+    assert sum(formed) == m * m
+    np.testing.assert_allclose(mirrored, full, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("anti", [False, True])
+def test_self_bracket_table_with_broken_symmetry_shows_the_defect(anti):
+    # j2 closes exactly (dyadic entries); one coefficient c[j, i, k] with
+    # j > i off by 1e-6 breaks the (anti)symmetry, so entry (j, i) must be
+    # formed, not copied from the exact entry (i, j).
+    S = j2().stack
+    if anti:
+        coeffs, T = 0.5 * np.eye(3)[:, :, None], np.eye(2, dtype=complex)[None]
+    else:
+        coeffs, T = 1j * EPS3, S
+    coeffs = coeffs.copy()
+    coeffs[2, 0, 0] += 1e-6
+    got = bracket_table(S, S, coeffs, T, anti=anti)
+    assert got[2, 0] == pytest.approx(1e-6 * np.linalg.norm(T[0]), rel=1e-9)
+    got[2, 0] = 0.0
+    assert got.max() == 0.0
 
 
 def test_bracket_table_exact_closure_and_shape_check():

@@ -280,6 +280,37 @@ def test_adjoint_from_zero_f():
     assert all(np.abs(adj[i]).max() == 0.0 for i in (1, 2, 3))
 
 
+@pytest.mark.parametrize("antisymmetric", [True, False], ids=["breaks-jacobi", "not-antisymmetric"])
+def test_adjoint_from_f_rejects_an_f_that_does_not_close(antisymmetric):
+    # A random f antisymmetric in (a, b) fails the Jacobi identity, so its
+    # adjoint matrices do not close; the closure table then has coefficients
+    # (anti)symmetric or not, covering the mirrored and the full table.
+    raw = np.random.default_rng(11).normal(size=(3, 3, 3))
+    f = raw - raw.transpose(1, 0, 2) if antisymmetric else raw
+    st = StructureTensors(
+        n=2, f=f, d=np.zeros((3, 3, 3)), delta_coeff=0.5, f_residual=0.0, d_residual=0.0,
+    )
+    with pytest.raises(ValueError, match="fail to close"):
+        adjoint_from_f(st)
+
+
+def test_extract_structure_holds_no_whole_table_copy():
+    # Beyond the complex trace tensor t and the real f and d (4 m^3 floats
+    # together), the extraction may hold only a few (m, n, n) slabs: no
+    # complex copy of f or of the d table, and no third real m^3 table.
+    n = 9
+    basis = [g / 2 for g in generalized_gell_mann(n)]
+    m = len(basis)
+    slab = m * n * n * 16
+    tracemalloc.start()
+    try:
+        extract_structure(basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * m**3 * 8 + 4 * slab
+
+
 def test_obstruction_reports():
     st2 = extract_structure(list(j2().members))
     ob2 = boost_obstruction_report(st2)

@@ -12,8 +12,12 @@ trials, one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
 exponents theta.(i J4) of 256 seeded angle triples, one sweep block; one
 ``mat_exp`` of a complex ``(400, 4, 4)`` stack: the exponents +-theta.(i J)
 and +-phi.(i K) of the 2+2 rep at 100 seeded draws, as the 2+2 intertwining
-sweep stacks them (random directions, norms uniform below pi and 2); and
-``_d4_stack``, the stacked 4-vector transform, at 256 seeded trials.  Each
+sweep stacks them (random directions, norms uniform below pi and 2);
+``_d4_stack``, the stacked 4-vector transform, at 256 seeded trials; and
+``bracket_table`` on the su(6) adjoint closure table (35 real 35 x 35
+matrices with f as coefficients), the su(6) fundamental f and d tables (the
+two residual tables of ``extract_structure``) and the 2+2 Lorentz jk table
+[J_i, K_j] = i eps_ijk K_k (two different stacks).  Each
 case runs once untimed, then REPEATS times; the line gives the median and
 quartiles of the raw wall times in seconds, with the Python, numpy and BLAS
 versions and a hash of the package sources.  The thread variables are set to
@@ -65,6 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src))
     import numpy as np
 
+    from lieforge.checks import EPS3, bracket_table
     from lieforge.generators import rep22_jk
     from lieforge.linalg import DEFAULT_TOL, mat_exp
     from lieforge.spacetime import _d4_stack, boost_invariance_check, rotation_invariance_check
@@ -107,6 +112,21 @@ def main(argv: list[str] | None = None) -> int:
     cases.append(
         {"case": "_d4_stack (256 trials)", **_timed(lambda a: _d4_stack(*a, DEFAULT_TOL), transforms)}
     )
+    st = extract_structure(bases[6])
+    S = np.stack(bases[6])
+    F = np.ascontiguousarray(st.f.transpose(1, 0, 2))
+    d_coeffs = np.concatenate([st.d, st.delta_coeff * np.eye(len(S))[:, :, None]], axis=2)
+    with_one = np.concatenate([S, np.eye(6, dtype=complex)[None]])
+    tables = {
+        "su(6) adjoint": (F, F, st.f, F, False),
+        "su(6) f": (S, S, st.f, 1j * S, False),
+        "su(6) d": (S, S, d_coeffs, with_one, True),
+        "2+2 Lorentz jk": (J22.stack, K22.stack, 1j * EPS3, K22.stack, False),
+    }
+    cases += [
+        {"case": f"bracket_table {name}", **_timed(lambda a: bracket_table(*a[:4], anti=a[4]), args)}
+        for name, args in tables.items()
+    ]
     digest = hashlib.sha256()
     for path in sorted((args.src / "lieforge").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
