@@ -10,7 +10,6 @@ from .checks import (
     check_lorentz,
     check_poincare,
     check_su2_fundamental,
-    reports_to_json_lines,
 )
 from .generators import (
     Branch,
@@ -34,30 +33,22 @@ from .linalg import (
     BasisError,
     DimError,
     Tolerance,
-    anticommutator,
-    commutator,
     decompose_in_basis,
     det,
     frobenius_distance,
     mat_exp,
-    matrix_from_json,
     matrix_to_json,
 )
 from .spacetime import (
-    AffineTransform,
     PrecondError,
     PurityError,
     RotBoostParams,
-    affine_apply,
-    affine_compose,
     affine_generators,
     apply,
     boost_invariance_check,
     d4,
-    intertwine_check,
     intertwine_sweep,
     interval_sq,
-    interval_sq_via_det,
     rotation_invariance_check,
 )
 from .su_n import (

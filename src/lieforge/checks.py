@@ -17,7 +17,6 @@ extracted and candidate generator sets alike.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +31,6 @@ __all__ = [
     "Identity",
     "CheckReport",
     "EPS3",
-    "reports_to_json_lines",
     "all_passed",
     "bracket_table",
     "residual_report",
@@ -133,13 +131,6 @@ def make_report(
         subject=subject,
         witness=witness if not passed else None,
         note=note,
-    )
-
-
-def reports_to_json_lines(reports) -> str:
-    """One compact JSON object per line, in report order."""
-    return "\n".join(
-        json.dumps(r.to_json(), separators=(",", ":")) for r in reports
     )
 
 

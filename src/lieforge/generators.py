@@ -17,8 +17,6 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import as_cmatrix, matrix_from_json, matrix_to_json
-
 __all__ = [
     "ParamError",
     "Rep",
@@ -68,8 +66,6 @@ REP4 = Rep("4", 4)
 REP5_AFFINE = Rep("5-affine", 5)
 SU3_FUND = Rep("su3-fund", 3)
 SU3_ADJOINT = Rep("su3-adjoint", 8)
-
-_CANONICAL_REPS = {r.tag: r for r in (REP2, REP22, REP4, REP5_AFFINE, SU3_FUND, SU3_ADJOINT)}
 
 
 def adjoint_rep(n: int) -> Rep:
@@ -125,14 +121,13 @@ class GeneratorSet:
             )
         if not count:
             raise ValueError("a generator family needs at least one member")
-        stack = np.empty((count, self.rep.dim, self.rep.dim), dtype=complex)
-        for k, m in enumerate(self.members):
-            a = as_cmatrix(m)
-            if a.shape[0] != self.rep.dim:
-                raise ValueError(
-                    f"member dimension {a.shape[0]} does not match rep dim {self.rep.dim}"
-                )
-            stack[k] = a
+        dim = self.rep.dim
+        shapes = {np.shape(m) for m in self.members}
+        if shapes != {(dim, dim)}:
+            raise ValueError(f"member shapes {sorted(shapes)} do not match rep dim {dim}")
+        stack = np.array(self.members, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("a member contains a non-finite entry")
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "members", tuple(stack))
@@ -151,29 +146,8 @@ class GeneratorSet:
         if not 1 <= i <= len(self.members):
             raise IndexError(f"member index {i} out of range 1..{len(self.members)}")
         new = list(self.members)
-        new[i - 1] = as_cmatrix(matrix)
+        new[i - 1] = matrix
         return GeneratorSet(self.rep, self.kind, tuple(new))
-
-    def is_hermitian_traceless(self, eps: float = 1e-9) -> bool:
-        """Whether every member is hermitian and traceless to within ``eps``."""
-        return all(
-            np.abs(m - m.conj().T).max() <= eps and abs(np.trace(m)) <= eps
-            for m in self.members
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "rep": self.rep.tag,
-            "kind": self.kind.value,
-            "members": [matrix_to_json(m) for m in self.members],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GeneratorSet":
-        members = tuple(matrix_from_json(m) for m in obj["members"])
-        tag = obj["rep"]
-        rep = _CANONICAL_REPS.get(tag, Rep(tag, members[0].shape[0] if members else 1))
-        return cls(rep, Kind(obj["kind"]), members)
 
 
 # Default vector-family constants chosen so that rep22_v() equals gamma().
@@ -205,6 +179,8 @@ _SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
     np.eye(2, dtype=complex),
 )
+# The fundamental angular-momentum trio, sigma_i / 2.
+_HALF_SIGMA = tuple(s / 2 for s in _SIGMA[:3])
 
 
 def pauli(i: int) -> np.ndarray:
@@ -216,7 +192,7 @@ def pauli(i: int) -> np.ndarray:
 
 def j2() -> GeneratorSet:
     """Fundamental angular-momentum trio: half the Pauli matrices."""
-    return GeneratorSet(REP2, Kind.ANGULAR_MOMENTUM, tuple(s / 2 for s in _SIGMA[:3]))
+    return GeneratorSet(REP2, Kind.ANGULAR_MOMENTUM, _HALF_SIGMA)
 
 
 def k2() -> GeneratorSet:
@@ -230,8 +206,7 @@ def k2() -> GeneratorSet:
 
 def v2(c: complex, c4: complex) -> GeneratorSet:
     """Fundamental vector family {c*J1, c*J2, c*J3, c4*identity}."""
-    half = [s / 2 for s in _SIGMA[:3]]
-    members = tuple(c * h for h in half) + (c4 * np.eye(2, dtype=complex),)
+    members = tuple(c * h for h in _HALF_SIGMA) + (c4 * np.eye(2, dtype=complex),)
     return GeneratorSet(REP2, Kind.VECTOR, members)
 
 
@@ -249,9 +224,8 @@ def rep22_jk() -> tuple[GeneratorSet, GeneratorSet]:
     upper block and -iJ in the lower, which is what later turns block
     commutators with the vector family into anticommutators.
     """
-    jj = [s / 2 for s in _SIGMA[:3]]
-    j_members = tuple(_block(h, _Z2, _Z2, h) for h in jj)
-    k_members = tuple(_block(1j * h, _Z2, _Z2, -1j * h) for h in jj)
+    j_members = tuple(_block(h, _Z2, _Z2, h) for h in _HALF_SIGMA)
+    k_members = tuple(_block(1j * h, _Z2, _Z2, -1j * h) for h in _HALF_SIGMA)
     return (
         GeneratorSet(REP22, Kind.ANGULAR_MOMENTUM, j_members),
         GeneratorSet(REP22, Kind.BOOST, k_members),
@@ -259,15 +233,13 @@ def rep22_jk() -> tuple[GeneratorSet, GeneratorSet]:
 
 
 def _upper_blocks(p: VectorParams) -> list[np.ndarray]:
-    half = [s / 2 for s in _SIGMA[:3]]
-    return [p.c_plus * h for h in half] + [
+    return [p.c_plus * h for h in _HALF_SIGMA] + [
         p.c_plus * np.eye(2, dtype=complex) / (2 * p.alpha)
     ]
 
 
 def _lower_blocks(p: VectorParams) -> list[np.ndarray]:
-    half = [s / 2 for s in _SIGMA[:3]]
-    return [p.c_minus * h for h in half] + [
+    return [p.c_minus * h for h in _HALF_SIGMA] + [
         -p.c_minus * np.eye(2, dtype=complex) / (2 * p.alpha)
     ]
 

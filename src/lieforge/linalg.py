@@ -17,15 +17,12 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_cmatrix",
-    "commutator",
-    "anticommutator",
     "mat_exp",
     "decompose_in_basis",
     "det",
     "frobenius_distance",
     "frobenius_norms",
     "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -76,20 +73,6 @@ def as_cmatrix(m) -> np.ndarray:
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise DimError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def commutator(a, b) -> np.ndarray:
-    """AB - BA."""
-    a, b = as_cmatrix(a), as_cmatrix(b)
-    _check_same_dim(a, b)
-    return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    """AB + BA."""
-    a, b = as_cmatrix(a), as_cmatrix(b)
-    _check_same_dim(a, b)
-    return a @ b + b @ a
 
 
 # Degree of the Taylor polynomial mat_exp evaluates after scaling; see its
@@ -232,13 +215,3 @@ def matrix_to_json(m) -> dict:
         "entries": [[[float(z.real), float(z.imag)] for z in row] for row in a],
     }
 
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
-    entries = obj["entries"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
-        raise DimError(f"entry grid does not match dim={dim}")
-    a = np.array(
-        [[complex(e[0], e[1]) for e in row] for row in entries], dtype=complex
-    )
-    return as_cmatrix(a)

@@ -7,8 +7,8 @@ index mu - 1 and index 4 (the last slot) is time.  The metric convention is
 The 4-vector generators are imaginary valued, so i J and i K are real: that
 is checked exactly where they are read, and from there on every 4-vector and
 5-affine transform, image and residual is float64.  A transform from outside
-is checked once where it enters (:func:`apply`, :class:`AffineTransform`).  A
-failed purity check signals a convention bug, typically a stray factor of i.
+is checked once where it enters (:func:`apply`).  A failed purity check
+signals a convention bug, typically a stray factor of i.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .checks import (
     all_passed,
     check_poincare,
     make_report,
-    residual_report,
 )
 from .generators import (
     REP5_AFFINE,
@@ -31,22 +30,17 @@ from .generators import (
     Kind,
     pauli,
 )
-from .linalg import DEFAULT_TOL, Tolerance, det, frobenius_norms, mat_exp
+from .linalg import DEFAULT_TOL, Tolerance, frobenius_norms, mat_exp
 from .transfer import build_j4, build_k4
 
 __all__ = [
     "PurityError",
     "PrecondError",
     "RotBoostParams",
-    "AffineTransform",
     "d4",
     "apply",
     "interval_sq",
-    "interval_sq_via_det",
-    "affine_apply",
-    "affine_compose",
     "affine_generators",
-    "intertwine_check",
     "intertwine_sweep",
     "rotation_invariance_check",
     "boost_invariance_check",
@@ -94,18 +88,18 @@ def _four_vector(x) -> np.ndarray:
     return a
 
 
-def _real_transform(m, what: str, tol: Tolerance) -> np.ndarray:
+def _real_transform(m, tol: Tolerance) -> np.ndarray:
     """A 4x4 transform from outside as float64: ``ValueError`` unless it is
     finite, :class:`PurityError` unless its imaginary parts are within
     ``tol.exp_eps`` of max(1, its largest entry)."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
-        raise ValueError(f"{what} must be 4x4")
+        raise ValueError("transform must be 4x4")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} must be finite")
+        raise ValueError("transform must be finite")
     residue = np.abs(m.imag).max()
     if residue > tol.exp_eps * max(1.0, np.abs(m).max()):
-        raise PurityError(f"{what} has imaginary residue {residue:.3g}")
+        raise PurityError(f"transform has imaginary residue {residue:.3g}")
     return m.real.copy()
 
 
@@ -122,28 +116,6 @@ def _affine5(linear: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def _append_one(x: np.ndarray) -> np.ndarray:
     """Rows of ``(T, 4)`` four-vectors extended to ``(T, 5)`` by a last entry 1."""
     return np.concatenate([x, np.ones((len(x), 1))], axis=1)
-
-
-@dataclass(frozen=True)
-class AffineTransform:
-    """A linear 4x4 part plus a displacement, applied as x -> linear @ x + shift."""
-
-    linear: np.ndarray
-    shift: np.ndarray
-
-    def __post_init__(self):
-        lin = _real_transform(self.linear, "linear part", DEFAULT_TOL)
-        if abs(det(lin)) < 1e-12:
-            raise ValueError("linear part must be invertible")
-        lin.flags.writeable = False
-        sh = _four_vector(self.shift)
-        sh.flags.writeable = False
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "shift", sh)
-
-    def as_matrix5(self) -> np.ndarray:
-        """The append-one device: [[linear, shift], [0, 1]]."""
-        return _affine5(self.linear[None], self.shift[None])[0]
 
 
 # The closed-form generators are fixed data; build them once so transforming
@@ -220,28 +192,12 @@ def d4(params: RotBoostParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def apply(D, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Apply a finite, real 4x4 transform to a four-vector."""
-    return _apply_stack(_real_transform(D, "transform", tol)[None], _four_vector(x)[None])[0]
+    return _apply_stack(_real_transform(D, tol)[None], _four_vector(x)[None])[0]
 
 
 def interval_sq(x) -> float:
     """Squared interval x1^2 + x2^2 + x3^2 - x4^2."""
     return float(_interval(_four_vector(x)))
-
-
-def interval_sq_via_det(x) -> float:
-    """The same interval computed as -det(sum_mu x^mu sigma^mu)."""
-    return float(_interval_via_det(_four_vector(x)[None])[0])
-
-
-def affine_apply(t: AffineTransform, x) -> np.ndarray:
-    """linear @ x + shift, routed through the 5x5 append-one matrix."""
-    return _affine_images(t.as_matrix5()[None], _four_vector(x)[None])[0]
-
-
-def affine_compose(t2: AffineTransform, t1: AffineTransform) -> AffineTransform:
-    """The transform equal to applying t1 first, then t2 (5x5 product)."""
-    m = t2.as_matrix5() @ t1.as_matrix5()
-    return AffineTransform(linear=m[:4, :4], shift=m[:4, 4])
 
 
 def affine_generators() -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
@@ -285,38 +241,6 @@ def _intertwine_residuals(
     D, Dinv = e_boost @ e_rot, e_mrot @ e_mboost
     rhs = _combine(_d4_stack(theta, phi, tol), V.stack)
     return frobenius_norms(Dinv[:, None] @ V.stack @ D[:, None] - rhs)
-
-
-def intertwine_check(
-    J: GeneratorSet,
-    K: GeneratorSet,
-    V: GeneratorSet,
-    params: RotBoostParams,
-    tol: Tolerance = DEFAULT_TOL,
-) -> CheckReport:
-    """Conjugation moves a vector family by the 4-vector matrix.
-
-    For any triple satisfying the closure table at ratio +1, with
-    D = exp(i phi.K) exp(i theta.J) built in the triple's own rep and
-    Lambda = d4(params), the identity
-
-        D^-1 V^mu D = Lambda^mu_nu V^nu
-
-    holds exactly (conjugating the other way around produces the inverse
-    Lambda; the test suite pins that orientation numerically).  The algebraic
-    precheck runs first and raises :class:`PrecondError` on failure.
-    """
-    _require_closure(J, K, V, tol)
-    residuals = _intertwine_residuals(
-        J, K, V, np.array([params.theta]), np.array([params.phi]), tol
-    )
-    return residual_report(
-        Identity.INTERTWINING,
-        residuals[0],
-        tol.exp_eps,
-        "member mu={}",
-        subject=f"{V.rep.tag}-rep",
-    )
 
 
 def _streams(seed: int) -> list[np.random.Generator]:
@@ -400,7 +324,19 @@ def intertwine_sweep(
     tol: Tolerance = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ) -> CheckReport:
-    """Worst intertwining residual over seeded random parameter draws."""
+    """Conjugation moves a vector family by the 4-vector matrix: the worst
+    residual over seeded random parameter draws.
+
+    For any triple satisfying the closure table at ratio +1, with
+    D = exp(i phi.K) exp(i theta.J) built in the triple's own rep and
+    Lambda the 4-vector transform of the same parameters, the identity
+
+        D^-1 V^mu D = Lambda^mu_nu V^nu
+
+    holds exactly (conjugating the other way around produces the inverse
+    Lambda; the test suite pins that orientation numerically).  The algebraic
+    precheck runs first and raises :class:`PrecondError` on failure.
+    """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     _require_closure(J, K, V, tol)

@@ -69,17 +69,6 @@ class StructureTensors:
             "d_residual": self.d_residual,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "StructureTensors":
-        return cls(
-            n=int(obj["n"]),
-            f=np.array(obj["f"], dtype=float),
-            d=np.array(obj["d"], dtype=float),
-            delta_coeff=float(obj["delta_coeff"]),
-            f_residual=float(obj.get("f_residual", 0.0)),
-            d_residual=float(obj.get("d_residual", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class ObstructionReport:

@@ -66,8 +66,8 @@ class SourceKind(str, Enum):
 class CoeffTensor:
     """Expansion coefficients values[mu, i, nu] of [V^mu, A^i] over the V^nu.
 
-    ``slice(i)`` is the 4x4 matrix with (mu, nu) entry values[mu, i, nu]; those
-    slices are the transferred generators.
+    The 4x4 slices with (mu, nu) entry values[mu, i, nu], one per generator
+    A^i, are the transferred generators.
     """
 
     values: np.ndarray  # complex, shape (4, 3, 4)
@@ -81,12 +81,6 @@ class CoeffTensor:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def slice(self, i: int) -> np.ndarray:
-        """4x4 coefficient matrix for the 1-based generator index ``i``."""
-        if not 1 <= i <= 3:
-            raise IndexError(f"slice index {i} out of range 1..3")
-        return self.values[:, i - 1, :].copy()
-
     def to_json(self) -> dict:
         return {
             "source_kind": self.source_kind.value,
@@ -98,17 +92,6 @@ class CoeffTensor:
                 for mu in range(4)
             ],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CoeffTensor":
-        vals = np.array(
-            [
-                [[complex(e[0], e[1]) for e in row] for row in plane]
-                for plane in obj["values"]
-            ],
-            dtype=complex,
-        )
-        return cls(values=vals, source_kind=SourceKind(obj["source_kind"]))
 
 
 # Where the two block families of a doubled 4x4 matrix live, and the mask of
@@ -230,7 +213,7 @@ def transfer_reports(
     same bracket table (its structure constants tabulated as literal data,
     independent of the extraction) and coincide with the closed forms, and
     the closed forms close the Lorentz algebra directly."""
-    # slices[X][i - 1] is the 4x4 matrix CoeffTensor.slice(i).
+    # slices[X][i - 1][mu, nu] is values[mu, i - 1, nu]: the slice of generator i.
     slices = {"J": rotations.values.transpose(1, 0, 2), "K": boosts.values.transpose(1, 0, 2)}
 
     reports = [

@@ -10,26 +10,22 @@ from lieforge.checks import all_passed, check_poincare
 from lieforge.generators import GeneratorSet, Kind, REP5_AFFINE, gamma, j2, rep22_jk, v2
 from lieforge.linalg import DEFAULT_TOL, Tolerance, mat_exp
 from lieforge.spacetime import (
-    AffineTransform,
     PrecondError,
     PurityError,
     RotBoostParams,
-    affine_apply,
-    affine_compose,
     affine_composition_check,
     affine_generators,
     apply,
     boost_invariance_check,
     d4,
     det_interval_check,
-    intertwine_check,
     intertwine_sweep,
     interval_sq,
-    interval_sq_via_det,
     rotation_invariance_check,
     translation_check,
 )
 from lieforge.transfer import build_j4, build_k4
+from oracles import affine_apply, affine_matrix, interval_sq_via_det
 
 MINKOWSKI = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -91,6 +87,10 @@ def test_apply_basics():
 def test_apply_purity_error():
     with pytest.raises(PurityError):
         apply(1j * np.eye(4), [1.0, 0, 0, 0])
+    D = np.eye(4, dtype=complex)
+    D[1, 2] += 1e-6j
+    with pytest.raises(PurityError, match="transform has imaginary residue"):
+        apply(D, [1.0, 0, 0, 0])
 
 
 def test_apply_rejects_a_non_finite_transform():
@@ -106,16 +106,7 @@ def test_apply_rejects_a_non_finite_transform():
 def test_transforms_are_float64():
     params = RotBoostParams(theta=(0.3, -1.0, 2.0), phi=(0.5, 0.1, -0.7))
     assert d4(params).dtype == np.float64
-    t = AffineTransform(np.eye(4, dtype=complex), np.zeros(4))
-    assert t.linear.dtype == np.float64
-    assert affine_compose(t, AffineTransform(d4(params), np.ones(4))).linear.dtype == np.float64
-
-
-def test_affine_rejects_an_imaginary_linear_part():
-    linear = np.eye(4, dtype=complex)
-    linear[1, 2] += 1e-6j
-    with pytest.raises(PurityError, match="linear part has imaginary residue"):
-        AffineTransform(linear, np.zeros(4))
+    assert apply(np.eye(4, dtype=complex), np.ones(4)).dtype == np.float64
 
 
 def test_interval_values():
@@ -125,53 +116,44 @@ def test_interval_values():
 
 
 def test_interval_via_det_values():
-    assert interval_sq_via_det([1, 0, 0, 2]) == pytest.approx(-3.0)
-    assert interval_sq_via_det([0, 0, 0, 1]) == pytest.approx(-1.0)
+    got = spacetime._interval_via_det(np.array([[1.0, 0, 0, 2], [0, 0, 0, 1]]))
+    assert got.tolist() == pytest.approx([-3.0, -1.0])
 
 
 def test_interval_det_agreement_random():
-    rng = np.random.default_rng(4)
-    for _ in range(1000):
-        x = rng.uniform(-10, 10, 4)
-        assert abs(interval_sq_via_det(x) - interval_sq(x)) <= 1e-12 * max(
-            1.0, float(np.dot(x, x))
-        )
+    x = np.random.default_rng(4).uniform(-10, 10, (1000, 4))
+    for row, via_det in zip(x, spacetime._interval_via_det(x)):
+        assert abs(via_det - interval_sq(row)) <= 1e-12 * max(1.0, float(np.dot(row, row)))
+
+
+def _affine(linear, shift):
+    """The package's 5x5 append-one matrix of one transform, as a stack of one."""
+    return spacetime._affine5(np.asarray(linear, float)[None], np.asarray(shift, float)[None])
+
+
+def _image(m, x):
+    """linear @ x + shift of one four-vector under a stack of one 5x5 matrix."""
+    return spacetime._affine_images(m, np.asarray(x, float)[None])[0]
 
 
 def test_affine_apply():
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    ident = AffineTransform(np.eye(4), np.zeros(4))
-    np.testing.assert_allclose(affine_apply(ident, x), x, atol=0)
-    shift = AffineTransform(np.eye(4), [1, 2, 3, 4])
-    np.testing.assert_allclose(affine_apply(shift, np.zeros(4)), [1, 2, 3, 4], atol=0)
+    np.testing.assert_allclose(_image(_affine(np.eye(4), np.zeros(4)), x), x, atol=0)
+    shift = _affine(np.eye(4), [1, 2, 3, 4])
+    np.testing.assert_allclose(_image(shift, np.zeros(4)), [1, 2, 3, 4], atol=0)
     # coordinate differences ignore translations
     x0 = np.array([-3.0, 0.5, 2.0, 1.0])
-    diff = affine_apply(shift, x) - affine_apply(shift, x0)
+    diff = _image(shift, x) - _image(shift, x0)
     np.testing.assert_allclose(diff, x - x0, atol=1e-14)
-
-
-def test_affine_requires_invertible_linear_part():
-    with pytest.raises(ValueError):
-        AffineTransform(np.zeros((4, 4)), np.zeros(4))
 
 
 def test_affine_composition_matches_sequential():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        t1 = AffineTransform(
-            d4(RotBoostParams(phi=tuple(rng.uniform(-1, 1, 3)))).real,
-            rng.uniform(-5, 5, 4),
-        )
-        t2 = AffineTransform(
-            d4(RotBoostParams(theta=tuple(rng.uniform(-2, 2, 3)))).real,
-            rng.uniform(-5, 5, 4),
-        )
+        m1 = _affine(d4(RotBoostParams(phi=tuple(rng.uniform(-1, 1, 3)))), rng.uniform(-5, 5, 4))
+        m2 = _affine(d4(RotBoostParams(theta=tuple(rng.uniform(-2, 2, 3)))), rng.uniform(-5, 5, 4))
         x = rng.uniform(-10, 10, 4)
-        np.testing.assert_allclose(
-            affine_apply(affine_compose(t2, t1), x),
-            affine_apply(t2, affine_apply(t1, x)),
-            atol=1e-10,
-        )
+        np.testing.assert_allclose(_image(m2 @ m1, x), _image(m2, _image(m1, x)), atol=1e-10)
 
 
 def test_affine_generators_translation_is_exact():
@@ -206,18 +188,23 @@ def test_affine_boost_labeling():
     assert not all_passed(check_poincare(j5, natural, p5, alpha=1.0))
 
 
+def _intertwine_at(J, K, V, params):
+    """The four intertwining residuals, one per member V^mu, of one draw."""
+    theta, phi = np.array([params.theta]), np.array([params.phi])
+    return spacetime._intertwine_residuals(J, K, V, theta, phi, DEFAULT_TOL)[0]
+
+
 def test_intertwine_zero_params():
     J22, K22 = rep22_jk()
-    report = intertwine_check(J22, K22, gamma(), RotBoostParams())
-    assert report.passed and report.max_residual < 1e-14
+    assert _intertwine_at(J22, K22, gamma(), RotBoostParams()).max() < 1e-14
 
 
 def test_intertwine_gamma_and_affine():
     J22, K22 = rep22_jk()
     params = RotBoostParams(theta=(0.4, -0.2, 1.1), phi=(0.5, 0.3, -0.8))
-    assert intertwine_check(J22, K22, gamma(), params).passed
+    assert _intertwine_at(J22, K22, gamma(), params).max() < DEFAULT_TOL.exp_eps
     j5, k5, p5 = affine_generators()
-    assert intertwine_check(j5, k5, p5, params).passed
+    assert _intertwine_at(j5, k5, p5, params).max() < DEFAULT_TOL.exp_eps
 
 
 def test_intertwine_orientation_is_pinned():
@@ -240,12 +227,12 @@ def test_intertwine_orientation_is_pinned():
         for mu in range(1, 5)
     )
     assert wrong > 0.1
-    assert intertwine_check(J22, K22, V, params).max_residual < 1e-12
+    assert _intertwine_at(J22, K22, V, params).max() < 1e-12
 
 
 def test_intertwine_precheck():
     with pytest.raises(PrecondError):
-        intertwine_check(j2(), j2(), v2(1.0, 1.0), RotBoostParams())
+        intertwine_sweep(j2(), j2(), v2(1.0, 1.0))
 
 
 def test_intertwine_sweep_passes():
@@ -449,13 +436,13 @@ def _ref_affine(trials, seed):
     worst = 0.0
     for _ in range(trials):
         shift1, shift2, x, shift, x0, *angles = _affine_trial(normal, uniform)
-        shift = AffineTransform(np.eye(4), shift)
         p1, p2 = RotBoostParams(*angles[:2]), RotBoostParams(*angles[2:])
-        t1, t2 = AffineTransform(d4(p1).real, shift1), AffineTransform(d4(p2).real, shift2)
-        seq = affine_apply(t2, affine_apply(t1, x))
+        m1, m2 = affine_matrix(d4(p1), shift1), affine_matrix(d4(p2), shift2)
+        seq = affine_apply(m2, affine_apply(m1, x))
         scale = max(1.0, float(np.abs(seq).max()))
-        r = float(np.abs(seq - affine_apply(affine_compose(t2, t1), x)).max()) / scale
-        diff = affine_apply(shift, x) - affine_apply(shift, x0)
+        r = float(np.abs(seq - affine_apply(m2 @ m1, x)).max()) / scale
+        translate = affine_matrix(np.eye(4), shift)
+        diff = affine_apply(translate, x) - affine_apply(translate, x0)
         worst = max(worst, r, float(np.abs(diff - (x - x0)).max()) / scale)
     return worst
 
@@ -761,7 +748,7 @@ def test_a_momentum_family_whose_members_do_not_commute_fails_the_precheck():
     # labelled as momenta it must also commute, and its members do not.
     J22, K22 = rep22_jk()
     V = gamma()
-    assert intertwine_check(J22, K22, V, RotBoostParams()).passed
+    assert intertwine_sweep(J22, K22, V, draws=1).passed
     relabelled = GeneratorSet(V.rep, Kind.MOMENTUM, V.members)
     with pytest.raises(PrecondError, match="momenta-commute$"):
-        intertwine_check(J22, K22, relabelled, RotBoostParams())
+        intertwine_sweep(J22, K22, relabelled, draws=1)
