@@ -105,8 +105,10 @@ class RunConfig:
             raise InputError("trials must be >= 1")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
-        if not np.isfinite(self.alpha) or self.alpha == 0.0:
-            raise InputError("alpha must be finite and nonzero")
+        # Below |alpha| ~ 5.6e-309, 1/alpha overflows; at 1e308 the time member
+        # 1/(2 alpha) is subnormal and vector-boost fails on rounding, not algebra.
+        if not 1e-300 <= abs(self.alpha) <= 1e300:
+            raise InputError(f"|alpha| must lie in [1e-300, 1e300], got {self.alpha:g}")
         for name in ("theta", "phi", "x"):
             if not np.all(np.isfinite(getattr(self, name) or ())):
                 raise InputError(f"--{name} must be finite")
@@ -206,10 +208,10 @@ def _projected(V: GeneratorSet) -> list[tuple[str, GeneratorSet]]:
     ]
 
 
-def _structures(J: GeneratorSet, tol: Tolerance) -> tuple:
+def _structures(J: GeneratorSet) -> tuple:
     """Structure tensors of su(2), from the trio ``J``, and of su(3), both
     from bases with tr(T_a T_b) = delta_ab / 2."""
-    return extract_structure(J.members, tol), extract_structure([l / 2 for l in gell_mann()], tol)
+    return extract_structure(J.members), extract_structure([l / 2 for l in gell_mann()])
 
 
 def _verify(run: _Run) -> None:
@@ -272,7 +274,7 @@ def _single_transform(run: _Run) -> None:
     params = RotBoostParams(theta=cfg.theta or (0.0, 0.0, 0.0), phi=cfg.phi or (0.0, 0.0, 0.0))
     x = np.asarray(cfg.x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        D = spacetime_d4(params, tol)
+        D = spacetime_d4(params)
         moved = apply(D, x, tol) if np.all(np.isfinite(D)) else None
         x_sq = float(np.dot(x, x))
         if moved is not None and np.all(np.isfinite(moved)):
@@ -336,7 +338,7 @@ def _invariants(run: _Run) -> None:
 
 def _group_comparison(run: _Run) -> tuple:
     """Append the su(2) and su(3) structure reports; return both tensors."""
-    structures = run(_structures, run(j2), run.tol)
+    structures = run(_structures, run(j2))
     run.sections.append(
         ("group comparison", [r for st in structures for r in run(structure_reports, st, run.tol)])
     )
@@ -452,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=1, help="random seed (default 1)")
         p.add_argument("--trials", type=int, default=1000, help="random trials (default 1000)")
-        p.add_argument("--alpha", type=float, default=1.0, help="space-to-time ratio (default 1)")
+        alpha_help = "space-to-time ratio, 1e-300 <= |alpha| <= 1e300 (default 1)"
+        p.add_argument("--alpha", type=float, default=1.0, help=alpha_help)
         p.add_argument(
             "--format", dest="fmt", choices=("text", "json"), default="text", help="output format"
         )

@@ -24,7 +24,6 @@ __all__ = [
     "REP22",
     "REP4",
     "REP5_AFFINE",
-    "SU3_FUND",
     "SU3_ADJOINT",
     "adjoint_rep",
     "Kind",
@@ -64,14 +63,11 @@ REP2 = Rep("2", 2)
 REP22 = Rep("2+2", 4)
 REP4 = Rep("4", 4)
 REP5_AFFINE = Rep("5-affine", 5)
-SU3_FUND = Rep("su3-fund", 3)
 SU3_ADJOINT = Rep("su3-adjoint", 8)
 
 
 def adjoint_rep(n: int) -> Rep:
     """Adjoint-rep label for su(n) (dimension n^2 - 1)."""
-    if n == 3:
-        return SU3_ADJOINT
     return Rep(f"su{n}-adjoint", n * n - 1)
 
 

@@ -1,7 +1,8 @@
-"""Dense complex square-matrix kernels shared by every other module.
+"""Dense square-matrix kernels shared by every other module.
 
-Matrices are plain ``numpy`` arrays of ``complex128``.  Everything here is a
-pure function; nothing mutates its inputs.
+Matrices are plain ``numpy`` arrays: ``complex128`` in general, ``float64``
+where a kernel keeps an exactly real input real (:func:`mat_exp`).
+Everything here is a pure function; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def _as_cstack(m) -> np.ndarray:
-    """Coerce to a finite complex128 ``(..., n, n)`` array (a fresh copy)."""
-    a = np.array(m, dtype=complex)
+def _square_finite(a: np.ndarray) -> np.ndarray:
+    """``a``; :class:`DimError` unless a square stack, ``ValueError`` unless finite."""
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -64,7 +64,7 @@ def _as_cstack(m) -> np.ndarray:
 
 def as_cmatrix(m) -> np.ndarray:
     """Coerce to a finite square complex128 array (a fresh copy)."""
-    a = _as_cstack(m)
+    a = _square_finite(np.array(m, dtype=complex))
     if a.ndim != 2:
         raise DimError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -87,7 +87,7 @@ _TAYLOR = tuple(
 )
 
 
-def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def mat_exp(a) -> np.ndarray:
     """Matrix exponential of a matrix or of every matrix in a ``(..., n, n)``
     stack, by scaling and squaring with a fixed-degree Taylor polynomial.
 
@@ -108,23 +108,25 @@ def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     far below the unit roundoff 1.1e-16.  Each result is then squared s
     times, the squares applied only to the matrices that still need them.
 
-    A stack with no nonzero imaginary part anywhere (the exponents i theta.J,
-    i phi.K and i a.P of the real 4-vector and 5-affine reps) runs the same
-    series and squarings in float64 arithmetic, several times cheaper per
-    product, and is still returned as complex128.  The test is exact, so any
-    genuine imaginary part, however small, keeps the whole stack complex.
+    A float64 stack, or a complex one whose imaginary part is exactly zero
+    (the exponents i theta.J, i phi.K and i a.P of the real 4-vector and
+    5-affine reps), is exponentiated in float64, several times cheaper per
+    product, and returned as float64; any nonzero imaginary part, however
+    small, keeps the whole stack complex128.  Other dtypes are promoted
+    to complex128 first.  The input is never written to.
 
     For the matrices this package handles (dimension <= 10, norms of order
-    10) the element-wise error stays well below ``tol.exp_eps`` on either
-    path; the inverse-product identity ``mat_exp(A) @ mat_exp(-A) == I`` is
-    the advertised accuracy contract.  A zero matrix comes out as exactly I,
-    and a nilpotent B with B @ B == 0 (the translation generators) as exactly
-    I + A.
+    10) the element-wise error stays well below 1e-10, the default bound the
+    sweeps hold it to, on either path; the inverse-product identity
+    ``mat_exp(A) @ mat_exp(-A) == I`` is the advertised accuracy contract.
+    A zero matrix comes out as exactly I, and a nilpotent B with B @ B == 0
+    (the translation generators) as exactly I + A.
     """
-    a = _as_cstack(a)
+    a = np.asarray(a)
+    a = _square_finite(a if a.dtype == np.float64 else a.astype(complex, copy=False))
     shape, n = a.shape, a.shape[-1]
     a = a.reshape(-1, n, n)
-    if not a.imag.any():
+    if a.dtype == complex and not a.imag.any():
         a = a.real
     norms = np.abs(a).sum(axis=-1).max(axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
@@ -153,12 +155,10 @@ def mat_exp(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         more = squarings > i
         square = acc[more]
         acc[more] = square @ square
-    return acc.astype(complex, copy=False).reshape(shape)
+    return acc.reshape(shape)
 
 
-def decompose_in_basis(
-    m, basis, tol: Tolerance = DEFAULT_TOL
-) -> tuple[list[complex], float]:
+def decompose_in_basis(m, basis) -> tuple[list[complex], float]:
     """Least-squares coefficients of ``m`` in a list of basis matrices.
 
     Returns ``(coeffs, residual)`` minimising the Frobenius norm of

@@ -152,11 +152,11 @@ def _exponents(theta, phi, iJ: np.ndarray, iK: np.ndarray) -> np.ndarray:
     return np.stack([_combine(theta, iJ), _combine(phi, iK)])
 
 
-def _d4_stack(theta, phi, tol: Tolerance) -> np.ndarray:
+def _d4_stack(theta, phi) -> np.ndarray:
     """exp(i phi.K) exp(i theta.J) in the 4-vector rep, as float64, for every
     row of the ``(T, 3)`` arrays ``theta`` and ``phi``."""
     iJ, iK = _real_generators(_J4), _real_generators(_K4)
-    rot, boost = mat_exp(_exponents(theta, phi, iJ, iK), tol).real
+    rot, boost = mat_exp(_exponents(theta, phi, iJ, iK))
     return boost @ rot
 
 
@@ -184,10 +184,10 @@ def _affine_images(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out[:, :4]
 
 
-def d4(params: RotBoostParams, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def d4(params: RotBoostParams) -> np.ndarray:
     """Finite 4-vector transformation: rotation first, then boost,
     exp(i phi.K) exp(i theta.J) with the closed-form spacetime generators."""
-    return _d4_stack(np.array([params.theta]), np.array([params.phi]), tol)[0]
+    return _d4_stack(np.array([params.theta]), np.array([params.phi]))[0]
 
 
 def apply(D, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -232,14 +232,14 @@ def _require_closure(J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, tol: Tol
 
 
 def _intertwine_residuals(
-    J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, theta, phi, tol: Tolerance
+    J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, theta, phi
 ) -> np.ndarray:
     """``(T, 4)`` Frobenius norms of D^-1 V^mu D - Lambda^mu_nu V^nu for
     mu = 1..4 and every row of the ``(T, 3)`` arrays ``theta`` and ``phi``."""
     rot, boost = _exponents(theta, phi, 1j * J.stack, 1j * K.stack)
-    e_rot, e_boost, e_mrot, e_mboost = mat_exp(np.stack([rot, boost, -rot, -boost]), tol)
+    e_rot, e_boost, e_mrot, e_mboost = mat_exp(np.stack([rot, boost, -rot, -boost]))
     D, Dinv = e_boost @ e_rot, e_mrot @ e_mboost
-    rhs = _combine(_d4_stack(theta, phi, tol), V.stack)
+    rhs = _combine(_d4_stack(theta, phi), V.stack)
     return frobenius_norms(Dinv[:, None] @ V.stack @ D[:, None] - rhs)
 
 
@@ -348,7 +348,7 @@ def intertwine_sweep(
         draws,
         seed,
         lambda streams, size: _draw(streams, size, (), (np.pi, 2.0)),
-        lambda theta, phi: _intertwine_residuals(J, K, V, theta, phi, tol),
+        lambda theta, phi: _intertwine_residuals(J, K, V, theta, phi),
         lambda idx, _: f"draw {idx[0]}, member mu={idx[1]}",
     )
 
@@ -358,8 +358,8 @@ def _draw_rotation(streams, size: int) -> tuple[np.ndarray, ...]:
     return _draw(streams, size, (10.0,), (np.pi,))
 
 
-def _rotation_residuals(x: np.ndarray, theta: np.ndarray, tol: Tolerance) -> np.ndarray:
-    xr = _apply_stack(_d4_stack(theta, np.zeros_like(theta), tol), x)
+def _rotation_residuals(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    xr = _apply_stack(_d4_stack(theta, np.zeros_like(theta)), x)
     space = np.einsum("ti,ti->t", x[:, :3], x[:, :3])
     moved = np.einsum("ti,ti->t", xr[:, :3], xr[:, :3])
     return np.maximum(
@@ -380,7 +380,7 @@ def rotation_invariance_check(
         trials,
         seed,
         _draw_rotation,
-        lambda x, theta: _rotation_residuals(x, theta, tol),
+        _rotation_residuals,
         lambda idx, inp: f"trial {idx[0]}: x={inp[0].tolist()}, theta={inp[1].tolist()}",
     )
 
@@ -391,8 +391,8 @@ def _draw_boost(streams, size: int) -> tuple[np.ndarray, ...]:
     return _draw(streams, size, (10.0,), (np.pi, 3.0))
 
 
-def _boost_residuals(x, theta, phi, tol: Tolerance) -> np.ndarray:
-    xb = _apply_stack(_d4_stack(theta, phi, tol), x)
+def _boost_residuals(x, theta, phi) -> np.ndarray:
+    xb = _apply_stack(_d4_stack(theta, phi), x)
     return np.abs(_interval(xb) - _interval(x)) / np.maximum(1.0, np.einsum("ti,ti->t", x, x))
 
 
@@ -408,7 +408,7 @@ def boost_invariance_check(
         trials,
         seed,
         _draw_boost,
-        lambda x, theta, phi: _boost_residuals(x, theta, phi, tol),
+        _boost_residuals,
         lambda idx, inp: (
             f"trial {idx[0]}: x={inp[0].tolist()}, theta={inp[1].tolist()}, phi={inp[2].tolist()}"
         ),
@@ -439,9 +439,9 @@ def _draw_affine(streams, size: int) -> tuple[np.ndarray, ...]:
     return _draw(streams, size, (5.0, 5.0, 10.0, 5.0, 10.0), (np.pi, 2.0, np.pi, 2.0))
 
 
-def _affine_residuals(shift1, shift2, x, shift, x0, theta1, phi1, theta2, phi2, tol) -> np.ndarray:
+def _affine_residuals(shift1, shift2, x, shift, x0, theta1, phi1, theta2, phi2) -> np.ndarray:
     t = len(x)
-    linear = _d4_stack(np.concatenate([theta1, theta2]), np.concatenate([phi1, phi2]), tol)
+    linear = _d4_stack(np.concatenate([theta1, theta2]), np.concatenate([phi1, phi2]))
     m1, m2 = _affine5(linear[:t], shift1), _affine5(linear[t:], shift2)
     seq = _affine_images(m2, _affine_images(m1, x))
     combined = _affine_images(m2 @ m1, x)
@@ -465,13 +465,13 @@ def affine_composition_check(
         trials,
         seed,
         _draw_affine,
-        lambda *inputs: _affine_residuals(*inputs, tol),
+        _affine_residuals,
         lambda idx, _: f"trial {idx[0]}",
     )
 
 
-def _translation_residuals(a, x, p5: GeneratorSet, tol: Tolerance) -> np.ndarray:
-    g = mat_exp(1j * _combine(a, p5.stack), tol)
+def _translation_residuals(a, x, p5: GeneratorSet) -> np.ndarray:
+    g = mat_exp(1j * _combine(a, p5.stack))
     expected = _affine5(np.broadcast_to(np.eye(4), (len(a), 4, 4)), a)
     moved = (g @ _append_one(x)[:, :, None])[:, :, 0]
     return np.maximum.reduce(
@@ -500,7 +500,7 @@ def translation_check(
         trials,
         seed,
         lambda streams, size: _draw(streams, size, (10.0, 10.0)),
-        lambda a, x: _translation_residuals(a, x, p5, tol),
+        lambda a, x: _translation_residuals(a, x, p5),
         lambda idx, inp: f"trial {idx[0]}: a={inp[0].tolist()}",
     )
     sq = float(np.abs(p5.stack[:, None] @ p5.stack[None]).max())

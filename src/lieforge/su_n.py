@@ -157,7 +157,7 @@ def _trace_tensor(S: np.ndarray) -> np.ndarray:
     return t
 
 
-def extract_structure(generators, tol: Tolerance = DEFAULT_TOL) -> StructureTensors:
+def extract_structure(generators) -> StructureTensors:
     """Extract f, d and the identity coefficient by the trace oracle.
 
     Requires hermitian traceless generators, mutually orthogonal under the

@@ -205,7 +205,7 @@ def test_c09_affine_generators():
         for nu in range(1, 5):
             assert np.abs(p5[mu] @ p5[nu]).max() == 0.0
     a = np.array([3.7, -0.25, 1.5, -9.0])
-    g = mat_exp(1j * sum(a[m] * p5[m + 1] for m in range(4)), TOL)
+    g = mat_exp(1j * sum(a[m] * p5[m + 1] for m in range(4)))
     expected = np.eye(5, dtype=complex)
     expected[:4, 4] = a
     assert np.abs(g - expected).max() == 0.0
@@ -214,8 +214,8 @@ def test_c09_affine_generators():
 
 
 def test_c10_su3_obstruction():
-    st2 = extract_structure(list(j2().members), TOL)
-    st3 = extract_structure([l / 2 for l in gell_mann()], TOL)
+    st2 = extract_structure(list(j2().members))
+    st3 = extract_structure([l / 2 for l in gell_mann()])
     assert st3.f_residual < 1e-12  # all 64 commutators reconstruct
     assert st3.d_residual < 1e-12
     assert np.abs(st2.d).max() == 0.0

@@ -81,6 +81,12 @@ def test_alpha_variants_pass(capsys):
     assert run_cli(capsys, "verify", "--alpha", "2")[0] == 0
 
 
+@pytest.mark.parametrize("alpha", ["1e300", "-1e300", "1e-300", "-1e-300"])
+def test_alpha_range_ends_pass(alpha):
+    # argparse reads "-1e-300" as a flag, so the value is attached with "=".
+    assert main(["all", "--trials", "10", f"--alpha={alpha}"]) == 0
+
+
 def test_tol_env_override(monkeypatch, capsys):
     monkeypatch.setenv("LIEFORGE_TOL", "1e-8")
     code, out = run_cli(capsys, "verify")
@@ -159,6 +165,8 @@ def test_run_config_validation():
     [
         ({}, ["invariants", "--trials", "0"]),
         ({}, ["invariants", "--alpha", "0"]),
+        ({}, ["verify", "--alpha", "1e-310"]),
+        ({}, ["all", "--trials", "10", "--alpha", "1e308"]),
         ({"LIEFORGE_TOL": "abc"}, ["verify"]),
         ({"LIEFORGE_TOL": "2"}, ["verify"]),
         ({"LIEFORGE_PERTURB": "abc"}, ["verify"]),
@@ -173,7 +181,7 @@ def test_run_config_validation():
         ({}, ["invariants", "--trials", "5", "--phi", "1", "0", "0"]),
     ],
     ids=[
-        "trials-0", "alpha-0", "tol-abc", "tol-2",
+        "trials-0", "alpha-0", "alpha-1e-310", "alpha-1e308", "tol-abc", "tol-2",
         "perturb-abc", "perturb-nan", "perturb-inf", "out-missing-dir", "x-nan", "phi-1000",
         "phi-400", "x-1e200",
         "seed-negative", "phi-without-x",
@@ -287,7 +295,7 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
     ):
         count(name, lambda trials, tol, seed: trials)
     count("intertwine_sweep", lambda J, K, V, *rest: V.rep.tag)
-    count("extract_structure", lambda generators, tol: len(generators[0]))
+    count("extract_structure", lambda generators: len(generators[0]))
     count("extract_coeffs", lambda V, A, tol: (V.kind.value, A.kind.value))
     once = {
         ("check_lorentz", "2"): 1,

@@ -195,16 +195,21 @@ def _mpmath_expm(a, mpmath):
 
 
 def test_mat_exp_real_stack_against_scipy():
-    # An exactly real stack takes the float64 path and still returns complex128.
-    # At norm 40 scipy's expm is itself off by up to 1.8e-12 relative on some
-    # seeds (seed 13, member 19), so those members are checked against a
-    # 40-digit mpmath exponential instead.
+    # An exactly real stack, float64 or complex with zero imaginary part, takes
+    # the float64 path and comes back as float64, bit for bit the same either
+    # way, and the input is left as it was.  At norm 40 scipy's expm is itself
+    # off by up to 1.8e-12 relative on some seeds (seed 13, member 19), so
+    # those members are checked against a 40-digit mpmath exponential instead.
     mpmath = pytest.importorskip("mpmath")
     for seed in (12, 13):
         a = _real_norm_ladder(seed)
+        real_path = mat_exp(a).tobytes()
         for stack in (a, a.astype(complex)):
+            before = stack.copy()
             got = mat_exp(stack)
-            assert got.dtype == np.complex128 and got.shape == a.shape
+            np.testing.assert_array_equal(stack, before)
+            assert got.dtype == np.float64 and got.shape == a.shape
+            assert got.tobytes() == real_path
             for k in range(len(a)):
                 if _LADDER_NORMS[k // 4] > 10.0:
                     ref = _mpmath_expm(a[k], mpmath)
@@ -226,7 +231,7 @@ def test_mat_exp_tiny_imaginary_part_takes_the_complex_path():
     a = _real_norm_ladder().astype(complex)
     a[7, 2, 1] += 1e-300j
     got = mat_exp(a)
-    assert got[7].imag.any()
+    assert got.dtype == np.complex128 and got[7].imag.any()
     for k in range(len(a)):
         scale = max(1.0, float(np.linalg.norm(got[k])))
         assert frobenius_distance(got[k], mat_exp(a[k])) <= 1e-14 * scale

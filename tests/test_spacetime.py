@@ -191,7 +191,7 @@ def test_affine_boost_labeling():
 def _intertwine_at(J, K, V, params):
     """The four intertwining residuals, one per member V^mu, of one draw."""
     theta, phi = np.array([params.theta]), np.array([params.phi])
-    return spacetime._intertwine_residuals(J, K, V, theta, phi, DEFAULT_TOL)[0]
+    return spacetime._intertwine_residuals(J, K, V, theta, phi)[0]
 
 
 def test_intertwine_zero_params():
@@ -319,9 +319,9 @@ def test_stacked_d4_matches_closed_forms():
     theta = rng.uniform(-np.pi, np.pi, size=(200, 3))
     phi = rng.uniform(-2.0, 2.0, size=(200, 3))
     zeros = np.zeros_like(theta)
-    rot = _d4_stack(theta, zeros, DEFAULT_TOL)
-    boost = _d4_stack(zeros, phi, DEFAULT_TOL)
-    both = _d4_stack(theta, phi, DEFAULT_TOL)
+    rot = _d4_stack(theta, zeros)
+    boost = _d4_stack(zeros, phi)
+    both = _d4_stack(theta, phi)
     np.testing.assert_allclose(rot, _rodrigues(-theta), rtol=0, atol=1e-12)
     np.testing.assert_allclose(boost, _boost_closed_form(phi), rtol=0, atol=1e-12)
     np.testing.assert_allclose(
@@ -348,7 +348,7 @@ def test_stack_combinations_equal_their_einsum_forms():
             spacetime._combine(c, stack), np.einsum("tk,kab->tab", c, stack)
         )
     theta, phi = rng.uniform(-np.pi, np.pi, size=(2, 300, 3))
-    lam = spacetime._d4_stack(theta, phi, DEFAULT_TOL)
+    lam = spacetime._d4_stack(theta, phi)
     for V in (gamma(), p5):
         np.testing.assert_array_equal(
             spacetime._combine(lam, V.stack), np.einsum("tmn,nab->tmab", lam, V.stack)

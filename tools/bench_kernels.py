@@ -4,25 +4,28 @@
 
 SRC is a directory holding a ``lieforge`` package (a checkout's ``src``;
 default: the ``src`` beside this directory), so one copy of this script
-times any version of the package.  Cases: ``extract_structure`` on the
-generalized Gell-Mann basis T = lambda / 2 at N = 2..9 and 12,
-``adjoint_from_f`` on its structure tensors at N = 4 and 6, the seeded
-sweeps ``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
-trials, one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
-exponents theta.(i J4) of 256 seeded angle triples, one sweep block; one
-``mat_exp`` of a complex ``(400, 4, 4)`` stack: the exponents +-theta.(i J)
-and +-phi.(i K) of the 2+2 rep at 100 seeded draws, as the 2+2 intertwining
-sweep stacks them (random directions, norms uniform below pi and 2);
-``_d4_stack``, the stacked 4-vector transform, at 256 seeded trials; and
-``bracket_table`` on the su(6) adjoint closure table (35 real 35 x 35
-matrices with f as coefficients), the su(6) fundamental f and d tables (the
-two residual tables of ``extract_structure``) and the 2+2 Lorentz jk table
-[J_i, K_j] = i eps_ijk K_k (two different stacks).  Each
-case runs once untimed, then REPEATS times; the line gives the median and
-quartiles of the raw wall times in seconds, with the Python, numpy and BLAS
-versions and a hash of the package sources.  The thread variables are set to
-``perfbench/run.py``'s ``THREAD_ENV`` (BLAS on one thread) before numpy is
-imported, so both tools run under the same threading.  Not part of the tests.
+times any version of the package whose ``_d4_stack`` takes no tolerance.
+Cases: ``extract_structure`` on the generalized Gell-Mann basis
+T = lambda / 2 at N = 2..9 and 12, ``adjoint_from_f`` on its structure
+tensors at N = 4 and 6, the seeded sweeps ``boost_invariance_check`` and
+``rotation_invariance_check`` at 1000 trials, one ``mat_exp`` of a real
+``(256, 4, 4)`` stack: the rotation exponents theta.(i J4) of 256 seeded
+angle triples, one sweep block; one ``mat_exp`` of a complex ``(400, 4, 4)``
+stack: the exponents +-theta.(i J) and +-phi.(i K) of the 2+2 rep at 100
+seeded draws, as the 2+2 intertwining sweep stacks them (random directions,
+norms uniform below pi and 2); ``_d4_stack``, the stacked 4-vector
+transform, at 256 seeded trials; ``bracket_table`` on the su(6) adjoint
+closure table (35 real 35 x 35 matrices with f as coefficients), the su(6)
+fundamental f and d tables (the two residual tables of
+``extract_structure``) and the 2+2 Lorentz jk table
+[J_i, K_j] = i eps_ijk K_k (two different stacks); and ``extract_coeffs`` of
+the 2+2 vector family and of the single-block momentum family against the
+2+2 rotation generators.  Each case runs once untimed, then REPEATS times;
+the line gives the median and quartiles of the raw wall times in seconds,
+with the Python, numpy and BLAS versions and a hash of the package sources.
+The thread variables are set to ``perfbench/run.py``'s ``THREAD_ENV`` (BLAS
+on one thread) before numpy is imported, so both tools run under the same
+threading.  Not part of the tests.
 """
 
 from __future__ import annotations
@@ -70,11 +73,18 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     from lieforge.checks import EPS3, bracket_table
-    from lieforge.generators import rep22_jk
-    from lieforge.linalg import DEFAULT_TOL, mat_exp
+    from lieforge.generators import (
+        GAMMA_C_PLUS,
+        Branch,
+        VectorParams,
+        momentum,
+        rep22_jk,
+        rep22_v,
+    )
+    from lieforge.linalg import mat_exp
     from lieforge.spacetime import _d4_stack, boost_invariance_check, rotation_invariance_check
     from lieforge.su_n import adjoint_from_f, extract_structure, generalized_gell_mann
-    from lieforge.transfer import build_j4
+    from lieforge.transfer import build_j4, extract_coeffs
 
     bases = {n: [g / 2 for g in generalized_gell_mann(n)] for n in EXTRACT_N}
     cases = [
@@ -110,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     cases.append({"case": "mat_exp complex (400, 4, 4)", **_timed(mat_exp, exponents)})
     transforms = angles((np.pi, 3.0), 256)
     cases.append(
-        {"case": "_d4_stack (256 trials)", **_timed(lambda a: _d4_stack(*a, DEFAULT_TOL), transforms)}
+        {"case": "_d4_stack (256 trials)", **_timed(lambda a: _d4_stack(*a), transforms)}
     )
     st = extract_structure(bases[6])
     S = np.stack(bases[6])
@@ -126,6 +136,14 @@ def main(argv: list[str] | None = None) -> int:
     cases += [
         {"case": f"bracket_table {name}", **_timed(lambda a: bracket_table(*a[:4], anti=a[4]), args)}
         for name, args in tables.items()
+    ]
+    families = {
+        "vector": rep22_v(),
+        "single-block momentum": momentum(VectorParams(GAMMA_C_PLUS, 0.0, 1.0), Branch.PLUS),
+    }
+    cases += [
+        {"case": f"extract_coeffs {name} vs J22", **_timed(lambda V: extract_coeffs(V, J22), V)}
+        for name, V in families.items()
     ]
     digest = hashlib.sha256()
     for path in sorted((args.src / "lieforge").glob("*.py")):
