@@ -25,6 +25,7 @@ check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -171,7 +172,9 @@ class _Run:
     first use, and keyed on ``fn`` and every argument: numbers, strings,
     tolerances and parameter records by value, anything else by identity
     (the table keeps it alive, so the identity is not reused).  Entries are
-    shared: concatenate report lists, never extend one in place.
+    shared: concatenate report lists, never extend one in place.  The
+    intertwining sweeps, which several sections print, are the property
+    ``intertwining``, computed on first use.
     """
 
     _BY_VALUE = (int, float, str, Tolerance, VectorParams)
@@ -198,6 +201,23 @@ class _Run:
         lorentz = self(check_lorentz, J, K, self.tol)
         parts = (self(vector_relation_reports, J, K, V, self.tol, alpha, s) for s, V in families)
         return [r for part in parts for r in lorentz + part]
+
+    # A property, not a table entry: an entry keyed on the run itself would
+    # make the run reference itself and outlive main() until a garbage
+    # collection.
+    @functools.cached_property
+    def intertwining(self) -> list[CheckReport]:
+        """The intertwining sweeps of the 2+2 rep with gamma and of the
+        5-affine rep, on one seeded draw, behind closure prechecks from the
+        table."""
+        cfg, tol = self.cfg, self.tol
+        J22, K22 = self(rep22_jk)
+        j5, k5, p5 = self(affine_generators)
+        g = self(gamma)
+        pre22 = self(check_lorentz, J22, K22, tol) + self(vector_relation_reports, J22, K22, g, tol)
+        pre5 = self.poincare(j5, k5, 1.0, [("5-affine", p5)])
+        families = [(J22, K22, g), (j5, k5, p5)]
+        return intertwine_sweep(families, pre22 + pre5, min(100, cfg.trials), tol, cfg.seed)
 
 
 def _projected(V: GeneratorSet) -> list[tuple[str, GeneratorSet]]:
@@ -320,8 +340,6 @@ def _invariants(run: _Run) -> None:
     if cfg.x is not None:
         _single_transform(run)
     small = max(1, cfg.trials // 10)
-    draws = min(100, cfg.trials)
-    J22, K22 = run(rep22_jk)
     j5, k5, p5 = run(affine_generators)
     reports = [
         run(rotation_invariance_check, cfg.trials, tol, cfg.seed),
@@ -329,8 +347,7 @@ def _invariants(run: _Run) -> None:
         run(det_interval_check, cfg.trials, tol, cfg.seed),
         run(affine_composition_check, small, tol, cfg.seed),
         run(translation_check, small, tol, cfg.seed),
-        run(intertwine_sweep, J22, K22, run(gamma), draws, tol, cfg.seed),
-        run(intertwine_sweep, j5, k5, p5, draws, tol, cfg.seed),
+        *run.intertwining,
     ]
     reports += run.poincare(j5, k5, 1.0, [("5-affine", p5)])
     run.sections.append(("spacetime invariants", reports))
@@ -365,7 +382,6 @@ def _sun(run: _Run) -> None:
 
 def _exercises(run: _Run) -> None:
     cfg, tol = run.cfg, run.tol
-    draws = min(100, cfg.trials)
     J22, K22 = run(rep22_jk)
     j5, k5, p5 = run(affine_generators)
     projected = run(_projected, run(rep22_v, VectorParams(alpha=1.0)))
@@ -375,8 +391,7 @@ def _exercises(run: _Run) -> None:
     reports += run.poincare(J22, K22, 1.0, projected)
     reports += run.poincare(j5, k5, 1.0, [("5-affine", p5)])
     reports.append(run(translation_check, max(1, cfg.trials // 10), tol, cfg.seed))
-    reports.append(run(intertwine_sweep, J22, K22, run(gamma), draws, tol, cfg.seed))
-    reports.append(run(intertwine_sweep, j5, k5, p5, draws, tol, cfg.seed))
+    reports += run.intertwining
     run.sections.append(("worked problems", reports))
     _group_comparison(run)
 
@@ -442,6 +457,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build spacetime rotation, boost and translation generators "
         "from su(2) bracket relations and verify every closure numerically.",
     )
+    # Options shared by subcommands, declared once and copied in by ``parents=``.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=1, help="random seed (default 1)")
+    common.add_argument("--trials", type=int, default=1000, help="random trials (default 1000)")
+    alpha_help = "space-to-time ratio, 1e-300 <= |alpha| <= 1e300 (default 1)"
+    common.add_argument("--alpha", type=float, default=1.0, help=alpha_help)
+    common.add_argument(
+        "--format", dest="fmt", choices=("text", "json"), default="text", help="output format"
+    )
+    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    transform = argparse.ArgumentParser(add_help=False)
+    for flag, metavar, about in (
+        ("--theta", ("T1", "T2", "T3"), "rotation angles for a single requested transform"),
+        ("--phi", ("P1", "P2", "P3"), "boost rapidities for a single requested transform"),
+        ("--x", ("X1", "X2", "X3", "X4"), "four-vector to transform (index 4 is time)"),
+    ):
+        transform.add_argument(flag, type=float, nargs=len(metavar), metavar=metavar, help=about)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("verify", "bracket tables: fundamental, doubled, momentum families"),
@@ -451,22 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("exercises", "worked-problem suite"),
         ("all", "every suite in construction order"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=1, help="random seed (default 1)")
-        p.add_argument("--trials", type=int, default=1000, help="random trials (default 1000)")
-        alpha_help = "space-to-time ratio, 1e-300 <= |alpha| <= 1e300 (default 1)"
-        p.add_argument("--alpha", type=float, default=1.0, help=alpha_help)
-        p.add_argument(
-            "--format", dest="fmt", choices=("text", "json"), default="text", help="output format"
-        )
-        p.add_argument("--out", default=None, help="write output to this path instead of stdout")
-        if name in ("invariants", "all"):
-            for flag, metavar, about in (
-                ("--theta", ("T1", "T2", "T3"), "rotation angles for a single requested transform"),
-                ("--phi", ("P1", "P2", "P3"), "boost rapidities for a single requested transform"),
-                ("--x", ("X1", "X2", "X3", "X4"), "four-vector to transform (index 4 is time)"),
-            ):
-                p.add_argument(flag, type=float, nargs=len(metavar), metavar=metavar, help=about)
+        parents = [common, transform] if name in ("invariants", "all") else [common]
+        sub.add_parser(name, help=help_text, parents=parents)
     return parser
 
 

@@ -119,8 +119,10 @@ def mat_exp(a) -> np.ndarray:
     10) the element-wise error stays well below 1e-10, the default bound the
     sweeps hold it to, on either path; the inverse-product identity
     ``mat_exp(A) @ mat_exp(-A) == I`` is the advertised accuracy contract.
-    A zero matrix comes out as exactly I, and a nilpotent B with B @ B == 0
-    (the translation generators) as exactly I + A.
+    A zero matrix comes out as exactly I, with no special case: s = 0, every
+    Horner step multiplies by B^4 = 0 and the last one adds c_0 I = I.  A
+    nilpotent B with B @ B == 0 (the translation generators) comes out as
+    exactly I + A.
     """
     a = np.asarray(a)
     a = _square_finite(a if a.dtype == np.float64 else a.astype(complex, copy=False))
@@ -130,10 +132,7 @@ def mat_exp(a) -> np.ndarray:
         a = a.real
     norms = np.abs(a).sum(axis=-1).max(axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
-    # The exponential of a zero matrix is exactly I; only the others need the series.
-    live = norms > 0.0
-    acc = np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape).copy()
-    b = a[live] / (2.0**squarings[live])[:, None, None]
+    b = a / (2.0**squarings)[:, None, None]
     b2 = b @ b
     b3, b4 = b2 @ b, b2 @ b2
 
@@ -150,12 +149,11 @@ def mat_exp(a) -> np.ndarray:
     for k in rest:
         series = series @ b4
         series += block(k, scratch)
-    acc[live] = series
     for i in range(int(squarings.max(initial=0))):
         more = squarings > i
-        square = acc[more]
-        acc[more] = square @ square
-    return acc.reshape(shape)
+        square = series[more]
+        series[more] = square @ square
+    return series.reshape(shape)
 
 
 def decompose_in_basis(m, basis) -> tuple[list[complex], float]:

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import (
-    CheckReport,
-    Identity,
-    all_passed,
-    check_poincare,
-    make_report,
-)
+from .checks import CheckReport, Identity, make_report
 from .generators import (
     REP5_AFFINE,
     GeneratorSet,
@@ -222,25 +216,20 @@ def affine_generators() -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
     )
 
 
-def _require_closure(J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, tol: Tolerance) -> None:
-    """Raise :class:`PrecondError` unless the triple satisfies the closure
-    table at ratio +1."""
-    pre = check_poincare(J, K, V, tol)
-    if not all_passed(pre):
-        bad = [r.identity.value for r in pre if not r.passed]
-        raise PrecondError(f"inputs fail the closure precheck: {', '.join(bad)}")
-
-
-def _intertwine_residuals(
-    J: GeneratorSet, K: GeneratorSet, V: GeneratorSet, theta, phi
-) -> np.ndarray:
-    """``(T, 4)`` Frobenius norms of D^-1 V^mu D - Lambda^mu_nu V^nu for
-    mu = 1..4 and every row of the ``(T, 3)`` arrays ``theta`` and ``phi``."""
-    rot, boost = _exponents(theta, phi, 1j * J.stack, 1j * K.stack)
-    e_rot, e_boost, e_mrot, e_mboost = mat_exp(np.stack([rot, boost, -rot, -boost]))
-    D, Dinv = e_boost @ e_rot, e_mrot @ e_mboost
-    rhs = _combine(_d4_stack(theta, phi), V.stack)
-    return frobenius_norms(Dinv[:, None] @ V.stack @ D[:, None] - rhs)
+def _intertwine_residuals(families, theta, phi) -> list[np.ndarray]:
+    """Per ``(J, K, V)`` triple of ``families``, the ``(T, 4)`` Frobenius
+    norms of D^-1 V^mu D - Lambda^mu_nu V^nu for mu = 1..4 and every row of
+    the ``(T, 3)`` arrays ``theta`` and ``phi``.  D and D^-1 are built in each
+    triple's own rep; Lambda, the 4-vector transform, is built once for all."""
+    lam = _d4_stack(theta, phi)
+    residuals = []
+    for J, K, V in families:
+        rot, boost = _exponents(theta, phi, 1j * J.stack, 1j * K.stack)
+        e_rot, e_boost, e_mrot, e_mboost = mat_exp(np.stack([rot, boost, -rot, -boost]))
+        D, Dinv = e_boost @ e_rot, e_mrot @ e_mboost
+        rhs = _combine(lam, V.stack)
+        residuals.append(frobenius_norms(Dinv[:, None] @ V.stack @ D[:, None] - rhs))
+    return residuals
 
 
 def _streams(seed: int) -> list[np.random.Generator]:
@@ -250,7 +239,7 @@ def _streams(seed: int) -> list[np.random.Generator]:
 
 def _seeded_sweep(
     identity: Identity,
-    subject: str,
+    subject: str | list[str],
     bound: float,
     note: str,
     trials: int,
@@ -258,9 +247,10 @@ def _seeded_sweep(
     draw,
     residuals,
     describe,
-) -> CheckReport:
+) -> CheckReport | list[CheckReport]:
     """The report of the worst residual over ``trials`` seeded random trials,
-    held to ``bound``.
+    held to ``bound``; with a list of subjects, one report per subject, from
+    the same trials.
 
     ``draw(streams, B)`` returns the inputs of ``B`` trials as a tuple of
     ``(B, ...)`` arrays, drawing once from each of ``streams`` (a normal and a
@@ -270,7 +260,8 @@ def _seeded_sweep(
     the block size.  Versions that drew one trial at a time from a single
     stream gave other inputs for the same seed: their seeded residuals and
     witnesses are not comparable.  ``residuals`` maps those arrays to a
-    ``(B, ...)`` residual array.  Trials run in blocks of ``_BLOCK``.
+    ``(B, ...)`` residual array, or, given a list of subjects, to a sequence
+    of such arrays, one per subject.  Trials run in blocks of ``_BLOCK``.
 
     The witness is the first maximum: earliest trial, then row-major over the
     trailing axes.  Its ``indices`` are the 0-based trial followed by the
@@ -280,18 +271,25 @@ def _seeded_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    single = isinstance(subject, str)
+    subjects = [subject] if single else subject
     streams = _streams(seed)
-    worst, witness = 0.0, None
+    worst, witness = [0.0] * len(subjects), [None] * len(subjects)
     for start in range(0, trials, _BLOCK):
         inputs = draw(streams, min(_BLOCK, trials - start))
-        r = residuals(*inputs)
-        at = np.unravel_index(int(np.argmax(r)), r.shape)
-        if r[at] > worst:
-            worst = float(r[at])
-            indices = [start + int(at[0])] + [int(k) + 1 for k in at[1:]]
-            row = [q[at[0]] for q in inputs]
-            witness = {"indices": indices, "description": describe(indices, row)}
-    return make_report(identity, worst, bound, subject=subject, witness=witness, note=note)
+        block = residuals(*inputs)
+        for f, r in enumerate([block] if single else block):
+            at = np.unravel_index(int(np.argmax(r)), r.shape)
+            if r[at] > worst[f]:
+                worst[f] = float(r[at])
+                indices = [start + int(at[0])] + [int(k) + 1 for k in at[1:]]
+                row = [q[at[0]] for q in inputs]
+                witness[f] = {"indices": indices, "description": describe(indices, row)}
+    reports = [
+        make_report(identity, w, bound, subject=s, witness=wit, note=note)
+        for s, w, wit in zip(subjects, worst, witness)
+    ]
+    return reports[0] if single else reports
 
 
 def _random_direction_scaled(normals: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -317,15 +315,15 @@ def _draw(streams, size: int, half_widths=(), max_norms=()) -> tuple[np.ndarray,
 
 
 def intertwine_sweep(
-    J: GeneratorSet,
-    K: GeneratorSet,
-    V: GeneratorSet,
+    families: list[tuple[GeneratorSet, GeneratorSet, GeneratorSet]],
+    prechecks: list[CheckReport],
     draws: int = 100,
     tol: Tolerance = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
-) -> CheckReport:
-    """Conjugation moves a vector family by the 4-vector matrix: the worst
-    residual over seeded random parameter draws.
+) -> list[CheckReport]:
+    """Conjugation moves a vector family by the 4-vector matrix: per
+    ``(J, K, V)`` triple of ``families``, in order, the report of the worst
+    residual over the same seeded random parameter draws.
 
     For any triple satisfying the closure table at ratio +1, with
     D = exp(i phi.K) exp(i theta.J) built in the triple's own rep and
@@ -334,21 +332,25 @@ def intertwine_sweep(
         D^-1 V^mu D = Lambda^mu_nu V^nu
 
     holds exactly (conjugating the other way around produces the inverse
-    Lambda; the test suite pins that orientation numerically).  The algebraic
-    precheck runs first and raises :class:`PrecondError` on failure.
+    Lambda; the test suite pins that orientation numerically).  The caller
+    passes that algebraic precheck in: ``prechecks`` holds the
+    :func:`~lieforge.checks.check_poincare` reports of the triples, and any
+    failed one raises :class:`PrecondError` before anything is drawn.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    _require_closure(J, K, V, tol)
+    bad = [r.identity.value for r in prechecks if not r.passed]
+    if bad:
+        raise PrecondError(f"inputs fail the closure precheck: {', '.join(bad)}")
     return _seeded_sweep(
         Identity.INTERTWINING,
-        f"{V.rep.tag}-rep",
+        [f"{V.rep.tag}-rep" for _, _, V in families],
         tol.exp_eps,
         f"seed={seed}, draws={draws}",
         draws,
         seed,
         lambda streams, size: _draw(streams, size, (), (np.pi, 2.0)),
-        lambda theta, phi: _intertwine_residuals(J, K, V, theta, phi),
+        lambda theta, phi: _intertwine_residuals(families, theta, phi),
         lambda idx, _: f"draw {idx[0]}, member mu={idx[1]}",
     )
 
@@ -359,7 +361,7 @@ def _draw_rotation(streams, size: int) -> tuple[np.ndarray, ...]:
 
 
 def _rotation_residuals(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    xr = _apply_stack(_d4_stack(theta, np.zeros_like(theta)), x)
+    xr = _apply_stack(mat_exp(_combine(theta, _real_generators(_J4))), x)
     space = np.einsum("ti,ti->t", x[:, :3], x[:, :3])
     moved = np.einsum("ti,ti->t", xr[:, :3], xr[:, :3])
     return np.maximum(

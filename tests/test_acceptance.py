@@ -187,9 +187,10 @@ def test_c07_determinant_identity():
 
 def test_c08_intertwining_gamma_and_affine():
     J22, K22 = rep22_jk()
-    g = intertwine_sweep(J22, K22, gamma(), draws=100, tol=TOL, seed=2)
     j5, k5, p5 = affine_generators()
-    aff = intertwine_sweep(j5, k5, p5, draws=100, tol=TOL, seed=2)
+    families = [(J22, K22, gamma()), (j5, k5, p5)]
+    prechecks = [r for J, K, V in families for r in check_poincare(J, K, V, TOL)]
+    g, aff = intertwine_sweep(families, prechecks, draws=100, tol=TOL, seed=2)
     assert g.max_residual < 1e-9 and g.passed
     assert aff.max_residual < 1e-9 and aff.passed
     announce(8, "conjugation intertwines with the 4-vector transform (gamma and affine reps)")

@@ -1,10 +1,12 @@
 import collections
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lieforge
@@ -276,14 +278,14 @@ def test_all_equals_its_parts(monkeypatch, capsys, env, args, transform):
 def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
     calls = collections.Counter()
 
-    def count(name, key):
-        fn = getattr(cli, name)
+    def count(name, key, module=cli):
+        fn = getattr(module, name)
 
-        def counted(*args):
-            calls[(name, key(*args))] += 1
-            return fn(*args)
+        def counted(*args, **kwargs):
+            calls[(name, key(*args, **kwargs))] += 1
+            return fn(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     count("check_lorentz", lambda J, K, *rest: J.rep.tag)
     for name in (
@@ -294,9 +296,15 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
         "translation_check",
     ):
         count(name, lambda trials, tol, seed: trials)
-    count("intertwine_sweep", lambda J, K, V, *rest: V.rep.tag)
+    count(
+        "intertwine_sweep", lambda families, *rest: tuple(V.rep.tag for _, _, V in families)
+    )
     count("extract_structure", lambda generators: len(generators[0]))
     count("extract_coeffs", lambda V, A, tol: (V.kind.value, A.kind.value))
+    # Every binding of the bracket-table kernel, the closure precheck of the
+    # intertwining sweep included.
+    for module in (lieforge.checks, lieforge.su_n, lieforge.transfer):
+        count("bracket_table", lambda *args, **kwargs: "any", module)
     once = {
         ("check_lorentz", "2"): 1,
         ("check_lorentz", "2+2"): 1,
@@ -306,17 +314,52 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
         ("det_interval_check", 10): 1,
         ("affine_composition_check", 1): 1,
         ("translation_check", 1): 1,
-        ("intertwine_sweep", "2+2"): 1,
-        ("intertwine_sweep", "5-affine"): 1,
+        # Both invariants and exercises print it; one draw serves both reps.
+        ("intertwine_sweep", ("2+2", "5-affine")): 1,
         ("extract_structure", 2): 1,
         ("extract_structure", 3): 1,
         ("extract_coeffs", ("vector", "angular-momentum")): 1,
         ("extract_coeffs", ("vector", "boost")): 1,
         ("extract_coeffs", ("momentum", "angular-momentum")): 1,
+        ("bracket_table", "any"): 42,
     }
     assert main(["all", "--trials", "10"]) == 0
     assert calls == once
     # Nothing is kept between runs: a second run computes everything again.
     assert main(["all", "--trials", "10"]) == 0
     assert calls == {key: 2 * n for key, n in once.items()}
+    capsys.readouterr()
+
+
+def test_a_run_is_freed_when_main_returns(capsys):
+    # A run whose table held the run itself stayed alive, with every entry,
+    # until the next garbage collection: in a loop of runs the peak memory grew.
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["all", "--trials", "10"]) == 0
+        assert not [o for o in gc.get_objects() if isinstance(o, cli._Run)]
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+def test_invariants_exponentiates_no_zero_matrix(monkeypatch, capsys):
+    # The rotation sweep exponentiates rotations only, and the two
+    # intertwining sweeps share one Lambda per block: 13 calls over 4,500
+    # matrices, none of them all zero.
+    seen = []
+    mat_exp = lieforge.linalg.mat_exp
+
+    def counted(a):
+        stack = np.asarray(a)
+        seen.append(stack.reshape(-1, stack.shape[-1] ** 2).any(axis=1))
+        return mat_exp(a)
+
+    monkeypatch.setattr(lieforge.linalg, "mat_exp", counted)
+    monkeypatch.setattr(lieforge.spacetime, "mat_exp", counted)
+    assert main(["invariants", "--trials", "1000"]) == 0
+    assert len(seen) == 13
+    assert sum(len(s) for s in seen) == 4500
+    assert all(s.all() for s in seen)
     capsys.readouterr()

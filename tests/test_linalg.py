@@ -225,6 +225,30 @@ def test_mat_exp_real_nilpotent_stack_is_exactly_i_plus_a():
     np.testing.assert_array_equal(mat_exp(a), np.eye(5) + a)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_mat_exp_mixed_stack_keeps_zero_and_nilpotent_members_exact(dtype):
+    # Zero matrices run the same series as the others: exp(0) = I comes out
+    # of the last Horner step, c_0 I, and a nilpotent N (N @ N == 0) comes out
+    # as I + N after its squarings.  The general member A equals its own
+    # exponential, computed alone, bit for bit.
+    rng = np.random.default_rng(15)
+    A = 3.0 * rng.normal(size=(4, 4)).astype(dtype)
+    N = np.zeros((4, 4), dtype=dtype)
+    N[:3, 3] = rng.uniform(-10.0, 10.0, size=3)
+    if dtype == np.complex128:
+        A += 3j * rng.normal(size=(4, 4))
+        N[:3, 3] *= 1.0 - 2.0j
+    zero = np.zeros((4, 4), dtype=dtype)
+    got = mat_exp(np.stack([zero, A, N, zero]))
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got[0], np.eye(4))
+    assert got[1].tobytes() == mat_exp(A).tobytes()
+    ref = scipy.linalg.expm(A)
+    assert frobenius_distance(got[1], ref) < 1e-12 * max(1.0, float(np.linalg.norm(ref)))
+    np.testing.assert_array_equal(got[2], np.eye(4) + N)
+    np.testing.assert_array_equal(got[3], np.eye(4))
+
+
 def test_mat_exp_tiny_imaginary_part_takes_the_complex_path():
     # One 1e-300j entry sends the whole stack through complex arithmetic; the
     # real members still agree with their own (real-path) exponentials.

@@ -191,7 +191,12 @@ def test_affine_boost_labeling():
 def _intertwine_at(J, K, V, params):
     """The four intertwining residuals, one per member V^mu, of one draw."""
     theta, phi = np.array([params.theta]), np.array([params.phi])
-    return spacetime._intertwine_residuals(J, K, V, theta, phi)[0]
+    return spacetime._intertwine_residuals([(J, K, V)], theta, phi)[0][0]
+
+
+def _intertwine_one(J, K, V, draws=100, tol=DEFAULT_TOL, seed=1):
+    """The intertwining report of one triple, behind its own closure precheck."""
+    return intertwine_sweep([(J, K, V)], check_poincare(J, K, V, tol), draws, tol, seed)[0]
 
 
 def test_intertwine_zero_params():
@@ -232,12 +237,59 @@ def test_intertwine_orientation_is_pinned():
 
 def test_intertwine_precheck():
     with pytest.raises(PrecondError):
-        intertwine_sweep(j2(), j2(), v2(1.0, 1.0))
+        _intertwine_one(j2(), j2(), v2(1.0, 1.0))
 
 
 def test_intertwine_sweep_passes():
     J22, K22 = rep22_jk()
-    assert intertwine_sweep(J22, K22, gamma(), draws=25, seed=3).passed
+    assert _intertwine_one(J22, K22, gamma(), draws=25, seed=3).passed
+
+
+def _families():
+    return [(*rep22_jk(), gamma()), affine_generators()]
+
+
+def _intertwine_alone(J, K, V, draws, seed):
+    """The residual and the first-maximum witness of one triple swept alone,
+    with its own streams, its own draws and its own Lambda per block."""
+    streams, worst, witness = spacetime._streams(seed), 0.0, None
+    for start in range(0, draws, spacetime._BLOCK):
+        size = min(spacetime._BLOCK, draws - start)
+        theta, phi = spacetime._draw(streams, size, (), (np.pi, 2.0))
+        (r,) = spacetime._intertwine_residuals([(J, K, V)], theta, phi)
+        t, mu = np.unravel_index(int(np.argmax(r)), r.shape)
+        if r[t, mu] > worst:
+            worst, witness = float(r[t, mu]), f"draw {start + t}, member mu={mu + 1}"
+    return worst, witness
+
+
+@pytest.mark.parametrize("draws", [100, 300])
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_shared_intertwining_sweep_equals_the_separate_sweeps(seed, draws):
+    # One draw and one Lambda serve both families; each report must be the one
+    # its family gives alone, bit for bit.  300 draws span two blocks.  At a
+    # bound nothing meets, every report fails and keeps its witness.
+    families = _families()
+    prechecks = [r for J, K, V in families for r in check_poincare(J, K, V)]
+    reports = intertwine_sweep(families, prechecks, draws, Tolerance(1e-300, 1e-300), seed)
+    assert [r.subject for r in reports] == ["2+2-rep", "5-affine-rep"]
+    for report, family in zip(reports, families):
+        worst, witness = _intertwine_alone(*family, draws, seed)
+        assert report.max_residual == worst
+        assert report.witness["description"] == witness
+        assert report.note == f"seed={seed}, draws={draws}"
+
+
+def test_a_failed_precheck_raises_before_anything_is_drawn(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew after a failed precheck")
+
+    monkeypatch.setattr(spacetime, "_draw", no_draw)
+    families = _families()
+    failed = check_poincare(j2(), j2(), v2(1.0, 1.0))
+    assert not all_passed(failed)
+    with pytest.raises(PrecondError, match="closure precheck"):
+        intertwine_sweep(families, check_poincare(*families[0]) + failed)
 
 
 def test_invariance_checks_pass_and_are_deterministic():
@@ -493,11 +545,11 @@ def _sweeps():
         (affine_composition_check, _ref_affine),
         (translation_check, _ref_translation),
         (
-            lambda trials, seed: intertwine_sweep(J22, K22, gamma(), trials, seed=seed),
+            lambda trials, seed: _intertwine_one(J22, K22, gamma(), trials, seed=seed),
             lambda trials, seed: _ref_intertwine(J22, K22, gamma(), trials, seed),
         ),
         (
-            lambda trials, seed: intertwine_sweep(j5, k5, p5, trials, seed=seed),
+            lambda trials, seed: _intertwine_one(j5, k5, p5, trials, seed=seed),
             lambda trials, seed: _ref_intertwine(j5, k5, p5, trials, seed),
         ),
     ]
@@ -579,16 +631,15 @@ def test_sweep_memory_does_not_grow_with_trials():
 
 
 def _all_seven(trials, tol, seed):
-    J22, K22 = rep22_jk()
-    j5, k5, p5 = affine_generators()
+    families = _families()
+    prechecks = [r for J, K, V in families for r in check_poincare(J, K, V, tol)]
     return [
         rotation_invariance_check(trials, tol, seed),
         boost_invariance_check(trials, tol, seed),
         det_interval_check(trials, tol, seed),
         affine_composition_check(trials, tol, seed),
         translation_check(trials, tol, seed),
-        intertwine_sweep(J22, K22, gamma(), trials, tol, seed),
-        intertwine_sweep(j5, k5, p5, trials, tol, seed),
+        *intertwine_sweep(families, prechecks, trials, tol, seed),
     ]
 
 
@@ -735,9 +786,9 @@ def test_every_sweep_rejects_zero_trials(index):
         det_interval_check,
         affine_composition_check,
         translation_check,
-        lambda trials: intertwine_sweep(*rep22_jk(), gamma(), trials),
-        lambda trials: intertwine_sweep(*affine_generators(), trials),
-        lambda trials: intertwine_sweep(j2(), j2(), v2(1.0, 1.0), trials),
+        lambda trials: _intertwine_one(*rep22_jk(), gamma(), trials),
+        lambda trials: _intertwine_one(*affine_generators(), trials),
+        lambda trials: _intertwine_one(j2(), j2(), v2(1.0, 1.0), trials),
     ]
     with pytest.raises(ValueError, match="(trials|draws) must be >= 1"):
         sweeps[index](0)
@@ -748,7 +799,7 @@ def test_a_momentum_family_whose_members_do_not_commute_fails_the_precheck():
     # labelled as momenta it must also commute, and its members do not.
     J22, K22 = rep22_jk()
     V = gamma()
-    assert intertwine_sweep(J22, K22, V, draws=1).passed
+    assert _intertwine_one(J22, K22, V, draws=1).passed
     relabelled = GeneratorSet(V.rep, Kind.MOMENTUM, V.members)
     with pytest.raises(PrecondError, match="momenta-commute$"):
-        intertwine_sweep(J22, K22, relabelled, draws=1)
+        _intertwine_one(J22, K22, relabelled, draws=1)

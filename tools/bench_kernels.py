@@ -4,7 +4,8 @@
 
 SRC is a directory holding a ``lieforge`` package (a checkout's ``src``;
 default: the ``src`` beside this directory), so one copy of this script
-times any version of the package whose ``_d4_stack`` takes no tolerance.
+times any version of the package whose ``_d4_stack`` takes no tolerance and
+whose ``intertwine_sweep`` takes a list of families.
 Cases: ``extract_structure`` on the generalized Gell-Mann basis
 T = lambda / 2 at N = 2..9 and 12, ``adjoint_from_f`` on its structure
 tensors at N = 4 and 6, the seeded sweeps ``boost_invariance_check`` and
@@ -18,11 +19,14 @@ transform, at 256 seeded trials; ``bracket_table`` on the su(6) adjoint
 closure table (35 real 35 x 35 matrices with f as coefficients), the su(6)
 fundamental f and d tables (the two residual tables of
 ``extract_structure``) and the 2+2 Lorentz jk table
-[J_i, K_j] = i eps_ijk K_k (two different stacks); and ``extract_coeffs`` of
+[J_i, K_j] = i eps_ijk K_k (two different stacks); ``extract_coeffs`` of
 the 2+2 vector family and of the single-block momentum family against the
-2+2 rotation generators.  Each case runs once untimed, then REPEATS times;
-the line gives the median and quartiles of the raw wall times in seconds,
-with the Python, numpy and BLAS versions and a hash of the package sources.
+2+2 rotation generators; ``intertwine_sweep`` of the 2+2 rep with gamma and
+the 5-affine rep together at 100 draws, behind their precomputed closure
+reports; and ``cli.build_parser``.  Each case runs once untimed, then
+REPEATS times; the line gives the median and quartiles of the raw wall
+times in seconds, with the Python, numpy and BLAS versions and a hash of the
+package sources.
 The thread variables are set to ``perfbench/run.py``'s ``THREAD_ENV`` (BLAS
 on one thread) before numpy is imported, so both tools run under the same
 threading.  Not part of the tests.
@@ -72,17 +76,25 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(args.src))
     import numpy as np
 
-    from lieforge.checks import EPS3, bracket_table
+    from lieforge.checks import EPS3, bracket_table, check_poincare
+    from lieforge.cli import build_parser
     from lieforge.generators import (
         GAMMA_C_PLUS,
         Branch,
         VectorParams,
+        gamma,
         momentum,
         rep22_jk,
         rep22_v,
     )
     from lieforge.linalg import mat_exp
-    from lieforge.spacetime import _d4_stack, boost_invariance_check, rotation_invariance_check
+    from lieforge.spacetime import (
+        _d4_stack,
+        affine_generators,
+        boost_invariance_check,
+        intertwine_sweep,
+        rotation_invariance_check,
+    )
     from lieforge.su_n import adjoint_from_f, extract_structure, generalized_gell_mann
     from lieforge.transfer import build_j4, extract_coeffs
 
@@ -145,6 +157,15 @@ def main(argv: list[str] | None = None) -> int:
         {"case": f"extract_coeffs {name} vs J22", **_timed(lambda V: extract_coeffs(V, J22), V)}
         for name, V in families.items()
     ]
+    sweep_families = [(J22, K22, gamma()), affine_generators()]
+    prechecks = [r for family in sweep_families for r in check_poincare(*family)]
+    cases.append(
+        {
+            "case": "intertwine_sweep 2+2 and 5-affine (100 draws)",
+            **_timed(lambda draws: intertwine_sweep(sweep_families, prechecks, draws), 100),
+        }
+    )
+    cases.append({"case": "build_parser", **_timed(lambda _: build_parser(), None)})
     digest = hashlib.sha256()
     for path in sorted((args.src / "lieforge").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())

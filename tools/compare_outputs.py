@@ -56,6 +56,10 @@ def _invocations() -> list[tuple[dict, list[str]]]:
         pairs.append(({}, ["invariants", "--trials", "10", "--theta", theta, "0", "0", "--x", "0", "1", "0", "2"]))
     runs =[(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
     runs.append(({}, ["invariants", *TRANSFORM]))
+    # The help texts, which come from the parser alone.
+    runs.append(({}, ["-h"]))
+    for command in ("verify", "transfer", "invariants", "sun", "exercises", "all"):
+        runs.append(({}, [command, "-h"]))
     return runs
 
 
