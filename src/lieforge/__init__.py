@@ -12,7 +12,6 @@ from .checks import (
     check_su2_fundamental,
 )
 from .generators import (
-    Branch,
     GeneratorSet,
     Kind,
     ParamError,

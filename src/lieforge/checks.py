@@ -249,29 +249,23 @@ _BOOST_FROM_TIME = np.zeros((4, 3, 4))
 _BOOST_FROM_TIME[3, [0, 1, 2], [0, 1, 2]] = 1.0
 
 
-def check_su2_fundamental(
-    J: GeneratorSet,
-    tol: Tolerance = DEFAULT_TOL,
-    anticommutators: bool | None = None,
-) -> list[CheckReport]:
+def check_su2_fundamental(J: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> list[CheckReport]:
     """Fundamental bracket table of an angular-momentum trio.
 
-    Commutators must close with the antisymmetric structure constants; the
-    anticommutator check asserts the two-dimensional pattern
+    Commutators must close with the antisymmetric structure constants, and
+    anticommutators must follow the two-dimensional pattern
     {J_i, J_j} = (1/2) delta_ij * identity, which holds only in the
-    fundamental rep, so by default it runs just for dimension-2 sets.  Pass
-    ``anticommutators=True`` to force it (e.g. to exhibit how a dimension-3
-    trio violates it).
+    fundamental rep: a trio of any other dimension fails that table.
     """
     if J.kind is not Kind.ANGULAR_MOMENTUM or len(J) != 3:
         raise ShapeError("expected an angular-momentum set with 3 members")
     S = J.stack
-    tables = [(Identity.JJ_COMMUTATION, "commutator", _I_EPS3, S, False)]
-    do_anti = anticommutators if anticommutators is not None else J.rep.dim == 2
-    if do_anti:
-        half_delta = 0.5 * np.eye(3)[:, :, None]
-        eye = np.eye(J.rep.dim, dtype=complex)[None]
-        tables.append((Identity.JJ_ANTICOMMUTATION, "anticommutator", half_delta, eye, True))
+    half_delta = 0.5 * np.eye(3)[:, :, None]
+    eye = np.eye(J.rep.dim, dtype=complex)[None]
+    tables = [
+        (Identity.JJ_COMMUTATION, "commutator", _I_EPS3, S, False),
+        (Identity.JJ_ANTICOMMUTATION, "anticommutator", half_delta, eye, True),
+    ]
     return [
         residual_report(identity, bracket_table(S, S, coeffs, T, anti), tol.abs_eps,
                         f"{kind} pair (i={{}}, j={{}})", subject=f"{J.rep.tag}-rep")

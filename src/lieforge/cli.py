@@ -13,13 +13,13 @@ structure extraction once, however many sections print it.
 Output is deterministic for a fixed configuration (including the seed); the
 JSON format emits one object per line, with bare report objects and
 ``type``-tagged payloads.  The environment variable ``LIEFORGE_TOL``
-overrides the absolute tolerance; ``LIEFORGE_PERTURB`` injects a perturbation
-into the su(2) trio of verify's fundamental relations (a negative-control
-hook used by the tests).  Bad input (an out-of-range option or environment
-value, a requested transform that overflows, an output path that cannot be
-written) ends with one ``lieforge: error: ...`` line on stderr and exit code
-2, as argparse does for its own errors; exit code 1 is reserved for a failed
-check.
+overrides the absolute tolerance, within [1e-15, 1); ``LIEFORGE_PERTURB``
+injects a perturbation into the su(2) trio of verify's fundamental relations
+(a negative-control hook used by the tests).  Bad input (an out-of-range
+option or environment value, a requested transform that overflows, an output
+path that cannot be written) ends with one ``lieforge: error: ...`` line on
+stderr and exit code 2, as argparse does for its own errors; exit code 1 is
+reserved for a failed check.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .checks import (
     vector_relation_reports,
 )
 from .generators import (
-    Branch,
     GAMMA_C_MINUS,
     GAMMA_C_PLUS,
     GeneratorSet,
@@ -130,10 +129,17 @@ def _env_float(name: str, env) -> float | None:
     return value
 
 
+# Below this, exact identities fail on rounding alone: transfer's least-squares
+# residuals reach 4.4e-16.
+MIN_TOL = 1e-15
+
+
 def tolerance_from_env(env=os.environ) -> Tolerance:
     abs_eps = _env_float(TOL_ENV, env)
     if abs_eps is None:
         return Tolerance()
+    if abs_eps < MIN_TOL:
+        raise InputError(f"{TOL_ENV}={abs_eps:g} is below {MIN_TOL:g}, the rounding floor")
     try:
         return Tolerance(abs_eps=abs_eps, exp_eps=max(Tolerance().exp_eps, abs_eps))
     except ValueError as exc:
@@ -252,8 +258,8 @@ def _verify(run: _Run) -> None:
     run.sections.append(("doubled-rep closure", run(check_lorentz, J22, K22, tol) + doubled))
 
     families = [
-        ("momentum-plus", run(momentum, VectorParams(GAMMA_C_PLUS, 0.0, alpha), Branch.PLUS)),
-        ("momentum-minus", run(momentum, VectorParams(0.0, GAMMA_C_MINUS, alpha), Branch.MINUS)),
+        ("momentum-plus", run(momentum, VectorParams(GAMMA_C_PLUS, 0.0, alpha))),
+        ("momentum-minus", run(momentum, VectorParams(0.0, GAMMA_C_MINUS, alpha))),
         *run(_projected, generic_v),
     ]
     run.sections.append(("momentum families", run.poincare(J22, K22, alpha, families)))
@@ -265,7 +271,7 @@ def _transfer(run: _Run) -> None:
     V = run(rep22_v, VectorParams(alpha=1.0))
     a = run(extract_coeffs, V, J22, tol)
     b = run(extract_coeffs, V, K22, tol)
-    p = run(momentum, VectorParams(GAMMA_C_PLUS, 0.0, 1.0), Branch.PLUS)
+    p = run(momentum, VectorParams(GAMMA_C_PLUS, 0.0, 1.0))
     a_single = run(extract_coeffs, p, J22, tol)
     run.sections.append(("generator transfer", run(transfer_reports, a, b, tol)))
 

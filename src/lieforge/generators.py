@@ -2,8 +2,10 @@
 
 Factories for every matrix set the rest of the package manipulates: the Pauli
 matrices, the fundamental su(2) angular-momentum trio and its boost and vector
-companions, the doubled (block) four-dimensional family with its two momentum
-branches, and the Dirac gamma matrices with their chiral projectors.
+companions, the doubled four-dimensional families built from that trio by
+Kronecker products with fixed 2x2 block patterns (the vector family and its
+two single-block momentum branches), and the Dirac gamma matrices with their
+chiral projectors.
 
 Member indexing is 1-based throughout (``set[1]`` is the first generator,
 index 4 is the time slot of a vector family), matching the usual physics
@@ -24,10 +26,8 @@ __all__ = [
     "REP22",
     "REP4",
     "REP5_AFFINE",
-    "SU3_ADJOINT",
     "adjoint_rep",
     "Kind",
-    "Branch",
     "GeneratorSet",
     "VectorParams",
     "pauli",
@@ -63,7 +63,6 @@ REP2 = Rep("2", 2)
 REP22 = Rep("2+2", 4)
 REP4 = Rep("4", 4)
 REP5_AFFINE = Rep("5-affine", 5)
-SU3_ADJOINT = Rep("su3-adjoint", 8)
 
 
 def adjoint_rep(n: int) -> Rep:
@@ -86,11 +85,6 @@ _MEMBER_COUNT = {
     Kind.VECTOR: 4,
     Kind.MOMENTUM: 4,
 }
-
-
-class Branch(str, Enum):
-    PLUS = "plus"
-    MINUS = "minus"
 
 
 @dataclass(frozen=True)
@@ -175,8 +169,16 @@ _SIGMA = (
     np.array([[1, 0], [0, -1]], dtype=complex),
     np.eye(2, dtype=complex),
 )
-# The fundamental angular-momentum trio, sigma_i / 2.
-_HALF_SIGMA = tuple(s / 2 for s in _SIGMA[:3])
+# The fundamental angular-momentum trio, sigma_i / 2, as one (3, 2, 2) stack.
+_HALF_SIGMA = np.array(_SIGMA[:3]) / 2
+_EYE2 = _SIGMA[3]
+
+# 2x2 block patterns of the doubled construction: kron(pattern, W) places the
+# 2x2 matrix W in the 4x4 blocks where the pattern is nonzero, scaled by it.
+_DIAGONAL = np.diag([1.0, 1.0])
+_SPLIT = np.diag([1.0, -1.0])
+_UPPER = np.array([[0.0, 1.0], [0.0, 0.0]])
+_LOWER = _UPPER.T
 
 
 def pauli(i: int) -> np.ndarray:
@@ -197,20 +199,12 @@ def k2() -> GeneratorSet:
     The sign of i here is a convention; the opposite choice appears as the
     lower block of the doubled boost family.
     """
-    return GeneratorSet(REP2, Kind.BOOST, tuple(1j * s / 2 for s in _SIGMA[:3]))
+    return GeneratorSet(REP2, Kind.BOOST, 1j * _HALF_SIGMA)
 
 
 def v2(c: complex, c4: complex) -> GeneratorSet:
     """Fundamental vector family {c*J1, c*J2, c*J3, c4*identity}."""
-    members = tuple(c * h for h in _HALF_SIGMA) + (c4 * np.eye(2, dtype=complex),)
-    return GeneratorSet(REP2, Kind.VECTOR, members)
-
-
-def _block(ul, ur, ll, lr) -> np.ndarray:
-    return np.block([[ul, ur], [ll, lr]])
-
-
-_Z2 = np.zeros((2, 2), dtype=complex)
+    return GeneratorSet(REP2, Kind.VECTOR, (*(c * _HALF_SIGMA), c4 * _EYE2))
 
 
 def rep22_jk() -> tuple[GeneratorSet, GeneratorSet]:
@@ -220,24 +214,27 @@ def rep22_jk() -> tuple[GeneratorSet, GeneratorSet]:
     upper block and -iJ in the lower, which is what later turns block
     commutators with the vector family into anticommutators.
     """
-    j_members = tuple(_block(h, _Z2, _Z2, h) for h in _HALF_SIGMA)
-    k_members = tuple(_block(1j * h, _Z2, _Z2, -1j * h) for h in _HALF_SIGMA)
     return (
-        GeneratorSet(REP22, Kind.ANGULAR_MOMENTUM, j_members),
-        GeneratorSet(REP22, Kind.BOOST, k_members),
+        GeneratorSet(REP22, Kind.ANGULAR_MOMENTUM, np.kron(_DIAGONAL, _HALF_SIGMA)),
+        GeneratorSet(REP22, Kind.BOOST, np.kron(_SPLIT, 1j * _HALF_SIGMA)),
     )
 
 
-def _upper_blocks(p: VectorParams) -> list[np.ndarray]:
-    return [p.c_plus * h for h in _HALF_SIGMA] + [
-        p.c_plus * np.eye(2, dtype=complex) / (2 * p.alpha)
-    ]
+def _vector_blocks(c: complex, c_time: complex, alpha: complex) -> np.ndarray:
+    """The (4, 2, 2) stack c*J1, c*J2, c*J3, c_time * identity / (2*alpha).
+
+    The time member divides by 2*alpha rather than scaling by 1/(2*alpha):
+    the two round differently unless alpha is a power of two.
+    """
+    return np.concatenate([c * _HALF_SIGMA, [c_time * _EYE2 / (2 * alpha)]])
 
 
-def _lower_blocks(p: VectorParams) -> list[np.ndarray]:
-    return [p.c_minus * h for h in _HALF_SIGMA] + [
-        -p.c_minus * np.eye(2, dtype=complex) / (2 * p.alpha)
-    ]
+def _doubled_vector(p: VectorParams) -> np.ndarray:
+    """c_plus (J, 1/(2 alpha)) in the upper-right blocks, c_minus (J, -1/(2 alpha))
+    in the lower-left."""
+    upper = _vector_blocks(p.c_plus, p.c_plus, p.alpha)
+    lower = _vector_blocks(p.c_minus, -p.c_minus, p.alpha)
+    return np.kron(_UPPER, upper) + np.kron(_LOWER, lower)
 
 
 def rep22_v(p: VectorParams = VectorParams()) -> GeneratorSet:
@@ -248,30 +245,19 @@ def rep22_v(p: VectorParams = VectorParams()) -> GeneratorSet:
     onto the time member.  With the default constants the result is the Dirac
     gamma family.
     """
-    up, lo = _upper_blocks(p), _lower_blocks(p)
-    members = tuple(_block(_Z2, up[m], lo[m], _Z2) for m in range(4))
-    return GeneratorSet(REP22, Kind.VECTOR, members)
+    return GeneratorSet(REP22, Kind.VECTOR, _doubled_vector(p))
 
 
-def momentum(p: VectorParams, branch: Branch) -> GeneratorSet:
-    """One of the two commuting momentum branches: a vector family with a
-    single nonzero off-diagonal block.
+def momentum(p: VectorParams) -> GeneratorSet:
+    """One of the two commuting momentum branches: the doubled vector family
+    of ``p`` with a single nonzero off-diagonal block.
 
-    The branch being built forces the other block's constant to vanish;
-    passing a nonzero one raises :class:`ParamError`.
+    The branch is the block whose constant is nonzero; both constants nonzero
+    raises :class:`ParamError`, both zero gives the zero family.
     """
-    branch = Branch(branch)
-    if branch is Branch.PLUS:
-        if complex(p.c_minus) != 0:
-            raise ParamError("plus branch requires c_minus = 0")
-        up = _upper_blocks(p)
-        members = tuple(_block(_Z2, up[m], _Z2, _Z2) for m in range(4))
-    else:
-        if complex(p.c_plus) != 0:
-            raise ParamError("minus branch requires c_plus = 0")
-        lo = _lower_blocks(p)
-        members = tuple(_block(_Z2, _Z2, lo[m], _Z2) for m in range(4))
-    return GeneratorSet(REP22, Kind.MOMENTUM, members)
+    if complex(p.c_plus) != 0 and complex(p.c_minus) != 0:
+        raise ParamError("a momentum branch needs c_plus = 0 or c_minus = 0")
+    return GeneratorSet(REP22, Kind.MOMENTUM, _doubled_vector(p))
 
 
 def gamma() -> GeneratorSet:
@@ -280,10 +266,10 @@ def gamma() -> GeneratorSet:
     Equal (entry for entry) to ``rep22_v()`` with the default constants;
     the equality is checked in the test suite rather than assumed here.
     """
-    members = tuple(
-        -1j * _block(_Z2, _SIGMA[i], -_SIGMA[i], _Z2) for i in range(3)
-    ) + (-1j * _block(_Z2, _SIGMA[3], _SIGMA[3], _Z2),)
-    return GeneratorSet(REP22, Kind.VECTOR, members)
+    z = np.zeros((2, 2), dtype=complex)
+    spatial = [np.block([[z, s], [-s, z]]) for s in _SIGMA[:3]]
+    time = np.block([[z, _EYE2], [_EYE2, z]])
+    return GeneratorSet(REP22, Kind.VECTOR, tuple(-1j * m for m in (*spatial, time)))
 
 
 def gamma5() -> np.ndarray:

@@ -12,6 +12,27 @@ _SIGMA = np.array(
 )
 
 
+def doubled_jk() -> tuple[np.ndarray, np.ndarray]:
+    """The doubled angular momenta diag(T, T) and boosts diag(iT, -iT), for
+    T = sigma / 2, each a (3, 4, 4) stack of 2x2-block matrices."""
+    z = np.zeros((2, 2))
+    half = _SIGMA[:3] / 2
+    return (
+        np.array([np.block([[t, z], [z, t]]) for t in half]),
+        np.array([np.block([[1j * t, z], [z, -1j * t]]) for t in half]),
+    )
+
+
+def doubled_vector(c_plus, c_minus, alpha) -> np.ndarray:
+    """The doubled vector family as a (4, 4, 4) stack of 2x2-block matrices:
+    c_plus (T, 1 / (2 alpha)) in the upper-right blocks and
+    c_minus (T, -1 / (2 alpha)) in the lower-left, for T = sigma / 2."""
+    z = np.zeros((2, 2))
+    upper = [c_plus * t for t in _SIGMA[:3] / 2] + [c_plus * _SIGMA[3] / (2 * alpha)]
+    lower = [c_minus * t for t in _SIGMA[:3] / 2] + [-c_minus * _SIGMA[3] / (2 * alpha)]
+    return np.array([np.block([[z, u], [l, z]]) for u, l in zip(upper, lower)])
+
+
 def commutator(a, b) -> np.ndarray:
     """AB - BA."""
     return a @ b - b @ a

@@ -20,7 +20,6 @@ from lieforge.checks import (
     check_su2_fundamental,
 )
 from lieforge.generators import (
-    Branch,
     GeneratorSet,
     Kind,
     REP4,
@@ -107,8 +106,8 @@ def test_c03_2rep_failure_demonstration():
 def test_c04_poincare_closure_momentum_and_projected():
     J22, K22 = rep22_jk()
     families = {
-        "momentum-plus": momentum(VectorParams(-2j, 0.0, 1.0), Branch.PLUS),
-        "momentum-minus": momentum(VectorParams(0.0, 2j, 1.0), Branch.MINUS),
+        "momentum-plus": momentum(VectorParams(-2j, 0.0, 1.0)),
+        "momentum-minus": momentum(VectorParams(0.0, 2j, 1.0)),
     }
     p_plus, p_minus = gamma5_projectors()
     V = rep22_v()

@@ -22,7 +22,6 @@ from lieforge.checks import (
     vector_relation_reports,
 )
 from lieforge.generators import (
-    Branch,
     GAMMA_C_PLUS,
     GeneratorSet,
     Kind,
@@ -77,13 +76,13 @@ def test_su2_anticommutators_fail_for_su3_subset():
     trio = GeneratorSet(
         Rep("su3-fund", 3), Kind.ANGULAR_MOMENTUM, tuple(l / 2 for l in lam[:3])
     )
-    default = check_su2_fundamental(trio)
-    assert [r.identity for r in default] == [Identity.JJ_COMMUTATION]
-    assert default[0].passed
-
-    forced = check_su2_fundamental(trio, anticommutators=True)
-    anti = by_identity(forced, Identity.JJ_ANTICOMMUTATION)[0]
-    assert not anti.passed
+    reports = check_su2_fundamental(trio)
+    assert [r.identity for r in reports] == [
+        Identity.JJ_COMMUTATION,
+        Identity.JJ_ANTICOMMUTATION,
+    ]
+    assert reports[0].passed
+    assert not reports[1].passed
 
 
 def test_su2_fundamental_shape_error():
@@ -105,11 +104,11 @@ def test_lorentz_shape_errors():
 
 def test_poincare_momentum_branches():
     J, K = rep22_jk()
-    for params, branch, name in (
-        (VectorParams(1.0, 0.0, 1.0), Branch.PLUS, "plus"),
-        (VectorParams(0.0, 1.0, 1.0), Branch.MINUS, "minus"),
+    for params, name in (
+        (VectorParams(1.0, 0.0, 1.0), "plus"),
+        (VectorParams(0.0, 1.0, 1.0), "minus"),
     ):
-        reports = check_poincare(J, K, momentum(params, branch), subject=name)
+        reports = check_poincare(J, K, momentum(params), subject=name)
         assert all_passed(reports), name
         assert by_identity(reports, Identity.MOMENTA_COMMUTE)
 
@@ -133,7 +132,7 @@ def test_poincare_generic_vector_family():
 def test_vector_relation_reports_adds_momenta_commute_for_momenta_only():
     J, K = rep22_jk()
     V = rep22_v(VectorParams(1.0, 1.0, 1.0))
-    P = momentum(VectorParams(1.0, 0.0, 1.0), Branch.PLUS)
+    P = momentum(VectorParams(1.0, 0.0, 1.0))
     pinned = [
         (V, ["vector-rotation", "vector-boost"]),
         (P, ["vector-rotation", "vector-boost", "momenta-commute"]),
@@ -363,7 +362,7 @@ def test_perturbed_verify_witnesses_match_golden(monkeypatch, capsys):
 
 def test_perturbed_momentum_witnesses_match_golden():
     J, K = rep22_jk()
-    P = momentum(VectorParams(GAMMA_C_PLUS, 0.0, 1.0), Branch.PLUS)
+    P = momentum(VectorParams(GAMMA_C_PLUS, 0.0, 1.0))
     bump = np.zeros((4, 4), dtype=complex)
     bump[0, 0] = 1e-6
     reports = check_poincare(J, K, P.with_member(2, P[2] + bump), subject="momentum-perturbed")

@@ -171,6 +171,7 @@ def test_run_config_validation():
         ({}, ["all", "--trials", "10", "--alpha", "1e308"]),
         ({"LIEFORGE_TOL": "abc"}, ["verify"]),
         ({"LIEFORGE_TOL": "2"}, ["verify"]),
+        ({"LIEFORGE_TOL": "3e-16"}, ["transfer"]),
         ({"LIEFORGE_PERTURB": "abc"}, ["verify"]),
         ({"LIEFORGE_PERTURB": "nan"}, ["verify"]),
         ({"LIEFORGE_PERTURB": "inf"}, ["verify"]),
@@ -183,7 +184,7 @@ def test_run_config_validation():
         ({}, ["invariants", "--trials", "5", "--phi", "1", "0", "0"]),
     ],
     ids=[
-        "trials-0", "alpha-0", "alpha-1e-310", "alpha-1e308", "tol-abc", "tol-2",
+        "trials-0", "alpha-0", "alpha-1e-310", "alpha-1e308", "tol-abc", "tol-2", "tol-3e-16",
         "perturb-abc", "perturb-nan", "perturb-inf", "out-missing-dir", "x-nan", "phi-1000",
         "phi-400", "x-1e200",
         "seed-negative", "phi-without-x",

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lieforge.generators import (
-    Branch,
     GeneratorSet,
     Kind,
     ParamError,
@@ -20,7 +19,13 @@ from lieforge.generators import (
     rep22_v,
     v2,
 )
-from oracles import anticommutator, commutator, is_hermitian_traceless
+from oracles import (
+    anticommutator,
+    commutator,
+    doubled_jk,
+    doubled_vector,
+    is_hermitian_traceless,
+)
 
 
 def test_pauli_table():
@@ -89,6 +94,24 @@ def test_rep22_blocks():
     assert is_hermitian_traceless(J.members)
 
 
+@pytest.mark.parametrize("alpha", [1.0, -1.0, 2.0, 0.5 + 0.5j])
+def test_doubled_construction_matches_block_forms(alpha):
+    # The Kronecker construction equals the hand-placed 2x2 blocks entry for
+    # entry, for generic complex constants and on both momentum branches.
+    rng = np.random.default_rng(15)
+    cp, cm = (complex(*rng.normal(size=2)) for _ in range(2))
+    J, K = rep22_jk()
+    J_ref, K_ref = doubled_jk()
+    np.testing.assert_array_equal(J.stack, J_ref)
+    np.testing.assert_array_equal(K.stack, K_ref)
+    np.testing.assert_array_equal(rep22_v(VectorParams(cp, cm, alpha)).stack,
+                                  doubled_vector(cp, cm, alpha))
+    for plus, minus in ((cp, 0), (0, cm)):
+        P = momentum(VectorParams(plus, minus, alpha))
+        assert P.kind is Kind.MOMENTUM
+        np.testing.assert_array_equal(P.stack, doubled_vector(plus, minus, alpha))
+
+
 def test_rep22_v_time_member():
     V = rep22_v(VectorParams(1, 1, 1))
     expected = np.zeros((4, 4), dtype=complex)
@@ -128,8 +151,8 @@ def test_vk_collapses_onto_time_member():
 
 
 def test_momentum_branches():
-    p_plus = momentum(VectorParams(1, 0, 1), Branch.PLUS)
-    p_minus = momentum(VectorParams(0, 1, 1), Branch.MINUS)
+    p_plus = momentum(VectorParams(1, 0, 1))
+    p_minus = momentum(VectorParams(0, 1, 1))
     for P in (p_plus, p_minus):
         for mu in range(1, 5):
             for nu in range(1, 5):
@@ -141,9 +164,13 @@ def test_momentum_branches():
 
 def test_momentum_rejects_mixed_constants():
     with pytest.raises(ParamError):
-        momentum(VectorParams(1, 1, 1), Branch.PLUS)
-    with pytest.raises(ParamError):
-        momentum(VectorParams(1, 1, 1), Branch.MINUS)
+        momentum(VectorParams(1, 1, 1))
+
+
+def test_momentum_zero_constants_give_zero_family():
+    P = momentum(VectorParams(0, 0, 1))
+    assert P.kind is Kind.MOMENTUM
+    np.testing.assert_array_equal(P.stack, np.zeros((4, 4, 4)))
 
 
 def test_gamma_table():
@@ -191,8 +218,8 @@ def test_projectors_cut_momentum_branches():
     g = gamma()
     from_proj_plus = [p_plus @ g[mu] for mu in range(1, 5)]
     from_proj_minus = [p_minus @ g[mu] for mu in range(1, 5)]
-    branch_plus = momentum(VectorParams(-2j, 0, 1), Branch.PLUS)
-    branch_minus = momentum(VectorParams(0, 2j, 1), Branch.MINUS)
+    branch_plus = momentum(VectorParams(-2j, 0, 1))
+    branch_minus = momentum(VectorParams(0, 2j, 1))
     for mu in range(4):
         assert np.abs(from_proj_plus[mu] - branch_plus[mu + 1]).max() < 1e-15
         assert np.abs(from_proj_minus[mu] - branch_minus[mu + 1]).max() < 1e-15

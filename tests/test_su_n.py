@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from lieforge.checks import EPS3
-from lieforge.generators import SU3_ADJOINT, Rep, j2, pauli
+from lieforge.generators import Rep, adjoint_rep, j2, pauli
 from lieforge.linalg import BasisError
 from lieforge.su_n import (
     StructureTensors,
@@ -190,7 +190,7 @@ def su2_plus_u1():
 @pytest.mark.parametrize(
     "basis, rep",
     [
-        ([l / 2 for l in gell_mann()], SU3_ADJOINT),
+        ([l / 2 for l in gell_mann()], adjoint_rep(3)),
         ([pauli(3) / 2], Rep("adjoint", 1)),
         (su2_plus_u1(), Rep("adjoint", 4)),
     ],

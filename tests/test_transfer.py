@@ -5,7 +5,6 @@ import pytest
 
 from lieforge.checks import EPS3, Identity, all_passed
 from lieforge.generators import (
-    Branch,
     GeneratorSet,
     Kind,
     REP22,
@@ -116,8 +115,8 @@ def test_extract_equals_the_per_pair_definition():
         for _ in range(3)
     ]
     families = [gamma()] + [rep22_v(p) for p in params]
-    families += [momentum(VectorParams(1.5, 0.0, 1.0), Branch.PLUS)]
-    families += [momentum(VectorParams(0.0, -0.7j, 2.0), Branch.MINUS)]
+    families += [momentum(VectorParams(1.5, 0.0, 1.0))]
+    families += [momentum(VectorParams(0.0, -0.7j, 2.0))]
     for V in families:
         for A in rep22_jk():
             np.testing.assert_array_equal(extract_coeffs(V, A).values, _per_pair_coeffs(V, A))
@@ -144,8 +143,8 @@ def test_extract_reports_the_first_failing_pair():
 
 def test_extract_single_block_families():
     J22, K22 = rep22_jk()
-    plus = momentum(VectorParams(1.5, 0.0, 1.0), Branch.PLUS)
-    minus = momentum(VectorParams(0.0, -0.7j, 1.0), Branch.MINUS)
+    plus = momentum(VectorParams(1.5, 0.0, 1.0))
+    minus = momentum(VectorParams(0.0, -0.7j, 1.0))
     for fam, side in ((plus, "upper"), (minus, "lower")):
         a = extract_coeffs(fam, J22)
         b = extract_coeffs(fam, K22)

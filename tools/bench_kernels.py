@@ -80,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     from lieforge.cli import build_parser
     from lieforge.generators import (
         GAMMA_C_PLUS,
-        Branch,
         VectorParams,
         gamma,
         momentum,
@@ -151,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     families = {
         "vector": rep22_v(),
-        "single-block momentum": momentum(VectorParams(GAMMA_C_PLUS, 0.0, 1.0), Branch.PLUS),
+        "single-block momentum": momentum(VectorParams(GAMMA_C_PLUS, 0.0, 1.0)),
     }
     cases += [
         {"case": f"extract_coeffs {name} vs J22", **_timed(lambda V: extract_coeffs(V, J22), V)}

@@ -37,6 +37,8 @@ def _invocations() -> list[tuple[dict, list[str]]]:
         for seed in ("1", "2", "7"):
             pairs.append(({}, [command, "--seed", seed]))
     pairs.append(({"LIEFORGE_PERTURB": "1e-6"}, ["all"]))
+    # The smallest accepted tolerance, where rounding is a tenth of the bound.
+    pairs.append(({"LIEFORGE_TOL": "1e-15"}, ["all", "--trials", "10"]))
     for alpha in ("2", "-1"):
         pairs.append(({}, ["all", "--alpha", alpha]))
     pairs.append(({}, ["all", *TRANSFORM]))
@@ -54,8 +56,10 @@ def _invocations() -> list[tuple[dict, list[str]]]:
     # interval check fails.
     for theta in ("1e20", "1e8"):
         pairs.append(({}, ["invariants", "--trials", "10", "--theta", theta, "0", "0", "--x", "0", "1", "0", "2"]))
-    runs =[(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
+    runs = [(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
     runs.append(({}, ["invariants", *TRANSFORM]))
+    # A tolerance below the rounding floor: rejected as bad input.
+    runs.append(({"LIEFORGE_TOL": "3e-16"}, ["transfer"]))
     # The help texts, which come from the parser alone.
     runs.append(({}, ["-h"]))
     for command in ("verify", "transfer", "invariants", "sun", "exercises", "all"):
