@@ -457,7 +457,10 @@ def _render_json(run: _Run) -> str:
     return "\n".join(json.dumps(o, separators=(",", ":")) for o in objs) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls:
+    it holds no per-run state."""
     parser = argparse.ArgumentParser(
         prog="lieforge",
         description="Build spacetime rotation, boost and translation generators "

@@ -109,11 +109,10 @@ def mat_exp(a) -> np.ndarray:
     times, the squares applied only to the matrices that still need them.
 
     A float64 stack, or a complex one whose imaginary part is exactly zero
-    (the exponents i theta.J, i phi.K and i a.P of the real 4-vector and
-    5-affine reps), is exponentiated in float64, several times cheaper per
-    product, and returned as float64; any nonzero imaginary part, however
-    small, keeps the whole stack complex128.  Other dtypes are promoted
-    to complex128 first.  The input is never written to.
+    (the exponents of the real 5-affine rep), is exponentiated in float64,
+    several times cheaper per product, and returned as float64; any nonzero
+    imaginary part, however small, keeps the whole stack complex128.  Other
+    dtypes are promoted to complex128 first.  The input is never written to.
 
     For the matrices this package handles (dimension <= 10, norms of order
     10) the element-wise error stays well below 1e-10, the default bound the

@@ -9,6 +9,14 @@ is checked exactly where they are read, and from there on every 4-vector and
 5-affine transform, image and residual is float64.  A transform from outside
 is checked once where it enters (:func:`apply`).  A failed purity check
 signals a convention bug, typically a stray factor of i.
+
+Every 4-vector transform Lambda is built in closed form from the cubic
+identities of its generators: for a unit axis, N = n.(i J4) obeys N^3 = -N
+and M = n.(i K4) obeys M^3 = M, so exp(theta.(i J4)) and exp(phi.(i K4)) are
+finite trigonometric and hyperbolic polynomials in N and M, and Lambda is
+the boost times the rotation.  :func:`~lieforge.linalg.mat_exp` serves only
+the rep-side D and D^-1 of the intertwining sweep, which the identity
+compares with that independently built Lambda, and the translations.
 """
 
 from __future__ import annotations
@@ -140,18 +148,42 @@ def _combine(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (c @ stack.reshape(len(stack), -1)).reshape(*c.shape[:-1], *stack.shape[1:])
 
 
-def _exponents(theta, phi, iJ: np.ndarray, iK: np.ndarray) -> np.ndarray:
-    """The ``(2, T, n, n)`` stack of theta.iJ and phi.iK for every row of
-    the ``(T, 3)`` arrays ``theta`` and ``phi``."""
-    return np.stack([_combine(theta, iJ), _combine(phi, iK)])
+def _norms_and_axes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The norms |v| and unit axes v / |v| of the rows of a ``(T, 3)`` array;
+    a zero row has norm 0 and axis 0.  ``np.hypot`` scales by the larger
+    operand before it squares, so no finite row overflows."""
+    t = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+    return t, v / np.where(t == 0.0, 1.0, t)[:, None]
+
+
+def _cubic_exp(v: np.ndarray, iG: np.ndarray, sin) -> np.ndarray:
+    """exp(v.iG) as I + sin|v| N + 2 sin^2(|v|/2) N^2, N = (v/|v|).iG, for
+    every row of the ``(T, 3)`` array ``v``.
+
+    The formula is the exponential when every unit combination obeys
+    N^3 = -N with ``sin`` = ``np.sin`` (the rotation generators i J4), or
+    N^3 = N with ``sin`` = ``np.sinh`` (the boost generators i K4): the
+    series of exp(t N) then sums to those two terms, since 1 - cos t =
+    2 sin^2(t/2) and cosh t - 1 = 2 sinh^2(t/2).  ``np.sin`` reduces any
+    finite angle exactly, so a large angle still gives a rotation.
+    """
+    t, axes = _norms_and_axes(v)
+    N = _combine(axes, iG)
+    out = sin(t)[:, None, None] * N + (2.0 * sin(0.5 * t) ** 2)[:, None, None] * (N @ N)
+    out.reshape(len(v), -1)[:, :: N.shape[-1] + 1] += 1.0
+    return out
+
+
+def _rotation_stack(theta) -> np.ndarray:
+    """exp(i theta.J) in the 4-vector rep, as float64, for every row of the
+    ``(T, 3)`` array ``theta``."""
+    return _cubic_exp(theta, _real_generators(_J4), np.sin)
 
 
 def _d4_stack(theta, phi) -> np.ndarray:
     """exp(i phi.K) exp(i theta.J) in the 4-vector rep, as float64, for every
-    row of the ``(T, 3)`` arrays ``theta`` and ``phi``."""
-    iJ, iK = _real_generators(_J4), _real_generators(_K4)
-    rot, boost = mat_exp(_exponents(theta, phi, iJ, iK))
-    return boost @ rot
+    row of the ``(T, 3)`` arrays ``theta`` and ``phi``, in closed form."""
+    return _cubic_exp(phi, _real_generators(_K4), np.sinh) @ _rotation_stack(theta)
 
 
 def _apply_stack(D: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -180,7 +212,8 @@ def _affine_images(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def d4(params: RotBoostParams) -> np.ndarray:
     """Finite 4-vector transformation: rotation first, then boost,
-    exp(i phi.K) exp(i theta.J) with the closed-form spacetime generators."""
+    exp(i phi.K) exp(i theta.J) of the closed-form spacetime generators,
+    summed from their cubic identities (no series)."""
     return _d4_stack(np.array([params.theta]), np.array([params.phi]))[0]
 
 
@@ -220,11 +253,12 @@ def _intertwine_residuals(families, theta, phi) -> list[np.ndarray]:
     """Per ``(J, K, V)`` triple of ``families``, the ``(T, 4)`` Frobenius
     norms of D^-1 V^mu D - Lambda^mu_nu V^nu for mu = 1..4 and every row of
     the ``(T, 3)`` arrays ``theta`` and ``phi``.  D and D^-1 are built in each
-    triple's own rep; Lambda, the 4-vector transform, is built once for all."""
+    triple's own rep by :func:`mat_exp`; Lambda, the 4-vector transform, is
+    built once for all, in closed form."""
     lam = _d4_stack(theta, phi)
     residuals = []
     for J, K, V in families:
-        rot, boost = _exponents(theta, phi, 1j * J.stack, 1j * K.stack)
+        rot, boost = _combine(theta, 1j * J.stack), _combine(phi, 1j * K.stack)
         e_rot, e_boost, e_mrot, e_mboost = mat_exp(np.stack([rot, boost, -rot, -boost]))
         D, Dinv = e_boost @ e_rot, e_mrot @ e_mboost
         rhs = _combine(lam, V.stack)
@@ -361,7 +395,7 @@ def _draw_rotation(streams, size: int) -> tuple[np.ndarray, ...]:
 
 
 def _rotation_residuals(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    xr = _apply_stack(mat_exp(_combine(theta, _real_generators(_J4))), x)
+    xr = _apply_stack(_rotation_stack(theta), x)
     space = np.einsum("ti,ti->t", x[:, :3], x[:, :3])
     moved = np.einsum("ti,ti->t", xr[:, :3], xr[:, :3])
     return np.maximum(

@@ -66,3 +66,26 @@ def affine_matrix(linear, shift) -> np.ndarray:
 def affine_apply(m, x) -> np.ndarray:
     """The image linear @ x + shift of a four-vector under a 5x5 append-one matrix."""
     return (m @ np.append(x, 1.0))[:4]
+
+
+def _half_angle(v, rotation: bool) -> np.ndarray:
+    """exp(i v.sigma / 2) if ``rotation`` else exp(v.sigma / 2), for every row
+    of a (T, 3) array, as cos|v|/2 + i sin|v|/2 n.sigma or
+    cosh|v|/2 + sinh|v|/2 n.sigma with n = v / |v|."""
+    t = np.linalg.norm(v, axis=1)
+    n_sigma = np.einsum("ti,iab->tab", v / np.where(t == 0.0, 1.0, t)[:, None], _SIGMA[:3])
+    if rotation:
+        even, odd = np.cos(t / 2), 1j * np.sin(t / 2)
+    else:
+        even, odd = np.cosh(t / 2), np.sinh(t / 2)
+    return even[:, None, None] * _SIGMA[3] + odd[:, None, None] * n_sigma
+
+
+def covering_map(theta, phi) -> np.ndarray:
+    """The 4-vector transforms Lambda^mu_nu = 1/2 tr(sigma^mu A sigma^nu A^dagger)
+    of A = exp(phi.sigma / 2) exp(i theta.sigma / 2) in SL(2, C), for every
+    row of the (T, 3) arrays ``theta`` and ``phi`` (Sexl and Urbantke,
+    Relativity, Groups, Particles, 2001), as a real (T, 4, 4) stack."""
+    a = _half_angle(np.asarray(phi, float), False) @ _half_angle(np.asarray(theta, float), True)
+    lam = 0.5 * np.einsum("mab,tbc,ncd,tda->tmn", _SIGMA, a, _SIGMA, a.conj().swapaxes(1, 2))
+    return lam.real

@@ -25,7 +25,7 @@ from lieforge.spacetime import (
     translation_check,
 )
 from lieforge.transfer import build_j4, build_k4
-from oracles import affine_apply, affine_matrix, interval_sq_via_det
+from oracles import affine_apply, affine_matrix, covering_map, interval_sq_via_det
 
 MINKOWSKI = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -382,6 +382,48 @@ def test_stacked_d4_matches_closed_forms():
     for t in range(0, 200, 20):
         single = d4(RotBoostParams(theta=tuple(theta[t]), phi=tuple(phi[t])))
         np.testing.assert_allclose(both[t], single, rtol=0, atol=1e-14)
+
+
+def _exponential_route(theta, phi):
+    """exp(phi.(i K4)) exp(theta.(i J4)) by scaling and squaring, the route to
+    Lambda the package took before its closed form."""
+    iJ, iK = ((1j * G.stack).real for G in (build_j4(), build_k4()))
+    return mat_exp(np.einsum("ti,iab->tab", phi, iK)) @ mat_exp(np.einsum("ti,iab->tab", theta, iJ))
+
+
+@pytest.mark.parametrize("seed", [4, 17, 60])
+def test_d4_stack_matches_the_covering_map_and_the_exponential_route(seed):
+    rng = np.random.default_rng(seed)
+    theta, phi = (
+        spacetime._random_direction_scaled(rng.normal(size=(500, 3)), rng.uniform(0.0, m, 500))
+        for m in (np.pi, 3.0)
+    )
+    theta[:5], phi[5:10] = 0.0, 0.0
+    lam = spacetime._d4_stack(theta, phi)
+    bound = 1e-13 * np.maximum(1.0, np.abs(lam).max(axis=(1, 2)))
+    for oracle in (covering_map, _exponential_route):
+        assert np.all(np.abs(lam - oracle(theta, phi)).max(axis=(1, 2)) <= bound)
+
+
+def _symmetrised_cube_defect(iG, sign):
+    """Per (a, b, c), the sum over the orderings of G_a G_b G_c minus ``sign``
+    times the same sum of delta_ab G_c.  Zero for every (a, b, c) exactly when
+    (u.G)^3 = sign |u|^2 (u.G) for every axis u."""
+    cube = np.einsum("aij,bjk,ckl->abcil", iG, iG, iG)
+    linear = np.einsum("ab,cil->abcil", np.eye(3), iG)
+    orders = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    return sum(np.transpose(cube - sign * linear, (*p, 3, 4)) for p in orders)
+
+
+@pytest.mark.parametrize("name, sign", [("_J4", -1.0), ("_K4", 1.0)])
+def test_the_closed_form_rests_on_exact_cubic_identities(name, sign):
+    # The stacks i J4 and i K4 have integer entries, so every triple product
+    # is exact: N^3 = -N for rotations and M^3 = M for boosts, bit for bit.
+    iG = spacetime._real_generators(getattr(spacetime, name))
+    np.testing.assert_array_equal(_symmetrised_cube_defect(iG, sign), 0.0)
+    bumped = iG.copy()
+    bumped[1, 2, 3] += 1.0
+    assert np.abs(_symmetrised_cube_defect(bumped, sign)).max() > 0.0
 
 
 def test_stack_combinations_equal_their_einsum_forms():

@@ -15,16 +15,20 @@ angle triples, one sweep block; one ``mat_exp`` of a complex ``(400, 4, 4)``
 stack: the exponents +-theta.(i J) and +-phi.(i K) of the 2+2 rep at 100
 seeded draws, as the 2+2 intertwining sweep stacks them (random directions,
 norms uniform below pi and 2); ``_d4_stack``, the stacked 4-vector
-transform, at 256 seeded trials; ``bracket_table`` on the su(6) adjoint
-closure table (35 real 35 x 35 matrices with f as coefficients), the su(6)
+transform, at 256 seeded trials, and the rotation-only transform of the
+rotation sweep at the same 256 angle triples (``_rotation_stack``, or
+``mat_exp`` of theta.(i J4) in versions without it); ``bracket_table`` on
+the su(6) adjoint closure table (35 real 35 x 35 matrices with f as
+coefficients), the su(6)
 fundamental f and d tables (the two residual tables of
 ``extract_structure``) and the 2+2 Lorentz jk table
 [J_i, K_j] = i eps_ijk K_k (two different stacks); ``extract_coeffs`` of
 the 2+2 vector family and of the single-block momentum family against the
 2+2 rotation generators; ``intertwine_sweep`` of the 2+2 rep with gamma and
 the 5-affine rep together at 100 draws, behind their precomputed closure
-reports; and ``cli.build_parser``.  Each case runs once untimed, then
-REPEATS times; the line gives the median and quartiles of the raw wall
+reports; and the uncached ``cli.build_parser`` (``__wrapped__`` where the
+parser is cached).  Each case runs once untimed, then REPEATS times; the
+line gives the median and quartiles of the raw wall
 times in seconds, with the Python, numpy and BLAS versions and a hash of the
 package sources.
 The thread variables are set to ``perfbench/run.py``'s ``THREAD_ENV`` (BLAS
@@ -87,6 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         rep22_v,
     )
     from lieforge.linalg import mat_exp
+    from lieforge import spacetime
     from lieforge.spacetime import (
         _d4_stack,
         affine_generators,
@@ -133,6 +138,10 @@ def main(argv: list[str] | None = None) -> int:
     cases.append(
         {"case": "_d4_stack (256 trials)", **_timed(lambda a: _d4_stack(*a), transforms)}
     )
+    rotation = getattr(spacetime, "_rotation_stack", None) or (
+        lambda th: mat_exp(np.einsum("ti,iab->tab", th, (1j * spacetime._J4.stack).real))
+    )
+    cases.append({"case": "rotation-only Lambda (256 trials)", **_timed(rotation, transforms[0])})
     st = extract_structure(bases[6])
     S = np.stack(bases[6])
     F = np.ascontiguousarray(st.f.transpose(1, 0, 2))
@@ -164,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
             **_timed(lambda draws: intertwine_sweep(sweep_families, prechecks, draws), 100),
         }
     )
-    cases.append({"case": "build_parser", **_timed(lambda _: build_parser(), None)})
+    uncached = getattr(build_parser, "__wrapped__", build_parser)
+    cases.append({"case": "build_parser", **_timed(lambda _: uncached(), None)})
     digest = hashlib.sha256()
     for path in sorted((args.src / "lieforge").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())

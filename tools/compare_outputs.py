@@ -51,10 +51,9 @@ def _invocations() -> list[tuple[dict, list[str]]]:
     for phi in ("7", "8", "300", "1000", "400"):
         pairs.append(({}, ["invariants", "--trials", "10", "--phi", phi, *TRANSFORM[2:]]))
     pairs.append(({}, ["invariants", "--trials", "10", "--x", "1e200", "0", "0", "2"]))
-    # A rotation angle whose transform overflows: the error names both norms.
-    # 1e8 does not overflow, but the angle is not reduced modulo 2 pi and the
-    # interval check fails.
-    for theta in ("1e20", "1e8"):
+    # Large rotation angles, whose x' no residual mask covers: sin and cos
+    # reduce them exactly, and the norm of 1e300 is taken without squaring it.
+    for theta in ("1e20", "1e8", "1e300"):
         pairs.append(({}, ["invariants", "--trials", "10", "--theta", theta, "0", "0", "--x", "0", "1", "0", "2"]))
     runs = [(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
     runs.append(({}, ["invariants", *TRANSFORM]))
