@@ -9,7 +9,10 @@ arrays and a coefficient table and returns the Frobenius norm of (left side -
 right side) for every index pair.  It forms rows in blocks in two reused
 buffers of at most 64 KB or one ``(p, n, n)`` slab each, where the whole
 table would need m slabs, and forms a stack's table with itself under
-(anti)symmetric coefficients only on and above the diagonal.
+(anti)symmetric coefficients only on and above the diagonal.  The blocks
+come from :func:`_row_blocks`, which yields both products of each block;
+``su_n.extract_structure`` takes f, d and both of its residual tables from
+the same blocks in one pass.
 :func:`residual_report` turns any residual array into a report whose witness
 is the first worst index tuple, so the same engine validates hand-built,
 extracted and candidate generator sets alike.
@@ -143,6 +146,32 @@ def all_passed(reports) -> bool:
 _BLOCK_BYTES = 64 * 1024
 
 
+def _row_blocks(A, B, mirror: bool):
+    """Both products of every pair of two stacks, a block of rows at a time.
+
+    Yields ``(lo, hi, first, AB, BA)`` with ``AB[i, j] = A[lo + i] @ B[first + j]``
+    and ``BA[i, j] = B[first + j] @ A[lo + i]`` for rows ``lo <= i < hi`` and
+    columns from ``first``, which is ``lo`` when ``mirror`` (the upper
+    triangle of a stack with itself, diagonal blocks whole) and 0 otherwise.
+    ``A`` and ``B`` are contiguous stacks of one dtype.  Each block takes
+    ``max(1, _BLOCK_BYTES // B.nbytes)`` rows, and ``AB`` and ``BA`` are
+    views of two buffers reused from block to block, which the consumer may
+    overwrite but must not keep.
+    """
+    m, p = len(A), len(B)
+    rows = max(1, _BLOCK_BYTES // max(B.nbytes, 1))
+    buffers = np.empty((2, min(rows, m) * B.size), dtype=A.dtype)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        first = lo if mirror else 0
+        shape = (hi - lo, p - first, *B.shape[1:])
+        AB, BA = (buf[: math.prod(shape)].reshape(shape) for buf in buffers)
+        a, b = A[lo:hi, None], B[None, first:]
+        np.matmul(a, b, out=AB)
+        np.matmul(b, a, out=BA)
+        yield lo, hi, first, AB, BA
+
+
 def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
     """Residuals of a whole bracket table over stacked generator arrays.
 
@@ -153,11 +182,11 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
         A_i B_j -/+ B_j A_i - sum_k coeffs[i, j, k] T_k
 
     with the commutator by default and the anticommutator when ``anti``.
-    Rows are formed in blocks, ``A[I, None] @ B[None, :]`` and the reverse
-    product in two reused buffers of at most ``_BLOCK_BYTES`` or one
-    ``(p, n, n)`` slab each: the full ``(m, p, n, n)`` table of an su(6)
-    adjoint (m = p = n = 35) would take 24 MB per complex temporary.  The
-    sum over k is one BLAS product per block, the block's slice of
+    Rows are formed in blocks by :func:`_row_blocks`, ``A[I, None] @ B[None, :]``
+    and the reverse product in two reused buffers of at most ``_BLOCK_BYTES``
+    or one ``(p, n, n)`` slab each: the full ``(m, p, n, n)`` table of an
+    su(6) adjoint (m = p = n = 35) would take 24 MB per complex temporary.
+    The sum over k is one BLAS product per block, the block's slice of
     ``coeffs`` cast to the stacks' dtype times T flattened to ``(q, n^2)``.
     BLAS may reorder and fuse the sum, so an entry can differ from a hand
     loop's residual in the last bits; where every product and partial sum
@@ -179,24 +208,15 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
             f"coefficients of shape {coeffs.shape} do not match stacks of "
             f"{m}, {p} and {q} members"
         )
-    # Tested a row at a time: a whole transposed copy would be one more
-    # (m, m, q) table.
+    # One comparison of the entries below the diagonal with those above.
     sign = 1 if anti else -1
-    mirror = same and all(
-        np.array_equal(coeffs[i + 1:, i], sign * coeffs[i, i + 1:]) for i in range(m)
-    )
-    rows = max(1, _BLOCK_BYTES // max(B.nbytes, 1))
-    buffers = np.empty((2, min(rows, m) * B.size), dtype=dtype)
+    mirror = same
+    if same:
+        i, j = np.triu_indices(m, 1)
+        mirror = np.array_equal(coeffs[j, i], sign * coeffs[i, j])
     flat_T = T.reshape(q, -1)
     out = np.empty((m, p))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        first = lo if mirror else 0
-        shape = (hi - lo, p - first, *B.shape[1:])
-        table, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in buffers)
-        a, b = A[lo:hi, None], B[None, first:]
-        np.matmul(a, b, out=table)
-        np.matmul(b, a, out=scratch)
+    for lo, hi, first, table, scratch in _row_blocks(A, B, mirror):
         (np.add if anti else np.subtract)(table, scratch, out=table)
         block = np.asarray(coeffs[lo:hi, first:], dtype=dtype).reshape(-1, q)
         np.matmul(block, flat_T, out=scratch.reshape(len(block), -1))

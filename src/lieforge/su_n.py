@@ -7,6 +7,12 @@ for N = 2; for N >= 3 they pick up a symmetric d-tensor, and the reduction
 that funnels every spatial [V, K] commutator into a single time member no
 longer closes.  This module extracts f and d by trace formulas and reports
 how large the obstruction is.
+
+:func:`extract_structure` forms each product J_a J_b once: one pass over
+the pairs b >= a, in the row blocks of the bracket-table kernel, gives the
+(a, b) and (b, a) entries of f and d and the residuals of both bracket
+reconstructions.  It holds f, d and a few ``(m, n, n)`` slabs, and no m^3
+trace tensor.
 """
 
 from __future__ import annotations
@@ -16,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import CheckReport, Identity, bracket_table, make_report
+from .checks import CheckReport, Identity, _row_blocks, bracket_table, make_report
 from .generators import GeneratorSet, Kind, Rep, adjoint_rep
 from .linalg import (
     BasisError,
     DEFAULT_TOL,
     Tolerance,
+    frobenius_norms,
 )
 
 __all__ = [
@@ -34,6 +41,15 @@ __all__ = [
     "boost_obstruction_report",
     "structure_reports",
 ]
+
+
+def _frozen(x) -> bool:
+    return (
+        isinstance(x, np.ndarray)
+        and x.dtype == np.float64
+        and not x.flags.writeable
+        and x.flags.owndata
+    )
 
 
 @dataclass(frozen=True)
@@ -50,8 +66,12 @@ class StructureTensors:
     d_residual: float
 
     def __post_init__(self):
-        f = np.array(self.f, dtype=float)
-        d = np.array(self.d, dtype=float)
+        # A read-only float array that owns its memory (as extract_structure
+        # returns them) is kept; anything else, a caller's writeable array
+        # included, is copied.
+        f, d = (
+            x if _frozen(x) else np.array(x, dtype=float) for x in (self.f, self.d)
+        )
         if f.ndim != 3 or f.shape != d.shape or len(set(f.shape)) != 1:
             raise ValueError("f and d must be cubic tensors of equal shape")
         f.flags.writeable = False
@@ -139,24 +159,6 @@ def _transposed_rows(S: np.ndarray) -> np.ndarray:
     return S.transpose(0, 2, 1).reshape(len(S), -1)
 
 
-def _trace_tensor(S: np.ndarray) -> np.ndarray:
-    """t[a, b, c] = trace(S_a S_b S_c) over an ``(m, n, n)`` stack.
-
-    Row a is one BLAS product, (S_a S_b) flattened over b times the
-    transposed rows, with S_a S_b formed in a reused ``(m, n, n)`` slab: the
-    whole ``(m^2, n^2)`` product over (a, b) would be as large as t itself
-    (47 MB at N = 12).
-    """
-    m = len(S)
-    rows = _transposed_rows(S).T
-    t = np.empty((m, m, m), dtype=S.dtype)
-    slab = np.empty_like(S)
-    for a in range(m):
-        np.matmul(S[a], S, out=slab)
-        np.matmul(slab.reshape(m, -1), rows, out=t[a])
-    return t
-
-
 def extract_structure(generators) -> StructureTensors:
     """Extract f, d and the identity coefficient by the trace oracle.
 
@@ -170,6 +172,13 @@ def extract_structure(generators) -> StructureTensors:
     and the reconstruction residuals of both brackets are computed and
     stored (they vanish for a complete su(N) basis but are reported, not
     assumed).
+
+    One pass over the pairs b >= a, in the row blocks of
+    :func:`~lieforge.checks.bracket_table`, forms each product J_a J_b and
+    J_b J_a once and takes from them the (a, b) and (b, a) entries of f and
+    d and both residuals, with the same operations as the trace tensor and
+    the two residual tables would take.  Beyond f and d (m^3 floats each,
+    read-only and not copied again) it holds a few ``(m, n, n)`` slabs.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
@@ -187,7 +196,8 @@ def extract_structure(generators) -> StructureTensors:
     kappa = float(np.trace(gens[0] @ gens[0]).real)
     if kappa <= 0:
         raise BasisError("trace normalisation must be positive")
-    gram = S.reshape(m, dim * dim) @ _transposed_rows(S).T
+    rows = _transposed_rows(S).T
+    gram = S.reshape(m, dim * dim) @ rows
     off = np.abs(gram - kappa * np.eye(m)) > ortho_tol
     if off.any():
         a, b = np.unravel_index(np.argmax(off), off.shape)
@@ -195,25 +205,51 @@ def extract_structure(generators) -> StructureTensors:
             f"generators {a + 1}, {b + 1} are not trace-orthogonal with common norm"
         )
 
-    # f and d are the parts of t[a, b, c] = trace(J_a J_b J_c) antisymmetric
-    # and symmetric in (a, b), each formed in its own buffer.  Adding 0.0
-    # turns the -0.0 of a sum of two zeros of either sign into 0.0.
-    t = _trace_tensor(S)
-    f = np.subtract(t.imag, t.imag.transpose(1, 0, 2))
-    d = np.add(t.real, t.real.transpose(1, 0, 2))
-    del t  # 47 MB at N = 12; freed before the residual tables
-    for x in (f, d):
-        x /= kappa
-        x += 0.0
     delta_coeff = 2.0 * kappa / dim
+    i_S = (1j * S).reshape(m, -1)
+    # The anticommutators are reconstructed with 1 as an extra member.
+    with_one = np.concatenate([S, np.eye(dim, dtype=complex)[None]]).reshape(m + 1, -1)
+    f = np.empty((m, m, m))
+    d = np.empty((m, m, m))
+    f_res = d_res = 0.0
+    for lo, hi, _, P, Q in _row_blocks(S, S, mirror=True):
+        # P[i, j] = J_a J_b and Q[i, j] = J_b J_a for a = lo + i, b = lo + j.
+        block = P.shape[:2]
+        pairs = math.prod(block)
+        P_flat, Q_flat = P.reshape(pairs, -1), Q.reshape(pairs, -1)
+        # f and d are the parts of t_abc = trace(J_a J_b J_c) antisymmetric
+        # and symmetric in (a, b): t_ab is a row of P's traces, t_ba of Q's.
+        t_ab, t_ba = P_flat @ rows, Q_flat @ rows
+        anti = np.subtract(t_ab.imag, t_ba.imag, out=t_ab.imag).reshape(*block, m)
+        sym = np.add(t_ab.real, t_ba.real, out=t_ab.real).reshape(*block, m)
+        del t_ba
+        anti /= kappa
+        sym /= kappa
+        # Entries (b, a) are written first, so the diagonal block keeps the
+        # entries formed as (a, b).  0.0 - x and x + 0.0 turn -0.0 into 0.0.
+        np.subtract(0.0, anti.transpose(1, 0, 2), out=f[lo:, lo:hi])
+        np.add(sym.transpose(1, 0, 2), 0.0, out=d[lo:, lo:hi])
+        np.add(anti, 0.0, out=f[lo:hi, lo:])
+        np.add(sym, 0.0, out=d[lo:hi, lo:])
+        del t_ab, anti, sym
 
-    # [J_a, J_b] = f_abc (i J_c).
-    f_res = float(bracket_table(S, S, f, 1j * S).max())
-    # {J_a, J_b} = delta_coeff delta_ab 1 + d_abc J_c, with 1 as an extra member.
-    d_coeffs = np.concatenate([d, delta_coeff * np.eye(m)[:, :, None]], axis=2)
-    with_one = np.concatenate([S, np.eye(dim, dtype=complex)[None]])
-    d_res = float(bracket_table(S, S, d_coeffs, with_one, anti=True).max())
-    del d_coeffs  # freed before StructureTensors copies f and d
+        commutator = np.subtract(P, Q)
+        np.add(P, Q, out=P)
+        # [J_a, J_b] = f_abc (i J_c); Q is not read again.
+        coeffs = f[lo:hi, lo:].astype(complex).reshape(pairs, m)
+        np.matmul(coeffs, i_S, out=Q_flat)
+        commutator -= Q
+        f_res = max(f_res, float(frobenius_norms(commutator).max()))
+        # {J_a, J_b} = delta_coeff delta_ab 1 + d_abc J_c.
+        coeffs = np.empty((*block, m + 1), dtype=complex)
+        coeffs[..., :m] = d[lo:hi, lo:]
+        coeffs[..., m] = delta_coeff * np.eye(*block)
+        np.matmul(coeffs.reshape(pairs, m + 1), with_one, out=Q_flat)
+        P -= Q
+        d_res = max(d_res, float(frobenius_norms(P).max()))
+        del commutator, coeffs  # before the next block's traces
+    f.flags.writeable = False
+    d.flags.writeable = False
     return StructureTensors(
         n=dim, f=f, d=d, delta_coeff=delta_coeff, f_residual=f_res, d_residual=d_res
     )
@@ -244,9 +280,10 @@ def boost_obstruction_report(
     st: StructureTensors, tol: Tolerance = DEFAULT_TOL
 ) -> ObstructionReport:
     """Quantify the anticommutator obstruction for a structure-tensor pair."""
-    flat = np.argmax(np.abs(st.d))
+    abs_d = np.abs(st.d)
+    flat = np.argmax(abs_d)
     idx = np.unravel_index(flat, st.d.shape)
-    max_abs_d = float(np.abs(st.d).max())
+    max_abs_d = float(abs_d.flat[flat])
     obstructed = max_abs_d > tol.abs_eps
     if obstructed:
         detail = (

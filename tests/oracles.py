@@ -1,7 +1,10 @@
 """Reference computations for the tests, in plain numpy.
 
 They share no code with lieforge, so a test that checks the package against
-them does not check the package against itself.
+them does not check the package against itself.  The one exception is
+:func:`three_pass_structure`, an earlier form of the package's own su(N)
+extraction kept as a bit-for-bit reference; it calls ``bracket_table``,
+which has its own double-loop tests.
 """
 
 import numpy as np
@@ -89,3 +92,35 @@ def covering_map(theta, phi) -> np.ndarray:
     a = _half_angle(np.asarray(phi, float), False) @ _half_angle(np.asarray(theta, float), True)
     lam = 0.5 * np.einsum("mab,tbc,ncd,tda->tmn", _SIGMA, a, _SIGMA, a.conj().swapaxes(1, 2))
     return lam.real
+
+
+def three_pass_structure(S) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """f, d and the worst commutator and anticommutator reconstruction
+    residuals of a hermitian traceless, trace-orthogonal ``(m, n, n)`` stack,
+    in three passes: the whole complex trace tensor t[a, b, c] =
+    trace(S_a S_b S_c), a row at a time, then one ``bracket_table`` call per
+    bracket, with the identity as an extra member of the anticommutator
+    table.  f = (Im t_abc - Im t_bac) / kappa and
+    d = (Re t_abc + Re t_bac) / kappa, each plus 0.0 so no entry is -0.0."""
+    from lieforge.checks import bracket_table
+
+    S = np.asarray(S, dtype=complex)
+    m, n = len(S), S.shape[1]
+    kappa = float(np.trace(S[0] @ S[0]).real)
+    rows = S.transpose(0, 2, 1).reshape(m, -1).T
+    t = np.empty((m, m, m), dtype=complex)
+    slab = np.empty_like(S)
+    for a in range(m):
+        np.matmul(S[a], S, out=slab)
+        np.matmul(slab.reshape(m, -1), rows, out=t[a])
+    f = np.subtract(t.imag, t.imag.transpose(1, 0, 2))
+    d = np.add(t.real, t.real.transpose(1, 0, 2))
+    for x in (f, d):
+        x /= kappa
+        x += 0.0
+    delta_coeff = 2.0 * kappa / n
+    f_res = float(bracket_table(S, S, f, 1j * S).max())
+    d_coeffs = np.concatenate([d, delta_coeff * np.eye(m)[:, :, None]], axis=2)
+    with_one = np.concatenate([S, np.eye(n, dtype=complex)[None]])
+    d_res = float(bracket_table(S, S, d_coeffs, with_one, anti=True).max())
+    return f, d, f_res, d_res

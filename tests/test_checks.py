@@ -290,6 +290,29 @@ def test_self_bracket_table_forms_each_unordered_pair_once(monkeypatch, anti):
 
 
 @pytest.mark.parametrize("anti", [False, True])
+def test_mirror_precondition_takes_signed_zeros_as_equal_and_nan_as_unequal(monkeypatch, anti):
+    # The (anti)symmetry test compares values: -0.0 below the diagonal
+    # mirrors 0.0 above it, and a NaN pair never mirrors, not even itself.
+    formed = []
+
+    def counting_norms(stack):
+        formed.append(frobenius_norms(stack).size)
+        return frobenius_norms(stack)
+
+    monkeypatch.setattr(checks, "frobenius_norms", counting_norms)
+    m, n = 20, 16
+    A = random_stack(np.random.default_rng(5), m, n)
+    zeros = np.zeros((m, m, m))
+    zeros[np.tril_indices(m, -1)] = -0.0
+    bracket_table(A, A, zeros, A, anti=anti)
+    assert sum(formed) == m * (m + 1) // 2
+    formed.clear()
+    zeros[5, 2, 0] = zeros[2, 5, 0] = np.nan
+    bracket_table(A, A, zeros, A, anti=anti)
+    assert sum(formed) == m * m
+
+
+@pytest.mark.parametrize("anti", [False, True])
 def test_self_bracket_table_with_broken_symmetry_shows_the_defect(anti):
     # j2 closes exactly (dyadic entries); one coefficient c[j, i, k] with
     # j > i off by 1e-6 breaks the (anti)symmetry, so entry (j, i) must be

@@ -346,7 +346,7 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
         ("extract_coeffs", ("vector", "angular-momentum")): 1,
         ("extract_coeffs", ("vector", "boost")): 1,
         ("extract_coeffs", ("momentum", "angular-momentum")): 1,
-        ("bracket_table", "any"): 42,
+        ("bracket_table", "any"): 38,
     }
     assert main(["all", "--trials", "10"]) == 0
     assert calls == once

@@ -12,7 +12,6 @@ from lieforge.generators import Rep, adjoint_rep, j2, pauli
 from lieforge.linalg import BasisError
 from lieforge.su_n import (
     StructureTensors,
-    _trace_tensor,
     adjoint_from_f,
     boost_obstruction_report,
     extract_structure,
@@ -21,7 +20,7 @@ from lieforge.su_n import (
     structure_reports,
 )
 from lieforge.transfer import build_j4
-from oracles import is_hermitian_traceless
+from oracles import is_hermitian_traceless, three_pass_structure
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "su3_obstruction.json"
 
@@ -226,26 +225,41 @@ def haar_basis(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_trace_tensor_matches_per_triple_traces(n):
+    # The parts of t_abc = trace(S_a S_b S_c) that extract_structure returns,
+    # f_abc = (t_abc - t_bac) / (i kappa) and d_abc = (t_abc + t_bac) / kappa,
+    # against traces taken one triple at a time.  Each is two traces over
+    # kappa, and each trace is held to 1e-15 kappa.
     S = np.stack(haar_basis(n))
     m = len(S)
-    ref = np.array(
+    kappa = np.trace(S[0] @ S[0]).real
+    traces = np.array(
         [[[np.trace(S[a] @ S[b] @ S[c]) for c in range(m)] for b in range(m)] for a in range(m)]
     )
-    kappa = np.trace(S[0] @ S[0]).real
-    assert np.abs(_trace_tensor(S) - ref).max() <= 1e-15 * kappa
+    ref_f = (traces - traces.transpose(1, 0, 2)).imag / kappa
+    ref_d = (traces + traces.transpose(1, 0, 2)).real / kappa
+    st = extract_structure(list(S))
+    assert np.abs(st.f - ref_f).max() <= 2e-15
+    assert np.abs(st.d - ref_d).max() <= 2e-15
 
 
-def test_trace_tensor_forms_one_row_at_a_time():
-    # The (m^2, n^2) product over all pairs (a, b) is as large as t itself;
-    # beyond t the kernel may hold only a few (m, n, n) slabs.
-    S = np.stack(haar_basis(6))
-    tracemalloc.start()
-    try:
-        t = _trace_tensor(S)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < t.nbytes + 4 * S.nbytes
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("conjugated", [False, True], ids=["gell-mann", "haar"])
+def test_extract_structure_matches_the_three_pass_oracle(n, conjugated):
+    # The single pass takes f, d and both residuals from the same products as
+    # the trace tensor and the two residual tables, with the same operations.
+    # Its trace products have other shapes than the trace tensor's rows; up
+    # to N = 6 BLAS still gives the same bits, from N = 7 it may sum some
+    # entries in another order, and d and the residuals move in the last bit.
+    basis = haar_basis(n) if conjugated else [g / 2 for g in generalized_gell_mann(n)]
+    st = extract_structure(basis)
+    f, d, f_res, d_res = three_pass_structure(np.stack(basis))
+    got, ref = (st.f, st.d, st.f_residual, st.d_residual), (f, d, f_res, d_res)
+    if n <= 6:
+        for x, y in zip(got, ref):
+            np.testing.assert_array_equal(x, y)
+    else:
+        for x, y in zip(got, ref):
+            assert np.abs(np.subtract(x, y)).max() <= 1e-15
 
 
 def test_su2_structure_tensors_have_no_negative_zeros():
@@ -296,9 +310,11 @@ def test_adjoint_from_f_rejects_an_f_that_does_not_close(antisymmetric):
 
 
 def test_extract_structure_holds_no_whole_table_copy():
-    # Beyond the complex trace tensor t and the real f and d (4 m^3 floats
-    # together), the extraction may hold only a few (m, n, n) slabs: no
-    # complex copy of f or of the d table, and no third real m^3 table.
+    # Beyond f and d (2 m^3 floats together), the extraction may hold only a
+    # few (m, n, n) slabs: S, its transposed rows, i S and S with 1; both
+    # products of a row block (one row at N = 9), their traces, the
+    # commutators and the coefficients.  No trace tensor, no complex copy of
+    # f or of the d table, and no second copy of f and d in StructureTensors.
     n = 9
     basis = [g / 2 for g in generalized_gell_mann(n)]
     m = len(basis)
@@ -309,7 +325,29 @@ def test_extract_structure_holds_no_whole_table_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * m**3 * 8 + 4 * slab
+    assert peak < 2 * m**3 * 8 + 12 * slab
+
+
+def test_structure_tensors_copy_what_the_caller_can_write():
+    # A caller's writeable array, or a read-only view of one, is copied; the
+    # read-only tensors extract_structure builds are kept as they are.
+    f = np.zeros((3, 3, 3))
+    d = np.ones((3, 3, 3))
+    read_only = d.view()
+    read_only.flags.writeable = False
+    for d_in in (d, read_only):
+        st = StructureTensors(
+            n=2, f=f, d=d_in, delta_coeff=0.5, f_residual=0.0, d_residual=0.0,
+        )
+        assert not np.shares_memory(st.f, f) and not np.shares_memory(st.d, d)
+        assert not st.f.flags.writeable and not st.d.flags.writeable
+    f[0, 1, 2] = d[0, 0, 0] = 7.0
+    assert st.f[0, 1, 2] == 0.0 and st.d[0, 0, 0] == 1.0
+    built = extract_structure(list(j2().members))
+    again = StructureTensors(
+        n=2, f=built.f, d=built.d, delta_coeff=0.5, f_residual=0.0, d_residual=0.0,
+    )
+    assert again.f is built.f and again.d is built.d
 
 
 def test_obstruction_reports():

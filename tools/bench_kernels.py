@@ -1,36 +1,49 @@
 """Time lieforge's kernels and print one JSON line.
 
     python tools/bench_kernels.py [SRC]
+    python tools/bench_kernels.py [SRC] --against OLD_SRC [--pairs N]
 
-SRC is a directory holding a ``lieforge`` package (a checkout's ``src``;
-default: the ``src`` beside this directory), so one copy of this script
-times any version of the package whose ``_d4_stack`` takes no tolerance and
-whose ``intertwine_sweep`` takes a list of families.
+SRC and OLD_SRC are directories holding a ``lieforge`` package (a
+checkout's ``src``; SRC defaults to the ``src`` beside this directory), so
+one copy of this script times any version of the package whose
+``_d4_stack`` takes no tolerance and whose ``intertwine_sweep`` takes a
+list of families.
 Cases: ``extract_structure`` on the generalized Gell-Mann basis
-T = lambda / 2 at N = 2..9 and 12, ``adjoint_from_f`` on its structure
-tensors at N = 4 and 6, the seeded sweeps ``boost_invariance_check`` and
-``rotation_invariance_check`` at 1000 trials, one ``mat_exp`` of a real
-``(256, 4, 4)`` stack: the rotation exponents theta.(i J4) of 256 seeded
-angle triples, one sweep block; one ``mat_exp`` of a complex ``(400, 4, 4)``
-stack: the exponents +-theta.(i J) and +-phi.(i K) of the 2+2 rep at 100
-seeded draws, as the 2+2 intertwining sweep stacks them (random directions,
-norms uniform below pi and 2); ``_d4_stack``, the stacked 4-vector
-transform, at 256 seeded trials, and the rotation-only transform of the
-rotation sweep at the same 256 angle triples (``_rotation_stack``, or
-``mat_exp`` of theta.(i J4) in versions without it); ``bracket_table`` on
-the su(6) adjoint closure table (35 real 35 x 35 matrices with f as
-coefficients), the su(6)
-fundamental f and d tables (the two residual tables of
-``extract_structure``) and the 2+2 Lorentz jk table
+T = lambda / 2 at N = 2..9 and 12, and on the su(6) basis conjugated by a
+seeded random unitary (``perfbench/workloads.py``'s ``haar_unitary``, the
+input ``sun-sweep`` extracts); ``adjoint_from_f`` on the Gell-Mann
+structure tensors at N = 4 and 6; the seeded sweeps
+``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
+trials; one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
+exponents theta.(i J4) of 256 seeded angle triples, one sweep block; one
+``mat_exp`` of a complex ``(400, 4, 4)`` stack: the exponents +-theta.(i J)
+and +-phi.(i K) of the 2+2 rep at 100 seeded draws, as the 2+2 intertwining
+sweep stacks them (random directions, norms uniform below pi and 2);
+``_d4_stack``, the stacked 4-vector transform, at 256 seeded trials, and the
+rotation-only transform of the rotation sweep at the same 256 angle triples
+(``_rotation_stack``, or ``mat_exp`` of theta.(i J4) in versions without
+it); ``bracket_table`` on the su(6) adjoint closure table (35 real 35 x 35
+matrices with f as coefficients), the su(6) fundamental f and d tables (the
+two residual tables of the su(6) extraction) and the 2+2 Lorentz jk table
 [J_i, K_j] = i eps_ijk K_k (two different stacks); ``extract_coeffs`` of
 the 2+2 vector family and of the single-block momentum family against the
 2+2 rotation generators; ``intertwine_sweep`` of the 2+2 rep with gamma and
 the 5-affine rep together at 100 draws, behind their precomputed closure
 reports; and the uncached ``cli.build_parser`` (``__wrapped__`` where the
-parser is cached).  Each case runs once untimed, then REPEATS times; the
-line gives the median and quartiles of the raw wall
-times in seconds, with the Python, numpy and BLAS versions and a hash of the
-package sources.
+parser is cached).
+
+Alone, the tool runs each case once untimed, then REPEATS times, and the
+line gives the median and quartiles of the raw wall times in seconds.  With
+``--against``, both trees are loaded in one process, as the packages
+``lieforge_old`` and ``lieforge_new``, and each case is called once per
+side untimed and then
+timed in ``--pairs`` pairs of one call per side, the old tree first in
+even-numbered pairs counting from 0.  The line gives each side's median and
+quartiles and the number of pairs in which the new tree was faster.  A
+kernel change of 10-20 % is then resolved: separate processes see the
+host's speed change between them, alternating calls in one process see it
+on both sides alike.  Either line carries the Python, numpy and BLAS
+versions and a hash of each tree's package sources.
 The thread variables are set to ``perfbench/run.py``'s ``THREAD_ENV`` (BLAS
 on one thread) before numpy is imported, so both tools run under the same
 threading.  Not part of the tests.
@@ -50,13 +63,31 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-_perfbench = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_perfbench)
-THREAD_ENV = _perfbench.THREAD_ENV
+
+
+def _load(path: Path, name: str, package: bool = False):
+    """Import the file ``path`` as the module ``name``, or the package whose
+    ``__init__.py`` it is.  lieforge's modules import each other relatively,
+    so two trees loaded under two names share nothing."""
+    spec = importlib.util.spec_from_file_location(
+        name, path, submodule_search_locations=[str(path.parent)] if package else None
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+THREAD_ENV = _load(ROOT / "perfbench" / "run.py", "perfbench_run").THREAD_ENV
 EXTRACT_N = (*range(2, 10), 12)
 ADJOINT_N = (4, 6)
 REPEATS = 5
+PAIRS = 100
+
+
+def _summary(times: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"median_s": median, "q1_s": q1, "q3_s": q3}
 
 
 def _timed(fn, arg) -> dict:
@@ -66,58 +97,65 @@ def _timed(fn, arg) -> dict:
         t0 = time.perf_counter()
         fn(arg)
         times.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "repeats": REPEATS}
+    return {**_summary(times), "repeats": REPEATS}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?", type=Path, default=ROOT / "src")
-    args = parser.parse_args(argv)
-    if not (args.src / "lieforge").is_dir():
-        parser.error(f"{args.src} holds no lieforge package")
-    os.environ.update(THREAD_ENV)  # before numpy is imported
-    sys.path.insert(0, str(args.src))
+def _interleaved(old, new, pairs: int) -> dict:
+    """Time ``old`` and ``new``, each a (function, argument) tuple, once each
+    per pair, the old first in even-numbered pairs."""
+    sides = {"old": old, "new": new}
+    times = {"old": [], "new": []}
+    for fn, arg in sides.values():
+        fn(arg)
+    for k in range(pairs):
+        for side in ("old", "new") if k % 2 == 0 else ("new", "old"):
+            fn, arg = sides[side]
+            t0 = time.perf_counter()
+            fn(arg)
+            times[side].append(time.perf_counter() - t0)
+    faster = sum(b < a for a, b in zip(times["old"], times["new"]))
+    return {
+        "old": _summary(times["old"]),
+        "new": _summary(times["new"]),
+        "new_faster": f"{faster}/{pairs}",
+    }
+
+
+def _source_sha256(src: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((src / "lieforge").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
+    """Every case as (name, function, argument), on the package loaded as
+    ``package``; inputs are built here, outside the timed calls."""
     import numpy as np
 
-    from lieforge.checks import EPS3, bracket_table, check_poincare
-    from lieforge.cli import build_parser
-    from lieforge.generators import (
-        GAMMA_C_PLUS,
-        VectorParams,
-        gamma,
-        momentum,
-        rep22_jk,
-        rep22_v,
-    )
-    from lieforge.linalg import mat_exp
-    from lieforge import spacetime
-    from lieforge.spacetime import (
-        _d4_stack,
-        affine_generators,
-        boost_invariance_check,
-        intertwine_sweep,
-        rotation_invariance_check,
-    )
-    from lieforge.su_n import adjoint_from_f, extract_structure, generalized_gell_mann
-    from lieforge.transfer import build_j4, extract_coeffs
+    def module(name):
+        return importlib.import_module(f"{package}.{name}")
 
-    bases = {n: [g / 2 for g in generalized_gell_mann(n)] for n in EXTRACT_N}
-    cases = [
-        {"case": f"extract_structure n={n}", **_timed(extract_structure, bases[n])}
-        for n in EXTRACT_N
-    ]
+    checks, cli, generators, linalg, spacetime, su_n, transfer = (
+        module(name)
+        for name in ("checks", "cli", "generators", "linalg", "spacetime", "su_n", "transfer")
+    )
+    extract_structure, adjoint_from_f = su_n.extract_structure, su_n.adjoint_from_f
+    bases = {n: [g / 2 for g in su_n.generalized_gell_mann(n)] for n in EXTRACT_N}
+    cases = [(f"extract_structure n={n}", extract_structure, bases[n]) for n in EXTRACT_N]
+    u = haar_unitary(np.random.default_rng(6), 6)
+    cases.append(
+        ("extract_structure haar n=6", extract_structure, [u @ g @ u.conj().T for g in bases[6]])
+    )
+    cases += [(f"adjoint_from_f n={n}", adjoint_from_f, extract_structure(bases[n])) for n in ADJOINT_N]
     cases += [
-        {"case": f"adjoint_from_f n={n}", **_timed(adjoint_from_f, extract_structure(bases[n]))}
-        for n in ADJOINT_N
+        (f"{check.__name__}(1000)", check, 1000)
+        for check in (spacetime.boost_invariance_check, spacetime.rotation_invariance_check)
     ]
-    cases += [
-        {"case": f"{check.__name__}(1000)", **_timed(check, 1000)}
-        for check in (boost_invariance_check, rotation_invariance_check)
-    ]
+    mat_exp = linalg.mat_exp
     theta = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(256, 3))
-    rotations = np.einsum("ti,iab->tab", theta, (1j * build_j4().stack).real)
-    cases.append({"case": "mat_exp real (256, 4, 4)", **_timed(mat_exp, rotations)})
+    rotations = np.einsum("ti,iab->tab", theta, (1j * transfer.build_j4().stack).real)
+    cases.append(("mat_exp real (256, 4, 4)", mat_exp, rotations))
     rng = np.random.default_rng(1)
 
     def angles(max_norms, size):
@@ -127,21 +165,19 @@ def main(argv: list[str] | None = None) -> int:
         norms = np.array(max_norms)[:, None] * rng.random((len(max_norms), size))
         return v * (norms / np.linalg.norm(v, axis=-1))[..., None]
 
-    J22, K22 = rep22_jk()
+    J22, K22 = generators.rep22_jk()
     rot, boost = (
         np.einsum("ti,iab->tab", v, 1j * G.stack)
         for v, G in zip(angles((np.pi, 2.0), 100), (J22, K22))
     )
     exponents = np.concatenate([rot, boost, -rot, -boost])
-    cases.append({"case": "mat_exp complex (400, 4, 4)", **_timed(mat_exp, exponents)})
+    cases.append(("mat_exp complex (400, 4, 4)", mat_exp, exponents))
     transforms = angles((np.pi, 3.0), 256)
-    cases.append(
-        {"case": "_d4_stack (256 trials)", **_timed(lambda a: _d4_stack(*a), transforms)}
-    )
+    cases.append(("_d4_stack (256 trials)", lambda a: spacetime._d4_stack(*a), transforms))
     rotation = getattr(spacetime, "_rotation_stack", None) or (
         lambda th: mat_exp(np.einsum("ti,iab->tab", th, (1j * spacetime._J4.stack).real))
     )
-    cases.append({"case": "rotation-only Lambda (256 trials)", **_timed(rotation, transforms[0])})
+    cases.append(("rotation-only Lambda (256 trials)", rotation, transforms[0]))
     st = extract_structure(bases[6])
     S = np.stack(bases[6])
     F = np.ascontiguousarray(st.f.transpose(1, 0, 2))
@@ -151,33 +187,73 @@ def main(argv: list[str] | None = None) -> int:
         "su(6) adjoint": (F, F, st.f, F, False),
         "su(6) f": (S, S, st.f, 1j * S, False),
         "su(6) d": (S, S, d_coeffs, with_one, True),
-        "2+2 Lorentz jk": (J22.stack, K22.stack, 1j * EPS3, K22.stack, False),
+        "2+2 Lorentz jk": (J22.stack, K22.stack, 1j * checks.EPS3, K22.stack, False),
     }
+    bracket_table = checks.bracket_table
     cases += [
-        {"case": f"bracket_table {name}", **_timed(lambda a: bracket_table(*a[:4], anti=a[4]), args)}
+        (f"bracket_table {name}", lambda a: bracket_table(*a[:4], anti=a[4]), args)
         for name, args in tables.items()
     ]
     families = {
-        "vector": rep22_v(),
-        "single-block momentum": momentum(VectorParams(GAMMA_C_PLUS, 0.0, 1.0)),
+        "vector": generators.rep22_v(),
+        "single-block momentum": generators.momentum(
+            generators.VectorParams(generators.GAMMA_C_PLUS, 0.0, 1.0)
+        ),
     }
     cases += [
-        {"case": f"extract_coeffs {name} vs J22", **_timed(lambda V: extract_coeffs(V, J22), V)}
+        (f"extract_coeffs {name} vs J22", lambda V: transfer.extract_coeffs(V, J22), V)
         for name, V in families.items()
     ]
-    sweep_families = [(J22, K22, gamma()), affine_generators()]
-    prechecks = [r for family in sweep_families for r in check_poincare(*family)]
+    sweep_families = [(J22, K22, generators.gamma()), spacetime.affine_generators()]
+    prechecks = [r for family in sweep_families for r in checks.check_poincare(*family)]
     cases.append(
-        {
-            "case": "intertwine_sweep 2+2 and 5-affine (100 draws)",
-            **_timed(lambda draws: intertwine_sweep(sweep_families, prechecks, draws), 100),
-        }
+        (
+            "intertwine_sweep 2+2 and 5-affine (100 draws)",
+            lambda draws: spacetime.intertwine_sweep(sweep_families, prechecks, draws),
+            100,
+        )
     )
-    uncached = getattr(build_parser, "__wrapped__", build_parser)
-    cases.append({"case": "build_parser", **_timed(lambda _: uncached(), None)})
-    digest = hashlib.sha256()
-    for path in sorted((args.src / "lieforge").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    uncached = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
+    cases.append(("build_parser", lambda _: uncached(), None))
+    return cases
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", type=Path, default=ROOT / "src")
+    parser.add_argument("--against", type=Path, metavar="OLD_SRC",
+                        help="time SRC against OLD_SRC in one process, alternating calls")
+    parser.add_argument("--pairs", type=int, default=PAIRS,
+                        help=f"alternating pairs per case with --against (default {PAIRS})")
+    args = parser.parse_args(argv)
+    trees = [args.src] + ([args.against] if args.against else [])
+    for src in trees:
+        if not (src / "lieforge").is_dir():
+            parser.error(f"{src} holds no lieforge package")
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2, for quartiles")
+    os.environ.update(THREAD_ENV)  # before numpy is imported
+    import numpy as np
+
+    workloads = _load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    if args.against:
+        _load(args.against / "lieforge" / "__init__.py", "lieforge_old", package=True)
+        _load(args.src / "lieforge" / "__init__.py", "lieforge_new", package=True)
+        old = _cases("lieforge_old", workloads.haar_unitary)
+        new = _cases("lieforge_new", workloads.haar_unitary)
+        cases = [
+            {"case": name, **_interleaved((f_old, a_old), (f_new, a_new), args.pairs)}
+            for (name, f_old, a_old), (_, f_new, a_new) in zip(old, new)
+        ]
+        sources = {"old_source_sha256": _source_sha256(args.against),
+                   "new_source_sha256": _source_sha256(args.src), "pairs": args.pairs}
+    else:
+        _load(args.src / "lieforge" / "__init__.py", "lieforge", package=True)
+        cases = [
+            {"case": name, **_timed(fn, arg)}
+            for name, fn, arg in _cases("lieforge", workloads.haar_unitary)
+        ]
+        sources = {"source_sha256": _source_sha256(args.src)}
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
@@ -189,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         "blas": blas,
         "threads": {k: os.environ[k] for k in THREAD_ENV},
         "nproc": os.cpu_count(),
-        "source_sha256": digest.hexdigest(),
+        **sources,
     }
     print(json.dumps({"cases": cases, "provenance": provenance}, separators=(",", ":")))
     return 0

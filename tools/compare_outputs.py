@@ -10,7 +10,11 @@ move in the last digits when arithmetic is reordered, so a run whose outputs
 differ only in residuals counts as matching: for JSON runs the records are
 compared without their ``max_residual`` field, for text runs the lines are
 compared with the residual column masked.  For each JSON report whose
-residual moved, the largest move over all runs is printed.
+residual moved and which passes in both trees, the largest move over all
+runs is printed.  Moves of reports that fail in either tree are printed
+apart, one line per run with its label: the residual of a failing check
+(an out-of-range rapidity, say) can be any size, and folded into the same
+summary it would hide how far the passing reports moved.
 
 Exit status: 0 when every run matches up to residuals, 1 when any other
 field differs, 2 on a bad argument.
@@ -82,9 +86,11 @@ def _json_records(stdout: bytes) -> list[dict]:
     return [json.loads(line) for line in stdout.splitlines() if line.strip()]
 
 
-def _compare(old: bytes, new: bytes, is_json: bool, moves: dict) -> bool:
-    """True when the outputs agree in everything but residuals; records the
-    residual moves of JSON reports in ``moves``."""
+def _compare(old: bytes, new: bytes, is_json: bool, moves: dict, failing: list, label: str) -> bool:
+    """True when the outputs agree in everything but residuals.  Records the
+    residual moves of JSON reports that pass in both trees in ``moves``, the
+    largest per (identity, subject), and those of the others in ``failing``
+    as (label, identity, subject, old, new)."""
     if not is_json:
         return _RESIDUAL.sub(b"residual *", old) == _RESIDUAL.sub(b"residual *", new)
     old_recs, new_recs = _json_records(old), _json_records(new)
@@ -94,9 +100,12 @@ def _compare(old: bytes, new: bytes, is_json: bool, moves: dict) -> bool:
     for a, b in zip(old_recs, new_recs):
         if "max_residual" in a and "max_residual" in b:
             key = (a.get("identity"), a.get("subject"))
-            move = abs(b.pop("max_residual") - a.pop("max_residual"))
-            if move > 0.0:
+            before, after = a.pop("max_residual"), b.pop("max_residual")
+            move = abs(after - before)
+            if move > 0.0 and a.get("passed") and b.get("passed"):
                 moves[key] = max(moves.get(key, 0.0), move)
+            elif move > 0.0:
+                failing.append((label, *key, before, after))
         same = same and a == b
     return same
 
@@ -107,7 +116,7 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
     old_src, new_src = (Path(p).resolve() for p in argv)
-    runs, moves, differing = _invocations(), {}, 0
+    runs, moves, failing, differing = _invocations(), {}, [], 0
     for env, args in runs:
         old, new = _run(old_src, env, args), _run(new_src, env, args)
         label = " ".join([*(f"{k}={v}" for k, v in env.items()), *args])
@@ -116,7 +125,7 @@ def main(argv: list[str]) -> int:
         elif (
             old.returncode == new.returncode
             and old.stderr == new.stderr
-            and _compare(old.stdout, new.stdout, "json" in args, moves)
+            and _compare(old.stdout, new.stdout, "json" in args, moves, failing, label)
         ):
             status = "residuals moved"
         else:
@@ -125,6 +134,8 @@ def main(argv: list[str]) -> int:
         print(f"{status:<16} exit {old.returncode}->{new.returncode}  {label}")
     for (identity, subject), move in sorted(moves.items(), key=lambda kv: -kv[1]):
         print(f"largest residual move  {identity} {subject}: {move:.3g}")
+    for label, identity, subject, before, after in failing:
+        print(f"failing report moved   {identity} {subject}: {before:.3g} -> {after:.3g}  ({label})")
     print(f"{len(runs)} runs, {differing} differing beyond residuals")
     return 1 if differing else 0
 
