@@ -3,16 +3,19 @@
 Every algebraic identity the package claims is encoded as a named check over
 generator sets; each run produces a :class:`CheckReport` with the worst
 residual, the tolerance it was held to, and a witness when it failed.
-Each bracket relation [A_i, B_j] (or {A_i, B_j}) = sum_k C_ijk T_k is one
-call to :func:`bracket_table`, which takes stacked ``(m, n, n)`` generator
-arrays and a coefficient table and returns the Frobenius norm of (left side -
-right side) for every index pair.  It forms rows in blocks in two reused
-buffers of at most 64 KB or one ``(p, n, n)`` slab each, where the whole
-table would need m slabs, and forms a stack's table with itself under
-(anti)symmetric coefficients only on and above the diagonal.  The blocks
-come from :func:`_row_blocks`, which yields both products of each block;
-``su_n.extract_structure`` takes f, d and both of its residual tables from
-the same blocks in one pass.
+Each family of bracket relations [A_i, B_j] (or {A_i, B_j}) = sum_k C_ijk T_k
+is one call to :func:`bracket_table`, which takes stacked ``(m, n, n)``
+generator arrays and a coefficient table and returns the Frobenius norm of
+(left side - right side) for every index pair: the whole Lorentz algebra is
+one table of [J; K] with itself, and each vector family one table of V
+against [J; K], or [J; K; V] for momenta, whose blocks are the reports.  It
+forms rows in blocks in two reused buffers of at most 64 KB or one
+``(p, n, n)`` slab each, where the whole table would need m slabs.  A table
+that fits one block is formed whole; a larger table of a stack with itself
+under (anti)symmetric coefficients is formed only on and above the diagonal
+and mirrored.  The blocks come from :func:`_row_blocks`, which yields both
+products of each block; ``su_n.extract_structure`` takes f, d and both of
+its residual tables from the same blocks in one pass.
 :func:`residual_report` turns any residual array into a report whose witness
 is the first worst index tuple, so the same engine validates hand-built,
 extracted and candidate generator sets alike.
@@ -146,6 +149,11 @@ def all_passed(reports) -> bool:
 _BLOCK_BYTES = 64 * 1024
 
 
+def _rows_per_block(B) -> int:
+    """Rows of A that one block of :func:`_row_blocks` takes against the stack B."""
+    return max(1, _BLOCK_BYTES // max(B.nbytes, 1))
+
+
 def _row_blocks(A, B, mirror: bool):
     """Both products of every pair of two stacks, a block of rows at a time.
 
@@ -154,12 +162,12 @@ def _row_blocks(A, B, mirror: bool):
     columns from ``first``, which is ``lo`` when ``mirror`` (the upper
     triangle of a stack with itself, diagonal blocks whole) and 0 otherwise.
     ``A`` and ``B`` are contiguous stacks of one dtype.  Each block takes
-    ``max(1, _BLOCK_BYTES // B.nbytes)`` rows, and ``AB`` and ``BA`` are
-    views of two buffers reused from block to block, which the consumer may
-    overwrite but must not keep.
+    :func:`_rows_per_block` rows, and ``AB`` and ``BA`` are views of two
+    buffers reused from block to block, which the consumer may overwrite but
+    must not keep.
     """
     m, p = len(A), len(B)
-    rows = max(1, _BLOCK_BYTES // max(B.nbytes, 1))
+    rows = _rows_per_block(B)
     buffers = np.empty((2, min(rows, m) * B.size), dtype=A.dtype)
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
@@ -192,11 +200,13 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
     loop's residual in the last bits; where every product and partial sum
     is exact (dyadic entries) it is the same exact value.
 
-    When ``A is B`` and ``coeffs[j, i] == -coeffs[i, j]`` (commutator) or
-    ``coeffs[j, i] == coeffs[i, j]`` (anticommutator) exactly for every
-    j > i, the matrix behind entry (j, i) is -/+ the one behind (i, j), so
-    only entries with j >= i are formed and the upper triangle is copied
-    into the lower.
+    A table that fits one row block is formed whole.  A larger one with
+    ``A is B`` and ``coeffs[j, i] == -coeffs[i, j]`` (commutator) or
+    ``coeffs[j, i] == coeffs[i, j]`` (anticommutator) exactly for every i
+    and j has -/+ the matrix behind entry (i, j) behind entry (j, i), so it
+    is formed only on and above the diagonal, diagonal blocks whole, and
+    each block's norms are copied into the lower triangle.  A commutator
+    table with a nonzero diagonal fails that test and is formed in full.
     """
     same = A is B  # before the cast, which may copy
     coeffs = np.asarray(coeffs)
@@ -208,12 +218,11 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
             f"coefficients of shape {coeffs.shape} do not match stacks of "
             f"{m}, {p} and {q} members"
         )
-    # One comparison of the entries below the diagonal with those above.
-    sign = 1 if anti else -1
-    mirror = same
-    if same:
-        i, j = np.triu_indices(m, 1)
-        mirror = np.array_equal(coeffs[j, i], sign * coeffs[i, j])
+    mirror = (
+        same
+        and _rows_per_block(B) < m
+        and np.array_equal(coeffs.swapaxes(0, 1), coeffs if anti else -coeffs)
+    )
     flat_T = T.reshape(q, -1)
     out = np.empty((m, p))
     for lo, hi, first, table, scratch in _row_blocks(A, B, mirror):
@@ -221,10 +230,10 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
         block = np.asarray(coeffs[lo:hi, first:], dtype=dtype).reshape(-1, q)
         np.matmul(block, flat_T, out=scratch.reshape(len(block), -1))
         table -= scratch
-        out[lo:hi, first:] = frobenius_norms(table)
-    if mirror:
-        lower = np.tril_indices(m, -1)
-        out[lower] = out.T[lower]
+        norms = frobenius_norms(table)
+        out[lo:hi, first:] = norms
+        if mirror:
+            out[hi:, lo:hi] = norms[:, hi - lo:].T
     return out
 
 
@@ -257,16 +266,23 @@ def residual_report(
 # Structure constants i*eps of every su(2)-type commutator table.
 _I_EPS3 = 1j * EPS3
 
-# Vector-family relations as (mu, j, k) coefficient tables over V^1..V^4.
-# Rotations mix the spatial members with i*eps and leave the time member
-# alone; boosts send spatial member j to the time member and the time member
-# to member j.
-_VECTOR_ROTATION = np.zeros((4, 3, 4), dtype=complex)
-_VECTOR_ROTATION[:3, :, :3] = _I_EPS3
-_BOOST_TO_TIME = np.zeros((4, 3, 4))
-_BOOST_TO_TIME[[0, 1, 2], [0, 1, 2], 3] = 1.0
-_BOOST_FROM_TIME = np.zeros((4, 3, 4))
-_BOOST_FROM_TIME[3, [0, 1, 2], [0, 1, 2]] = 1.0
+# Lorentz structure constants over (J1, J2, J3, K1, K2, K3): [J, J] = i eps J,
+# [J, K] = [K, J] = i eps K and [K, K] = -i eps J.
+_LORENTZ = np.zeros((6, 6, 6), dtype=complex)
+_LORENTZ[:3, :3, :3] = _LORENTZ[:3, 3:, 3:] = _LORENTZ[3:, :3, 3:] = _I_EPS3
+_LORENTZ[3:, 3:, :3] = -_I_EPS3
+_LORENTZ.flags.writeable = False
+
+# Vector-family relations as (mu, j, k) coefficient tables of V^mu against
+# (J1, J2, J3, K1, K2, K3) over V^1..V^4.  Rotations mix the spatial members
+# with i*eps and leave the time member alone; boosts send spatial member j to
+# the time member and the time member to member j.
+_VECTOR_ROTATION = np.zeros((4, 6, 4), dtype=complex)
+_VECTOR_ROTATION[:3, :3, :3] = _I_EPS3
+_BOOST_TO_TIME = np.zeros((4, 6, 4))
+_BOOST_TO_TIME[[0, 1, 2], [3, 4, 5], 3] = 1.0
+_BOOST_FROM_TIME = np.zeros((4, 6, 4))
+_BOOST_FROM_TIME[3, [3, 4, 5], [0, 1, 2]] = 1.0
 
 
 def check_su2_fundamental(J: GeneratorSet, tol: Tolerance = DEFAULT_TOL) -> list[CheckReport]:
@@ -298,20 +314,22 @@ def check_lorentz(
 ) -> list[CheckReport]:
     """Closure of rotations and boosts: [J,J] -> J, [J,K] -> K, [K,K] -> -J,
     all with the antisymmetric structure constants, over all 9 index pairs
-    each."""
+    each.  One table of [J; K] with itself; the reports are its JJ, JK and
+    KK blocks."""
     if len(J) != 3 or len(K) != 3:
         raise ShapeError("expected two 3-member sets")
     if J.rep.dim != K.rep.dim:
         raise ShapeError("rotation and boost sets must share a dimension")
     subject = f"{J.rep.tag}-rep"
-    Js, Ks = J.stack, K.stack
+    L = np.concatenate([J.stack, K.stack])
+    table = bracket_table(L, L, _LORENTZ, L)
     return [
-        residual_report(identity, bracket_table(left, right, coeffs, target), tol.abs_eps,
-                        "pair (i={}, j={})", subject=subject, note=n)
-        for identity, left, right, coeffs, target, n in (
-            (Identity.LORENTZ_JJ, Js, Js, _I_EPS3, Js, None),
-            (Identity.LORENTZ_JK, Js, Ks, _I_EPS3, Ks, None),
-            (Identity.LORENTZ_KK, Ks, Ks, -_I_EPS3, Js, note),
+        residual_report(identity, block, tol.abs_eps, "pair (i={}, j={})",
+                        subject=subject, note=n)
+        for identity, block, n in (
+            (Identity.LORENTZ_JJ, table[:3, :3], None),
+            (Identity.LORENTZ_JK, table[:3, 3:], None),
+            (Identity.LORENTZ_KK, table[3:, 3:], note),
         )
     ]
 
@@ -332,6 +350,9 @@ def vector_relation_reports(
     [V^mu, K^j] = -i (alpha d(j,mu) V^4 + (1/alpha) d(4,mu) V^j).  When the
     vector family is a momentum set, its members also commute: [V^mu, V^nu]
     = 0 over all 16 pairs.
+
+    One table of V against [J; K], or [J; K; V] for a momentum set; each
+    report is a column block of it.
     """
     if len(V) != 4:
         raise ShapeError("expected a 4-member vector family")
@@ -343,16 +364,19 @@ def vector_relation_reports(
     subject = subject if subject is not None else f"{V.rep.tag}-rep"
     Vs = V.stack
     boost = -1j * (alpha * _BOOST_TO_TIME + (1 / alpha) * _BOOST_FROM_TIME)
-    tables = [
-        (Identity.VECTOR_ROTATION, J.stack, _VECTOR_ROTATION, "pair (mu={}, j={})"),
-        (Identity.VECTOR_BOOST, K.stack, boost, "pair (mu={}, j={})"),
+    others, coeffs = [J.stack, K.stack], [_VECTOR_ROTATION + boost]
+    blocks = [
+        (Identity.VECTOR_ROTATION, np.s_[:, :3], "pair (mu={}, j={})"),
+        (Identity.VECTOR_BOOST, np.s_[:, 3:6], "pair (mu={}, j={})"),
     ]
     if V.kind is Kind.MOMENTUM:
-        tables.append((Identity.MOMENTA_COMMUTE, Vs, np.zeros((4, 4, 4)), "pair (mu={}, nu={})"))
+        others.append(Vs)
+        coeffs.append(np.zeros((4, 4, 4)))
+        blocks.append((Identity.MOMENTA_COMMUTE, np.s_[:, 6:], "pair (mu={}, nu={})"))
+    table = bracket_table(Vs, np.concatenate(others), np.concatenate(coeffs, axis=1), Vs)
     return [
-        residual_report(identity, bracket_table(Vs, other, coeffs, Vs), tol.abs_eps,
-                        description, subject=subject)
-        for identity, other, coeffs, description in tables
+        residual_report(identity, table[at], tol.abs_eps, description, subject=subject)
+        for identity, at, description in blocks
     ]
 
 

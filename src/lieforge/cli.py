@@ -14,12 +14,12 @@ Output is deterministic for a fixed configuration (including the seed); the
 JSON format emits one object per line, with bare report objects and
 ``type``-tagged payloads.  The environment variable ``LIEFORGE_TOL``
 overrides the absolute tolerance, within [1e-15, 1); ``LIEFORGE_PERTURB``
-injects a perturbation into the su(2) trio of verify's fundamental relations
-(a negative-control hook used by the tests).  Bad input (an out-of-range
-option or environment value, a requested transform that overflows, an output
-path that cannot be written) ends with one ``lieforge: error: ...`` line on
-stderr and exit code 2, as argparse does for its own errors; exit code 1 is
-reserved for a failed check.
+injects a perturbation of size at most 1 into the su(2) trio of verify's
+fundamental relations (a negative-control hook used by the tests).  Bad
+input (an out-of-range option or environment value, a requested transform
+that overflows, an output path that cannot be written) ends with one
+``lieforge: error: ...`` line on stderr and exit code 2, as argparse does for
+its own errors; exit code 1 is reserved for a failed check.
 """
 
 from __future__ import annotations
@@ -109,6 +109,10 @@ class RunConfig:
         # 1/(2 alpha) is subnormal and vector-boost fails on rounding, not algebra.
         if not 1e-300 <= abs(self.alpha) <= 1e300:
             raise InputError(f"|alpha| must lie in [1e-300, 1e300], got {self.alpha:g}")
+        # A perturbation is small next to the trio's entries of size 1/2; from
+        # |perturb| ~ 1e100 the residual norms overflow.
+        if not abs(self.perturb) <= 1.0:
+            raise InputError(f"|{PERTURB_ENV}| must be at most 1, got {self.perturb:g}")
         for name in ("theta", "phi", "x"):
             if not np.all(np.isfinite(getattr(self, name) or ())):
                 raise InputError(f"--{name} must be finite")

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .checks import (
+    _LORENTZ,
     EPS3,
     CheckReport,
     Identity,
@@ -196,35 +197,32 @@ def build_k4() -> GeneratorSet:
     return GeneratorSet(REP4, Kind.BOOST, tuple(members))
 
 
-# Bracket table for pairs drawn from the rotation (J) and boost (K) families:
-# (sign of i*eps on the right-hand side, which family the result lives in).
-_BRACKET_TABLE = {
-    ("J", "J"): (+1.0, "J"),
-    ("J", "K"): (+1.0, "K"),
-    ("K", "J"): (+1.0, "K"),
-    ("K", "K"): (-1.0, "J"),
-}
-
-
 def transfer_reports(
     rotations: CoeffTensor, boosts: CoeffTensor, tol: Tolerance = DEFAULT_TOL
 ) -> list[CheckReport]:
     """The coefficient tensors extracted against rotations and boosts obey the
     same bracket table (its structure constants tabulated as literal data,
     independent of the extraction) and coincide with the closed forms, and
-    the closed forms close the Lorentz algebra directly."""
+    the closed forms close the Lorentz algebra directly.
+
+    The extracted slices [J; K] are bracketed with themselves in one Lorentz
+    table, the one :func:`~lieforge.checks.check_lorentz` uses; its JJ, JK,
+    KJ and KK blocks are the four commutation reports."""
     # slices[X][i - 1][mu, nu] is values[mu, i - 1, nu]: the slice of generator i.
     slices = {"J": rotations.values.transpose(1, 0, 2), "K": boosts.values.transpose(1, 0, 2)}
-
+    L = np.concatenate([slices["J"], slices["K"]])
+    table = bracket_table(L, L, _LORENTZ, L)
+    halves = {"J": slice(0, 3), "K": slice(3, 6)}
     reports = [
         residual_report(
             Identity.TRANSFER_COMMUTATION,
-            bracket_table(slices[left], slices[right], sign * 1j * EPS3, slices[target]),
+            table[halves[left], halves[right]],
             tol.abs_eps,
             f"extracted pair ({left}^{{}}, {right}^{{}})",
             subject=f"{left}{right}",
         )
-        for (left, right), (sign, target) in _BRACKET_TABLE.items()
+        for left in "JK"
+        for right in "JK"
     ]
 
     j4, k4 = build_j4(), build_k4()

@@ -1,13 +1,19 @@
 """Reference computations for the tests, in plain numpy.
 
 They share no code with lieforge, so a test that checks the package against
-them does not check the package against itself.  The one exception is
+them does not check the package against itself.  The exceptions are
 :func:`three_pass_structure`, an earlier form of the package's own su(N)
-extraction kept as a bit-for-bit reference; it calls ``bracket_table``,
-which has its own double-loop tests.
+extraction, and the ``per_relation_*`` tables, the earlier one call per
+relation of the Lorentz, vector-family and transfer tables, kept as
+bit-for-bit references; they call ``bracket_table``, which has its own
+double-loop tests.
 """
 
 import numpy as np
+
+_EPS3 = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _EPS3[_i, _j, _k], _EPS3[_j, _i, _k] = 1.0, -1.0
 
 _SIGMA = np.array(
     [[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]], [[1, 0], [0, 1]]],
@@ -124,3 +130,59 @@ def three_pass_structure(S) -> tuple[np.ndarray, np.ndarray, float, float]:
     with_one = np.concatenate([S, np.eye(n, dtype=complex)[None]])
     d_res = float(bracket_table(S, S, d_coeffs, with_one, anti=True).max())
     return f, d, f_res, d_res
+
+
+def _mirrored(table) -> np.ndarray:
+    """``table`` with its upper triangle copied into the lower, as the kernel
+    returned a stack's table with itself under (anti)symmetric coefficients."""
+    lower = np.tril_indices(len(table), -1)
+    table[lower] = table.T[lower]
+    return table
+
+
+def per_relation_lorentz(J, K) -> list[np.ndarray]:
+    """The JJ, JK and KK residual tables of the ``(3, n, n)`` rotation and
+    boost stacks, one ``bracket_table`` call per relation."""
+    from lieforge.checks import bracket_table
+
+    i_eps = 1j * _EPS3
+    return [
+        _mirrored(bracket_table(J, J, i_eps, J)),
+        bracket_table(J, K, i_eps, K),
+        _mirrored(bracket_table(K, K, -i_eps, J)),
+    ]
+
+
+def per_relation_vector(J, K, V, alpha, momentum: bool) -> list[np.ndarray]:
+    """The residual tables of [V^mu, J^j] = i eps(mu, j, k) V^k (eps zero
+    at the time index), [V^mu, K^j] = -i (alpha d(j, mu) V^4 +
+    (1/alpha) d(4, mu) V^j) and, for a momentum set, [V^mu, V^nu] = 0, one
+    ``bracket_table`` call per relation."""
+    from lieforge.checks import bracket_table
+
+    alpha = complex(alpha)
+    rotation = np.zeros((4, 3, 4), dtype=complex)
+    rotation[:3, :, :3] = 1j * _EPS3
+    to_time, from_time = np.zeros((2, 4, 3, 4))
+    to_time[[0, 1, 2], [0, 1, 2], 3] = from_time[3, [0, 1, 2], [0, 1, 2]] = 1.0
+    boost = -1j * (alpha * to_time + (1 / alpha) * from_time)
+    tables = [bracket_table(V, J, rotation, V), bracket_table(V, K, boost, V)]
+    if momentum:
+        tables.append(_mirrored(bracket_table(V, V, np.zeros((4, 4, 4)), V)))
+    return tables
+
+
+def per_relation_transfer(rotations, boosts) -> list[np.ndarray]:
+    """The JJ, JK, KJ and KK commutation tables of the 4x4 slices of the
+    ``(4, 3, 4)`` coefficient tensors extracted against rotations and boosts,
+    one ``bracket_table`` call per relation."""
+    from lieforge.checks import bracket_table
+
+    J, K = rotations.transpose(1, 0, 2), boosts.transpose(1, 0, 2)
+    i_eps = 1j * _EPS3
+    return [
+        _mirrored(bracket_table(J, J, i_eps, J)),
+        bracket_table(J, K, i_eps, K),
+        bracket_table(K, J, i_eps, K),
+        _mirrored(bracket_table(K, K, -i_eps, J)),
+    ]

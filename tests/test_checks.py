@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lieforge.checks as checks
+import lieforge.transfer as transfer
 from lieforge.checks import (
     EPS3,
     Identity,
@@ -21,13 +22,16 @@ from lieforge.checks import (
     residual_report,
     vector_relation_reports,
 )
+from lieforge.cli import _projected
 from lieforge.generators import (
+    GAMMA_C_MINUS,
     GAMMA_C_PLUS,
     GeneratorSet,
     Kind,
     REP22,
     Rep,
     VectorParams,
+    gamma,
     j2,
     k2,
     momentum,
@@ -37,9 +41,10 @@ from lieforge.generators import (
     v2,
 )
 from lieforge.linalg import frobenius_norms
+from lieforge.spacetime import affine_generators
 from lieforge.su_n import gell_mann
-from lieforge.transfer import build_j4, build_k4
-from oracles import commutator
+from lieforge.transfer import build_j4, build_k4, extract_coeffs, transfer_reports
+from oracles import commutator, per_relation_lorentz, per_relation_transfer, per_relation_vector
 
 WITNESSES = pathlib.Path(__file__).parent / "golden" / "witnesses.json"
 
@@ -330,6 +335,33 @@ def test_self_bracket_table_with_broken_symmetry_shows_the_defect(anti):
     assert got.max() == 0.0
 
 
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("coeffs", ["symmetric", "antisymmetric", "broken"])
+def test_one_block_self_table_is_formed_whole(monkeypatch, anti, coeffs):
+    # A table that fits one row block is formed whole whatever its
+    # coefficients: 6 members of 4 x 4 and 20 of 2 x 2 take one block each.
+    formed = []
+
+    def counting_norms(stack):
+        formed.append(frobenius_norms(stack).size)
+        return frobenius_norms(stack)
+
+    monkeypatch.setattr(checks, "frobenius_norms", counting_norms)
+    rng = np.random.default_rng(11)
+    for m, n in ((6, 4), (20, 2)):
+        A, T = random_stack(rng, m, n), random_stack(rng, 4, n)
+        raw = random_stack(rng, m, m)[:, :, :4]
+        table = {
+            "symmetric": raw + raw.transpose(1, 0, 2),
+            "antisymmetric": raw - raw.transpose(1, 0, 2),
+            "broken": raw,
+        }[coeffs]
+        formed.clear()
+        got = bracket_table(A, A, table, T, anti=anti)
+        assert formed == [m * m]
+        np.testing.assert_array_equal(got, bracket_table(A, A.copy(), table, T, anti=anti))
+
+
 def test_bracket_table_exact_closure_and_shape_check():
     S = j2().stack
     # j2 has dyadic entries, so every product and sum is exact, BLAS or not.
@@ -391,3 +423,108 @@ def test_perturbed_momentum_witnesses_match_golden():
     reports = check_poincare(J, K, P.with_member(2, P[2] + bump), subject="momentum-perturbed")
     golden = json.loads(WITNESSES.read_text())
     assert failed_witnesses([r.to_json() for r in reports]) == golden["perturbed-momentum"]
+
+
+@pytest.fixture
+def residual_tables(monkeypatch):
+    """The residual arrays that the reports of a check are made from, in order."""
+    tables = []
+
+    def recording(identity, residuals, *args, **kwargs):
+        tables.append(np.array(residuals))
+        return residual_report(identity, residuals, *args, **kwargs)
+
+    for module in (checks, transfer):
+        monkeypatch.setattr(module, "residual_report", recording)
+    return tables
+
+
+def assert_reports_match_oracle(reports, tables, oracle):
+    """Each report's residual table is the oracle's bit for bit, and so are
+    its residual and witness."""
+    assert len(reports) == len(tables) == len(oracle)
+    for report, table, expected in zip(reports, tables, oracle):
+        np.testing.assert_array_equal(table, expected)
+        assert report.max_residual == expected.max()
+        worst = [int(k) + 1 for k in np.unravel_index(np.argmax(expected), expected.shape)]
+        assert report.passed or report.witness["indices"] == worst
+
+
+def noisy(G, rng, size=1e-3):
+    """``G`` with seeded complex noise of about ``size`` on every entry."""
+    return GeneratorSet(G.rep, G.kind, tuple(G.stack + size * random_stack(rng, len(G), G.rep.dim)))
+
+
+def perturbed_trio():
+    """verify's perturbed su(2) trio: 1e-6 added to entry (1, 1) of member 1."""
+    J = j2()
+    bumped = J[1].copy()
+    bumped[0, 0] += 1e-6
+    return J.with_member(1, bumped)
+
+
+LORENTZ_SETS = {
+    "2": lambda: (j2(), k2()),
+    "perturbed 2": lambda: (perturbed_trio(), k2()),
+    "2+2": rep22_jk,
+    "4": lambda: (build_j4(), build_k4()),
+    "5-affine": lambda: affine_generators()[:2],
+    "noisy 2+2": lambda: tuple(noisy(G, np.random.default_rng(12)) for G in rep22_jk()),
+}
+
+
+@pytest.mark.parametrize("name", LORENTZ_SETS)
+def test_lorentz_table_equals_one_call_per_relation(residual_tables, name):
+    J, K = LORENTZ_SETS[name]()
+    reports = check_lorentz(J, K, note="n")
+    assert [(r.identity, r.subject, r.note) for r in reports] == [
+        (Identity.LORENTZ_JJ, f"{J.rep.tag}-rep", None),
+        (Identity.LORENTZ_JK, f"{J.rep.tag}-rep", None),
+        (Identity.LORENTZ_KK, f"{J.rep.tag}-rep", "n"),
+    ]
+    assert_reports_match_oracle(reports, residual_tables, per_relation_lorentz(J.stack, K.stack))
+
+
+def vector_families(alpha):
+    """The vector and momentum families of the 2+2 rep at ``alpha``."""
+    generic = rep22_v(VectorParams(alpha=alpha))
+    return [
+        generic,
+        momentum(VectorParams(GAMMA_C_PLUS, 0.0, alpha)),
+        momentum(VectorParams(0.0, GAMMA_C_MINUS, alpha)),
+        *(V for _, V in _projected(generic)),
+    ]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3, -1.0, 0.5 + 0.5j])
+def test_vector_table_equals_one_call_per_relation(residual_tables, alpha):
+    J, K = rep22_jk()
+    families = [(J, K, V) for V in vector_families(alpha)]
+    if alpha == 1.0:
+        rng = np.random.default_rng(13)
+        families += [(J, K, gamma()), affine_generators()]
+        families += [(J, K, noisy(V, rng)) for V in vector_families(alpha)[:2]]
+    for J, K, V in families:
+        residual_tables.clear()
+        reports = vector_relation_reports(J, K, V, alpha=alpha)
+        momenta = V.kind is Kind.MOMENTUM
+        assert [r.identity for r in reports] == [
+            Identity.VECTOR_ROTATION, Identity.VECTOR_BOOST, *[Identity.MOMENTA_COMMUTE] * momenta
+        ]
+        oracle = per_relation_vector(J.stack, K.stack, V.stack, alpha, momenta)
+        assert_reports_match_oracle(reports, residual_tables, oracle)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.3, -1.0, 0.5 + 0.5j])
+@pytest.mark.parametrize("family", ["vector", "momentum"])
+def test_transfer_table_equals_one_call_per_relation(residual_tables, alpha, family):
+    J, K = rep22_jk()
+    if family == "vector":
+        V = rep22_v(VectorParams(alpha=alpha))
+    else:
+        V = momentum(VectorParams(GAMMA_C_PLUS, 0.0, alpha))
+    a, b = extract_coeffs(V, J), extract_coeffs(V, K)
+    reports = transfer_reports(a, b)[:4]
+    assert [r.subject for r in reports] == ["JJ", "JK", "KJ", "KK"]
+    oracle = per_relation_transfer(a.values, b.values)
+    assert_reports_match_oracle(reports, residual_tables[:4], oracle)

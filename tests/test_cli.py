@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ def test_perturbation_hook_fails_the_suite(monkeypatch, capsys):
     assert all(o["witness"] is not None for o in failed)
 
 
+@pytest.mark.parametrize("value", ["1", "-1"])
+def test_perturbation_at_the_edge_of_its_range_fails_without_warnings(monkeypatch, capsys, value):
+    monkeypatch.setenv("LIEFORGE_PERTURB", value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify"]) == 1
+    assert capsys.readouterr().err == ""
+
+
 def test_transfer_json_includes_tensors(capsys):
     code, out = run_cli(capsys, "transfer", "--format", "json")
     assert code == 0
@@ -176,6 +186,8 @@ def test_run_config_validation():
         ({"LIEFORGE_PERTURB": "abc"}, ["verify"]),
         ({"LIEFORGE_PERTURB": "nan"}, ["verify"]),
         ({"LIEFORGE_PERTURB": "inf"}, ["verify"]),
+        ({"LIEFORGE_PERTURB": "1e160"}, ["verify"]),
+        ({"LIEFORGE_PERTURB": "-1.5"}, ["verify"]),
         ({}, ["verify", "--out", "{missing}/x"]),
         ({}, ["invariants", "--x", "nan", "0", "0", "1"]),
         ({}, ["invariants", "--phi", "1000", "0", "0", "--x", "1", "0", "0", "2"]),
@@ -186,7 +198,8 @@ def test_run_config_validation():
     ],
     ids=[
         "trials-0", "alpha-0", "alpha-1e-310", "alpha-1e308", "tol-abc", "tol-2", "tol-3e-16",
-        "perturb-abc", "perturb-nan", "perturb-inf", "out-missing-dir", "x-nan", "phi-1000",
+        "perturb-abc", "perturb-nan", "perturb-inf", "perturb-1e160", "perturb-minus-1.5",
+        "out-missing-dir", "x-nan", "phi-1000",
         "phi-400", "x-1e200",
         "seed-negative", "phi-without-x",
     ],
@@ -346,7 +359,7 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
         ("extract_coeffs", ("vector", "angular-momentum")): 1,
         ("extract_coeffs", ("vector", "boost")): 1,
         ("extract_coeffs", ("momentum", "angular-momentum")): 1,
-        ("bracket_table", "any"): 38,
+        ("bracket_table", "any"): 15,
     }
     assert main(["all", "--trials", "10"]) == 0
     assert calls == once

@@ -24,8 +24,12 @@ rotation-only transform of the rotation sweep at the same 256 angle triples
 (``_rotation_stack``, or ``mat_exp`` of theta.(i J4) in versions without
 it); ``bracket_table`` on the su(6) adjoint closure table (35 real 35 x 35
 matrices with f as coefficients), the su(6) fundamental f and d tables (the
-two residual tables of the su(6) extraction) and the 2+2 Lorentz jk table
-[J_i, K_j] = i eps_ijk K_k (two different stacks); ``extract_coeffs`` of
+two residual tables of the su(6) extraction), the 2+2 Lorentz jk table
+[J_i, K_j] = i eps_ijk K_k (two different stacks) and the one-block 2+2
+self-table jj [J_i, J_j] = i eps_ijk J_k; ``check_lorentz`` of the 2+2
+rep, ``vector_relation_reports`` of the 2+2 rep with gamma and
+``transfer_reports`` of the tensors extracted from the 2+2 vector family;
+``extract_coeffs`` of
 the 2+2 vector family and of the single-block momentum family against the
 2+2 rotation generators; ``intertwine_sweep`` of the 2+2 rep with gamma and
 the 5-affine rep together at 100 draws, behind their precomputed closure
@@ -188,11 +192,20 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
         "su(6) f": (S, S, st.f, 1j * S, False),
         "su(6) d": (S, S, d_coeffs, with_one, True),
         "2+2 Lorentz jk": (J22.stack, K22.stack, 1j * checks.EPS3, K22.stack, False),
+        "2+2 Lorentz jj": (J22.stack, J22.stack, 1j * checks.EPS3, J22.stack, False),
     }
     bracket_table = checks.bracket_table
     cases += [
         (f"bracket_table {name}", lambda a: bracket_table(*a[:4], anti=a[4]), args)
         for name, args in tables.items()
+    ]
+    V22 = generators.rep22_v()
+    extracted = (transfer.extract_coeffs(V22, J22), transfer.extract_coeffs(V22, K22))
+    cases += [
+        ("check_lorentz 2+2", lambda a: checks.check_lorentz(*a), (J22, K22)),
+        ("vector_relation_reports 2+2 gamma", lambda a: checks.vector_relation_reports(*a),
+         (J22, K22, generators.gamma())),
+        ("transfer_reports", lambda a: transfer.transfer_reports(*a), extracted),
     ]
     families = {
         "vector": generators.rep22_v(),

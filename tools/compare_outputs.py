@@ -45,6 +45,8 @@ def _invocations() -> list[tuple[dict, list[str]]]:
     pairs.append(({"LIEFORGE_TOL": "1e-15"}, ["all", "--trials", "10"]))
     for alpha in ("2", "-1"):
         pairs.append(({}, ["all", "--alpha", alpha]))
+    # A non-dyadic alpha, which rounds the vector-boost coefficients.
+    pairs.append(({}, ["all", "--trials", "10", "--alpha", "0.3"]))
     pairs.append(({}, ["all", *TRANSFORM]))
     # Large rapidities: the interval check near the edge of the supported
     # range (7, 8), where rounding decides pass or fail under the flat bound,
