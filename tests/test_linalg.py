@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from lieforge.linalg import (
     BasisError,
     DimError,
     Tolerance,
+    _real_form,
+    _times_real_form,
     as_cmatrix,
     decompose_in_basis,
     det,
@@ -138,11 +141,7 @@ def test_mat_exp_stack_against_scipy_and_single():
     # below, the norm-40 members are checked against a 40-digit mpmath
     # exponential, since scipy's own error grows with the norm.
     mpmath = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(5, 4, 4, 4)) + 1j * rng.normal(size=(5, 4, 4, 4))
-    a /= np.abs(a).sum(axis=-1).max(axis=-1)[..., None, None]
-    a *= np.array([0.0, 1e-3, 1.0, 10.0, 40.0])[:, None, None, None]
-    a = a.reshape(20, 4, 4)
+    a = _complex_norm_ladder()
     got = mat_exp(a)
     assert got.shape == a.shape
     for k in range(len(a)):
@@ -181,8 +180,17 @@ _LADDER_NORMS = (0.0, 1e-3, 1.0, 10.0, 40.0)
 
 def _real_norm_ladder(seed=12):
     """A seeded real (20, 4, 4) stack whose infinity norms are 0, 1e-3, 1, 10,
-    40, four members each; seed 12 is the seed of the complex stack above."""
+    40, four members each."""
     a = np.random.default_rng(seed).normal(size=(5, 4, 4, 4))
+    a /= np.abs(a).sum(axis=-1).max(axis=-1)[..., None, None]
+    a *= np.array(_LADDER_NORMS)[:, None, None, None]
+    return a.reshape(20, 4, 4)
+
+
+def _complex_norm_ladder(seed=12):
+    """The complex counterpart of :func:`_real_norm_ladder`."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(5, 4, 4, 4)) + 1j * rng.normal(size=(5, 4, 4, 4))
     a /= np.abs(a).sum(axis=-1).max(axis=-1)[..., None, None]
     a *= np.array(_LADDER_NORMS)[:, None, None, None]
     return a.reshape(20, 4, 4)
@@ -217,6 +225,93 @@ def test_mat_exp_real_stack_against_scipy():
                     ref = scipy.linalg.expm(a[k])
                 scale = max(1.0, float(np.linalg.norm(ref)))
                 assert frobenius_distance(got[k], ref) < 1e-12 * scale
+
+
+def test_mat_exp_complex_norm_ladder_against_mpmath():
+    # Every member of the complex ladder (norms 0, 1e-3, 1, 10 and 40, so 0
+    # to 6 squarings), products formed in real arithmetic, against a 40-digit
+    # exponential.  The worst relative error seen on seeds 12-15 is 9.5e-15,
+    # at norm 40.
+    mpmath = pytest.importorskip("mpmath")
+    for seed in (12, 13):
+        a = _complex_norm_ladder(seed)
+        got = mat_exp(a)
+        assert got.dtype == np.complex128
+        for k in range(len(a)):
+            ref = _mpmath_expm(a[k], mpmath)
+            scale = max(1.0, float(np.linalg.norm(ref)))
+            assert frobenius_distance(got[k], ref) < 1e-13 * scale
+
+
+def _gaussian_dyadic(rng, shape):
+    """Complex entries with real and imaginary parts in 2^-4 Z, |part| <= 4."""
+    return (rng.integers(-64, 65, size=shape) + 1j * rng.integers(-64, 65, size=shape)) / 16
+
+
+def _real_form_products(x, y):
+    """``(x @ y through the real form, x, y)`` for the three layouts the
+    package uses, with the complex factors as ``matmul`` broadcasts them:
+    matching stacks, each x against every y, and every member of x against
+    its trial's y (the intertwining sweep's two products)."""
+    layouts = [(x[:, 0], y[:, 0], _real_form(y[:, 0])),
+               (x[:, :1], y[0], _real_form(y[0])),
+               (x, y[:, :1], _real_form(y[:, 0])[:, None])]
+    return [(_times_real_form(a, r), a, b) for a, b, r in layouts]
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_real_form_product_is_exact_on_gaussian_dyadic_stacks(n):
+    # Entries in 2^-4 Z[i] with small numerators: every product and partial
+    # sum is exact, so the real-arithmetic product equals numpy's complex one.
+    rng = np.random.default_rng(40 + n)
+    x, y = _gaussian_dyadic(rng, (6, 4, n, n)), _gaussian_dyadic(rng, (6, 4, n, n))
+    r = _real_form(y[0, 0])
+    assert r.shape == (2 * n, 2 * n)
+    for k, j in np.ndindex(n, n):
+        z = y[0, 0, k, j]
+        block = r[2 * k : 2 * k + 2, 2 * j : 2 * j + 2]
+        np.testing.assert_array_equal(block, [[z.real, z.imag], [-z.imag, z.real]])
+    for got, a, b in _real_form_products(x, y):
+        want = a @ b
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+def _exact_parts(x, y):
+    """Per entry of the 2-D product x @ y: the exact real and imaginary
+    parts, and the sums of the magnitudes of the 2n real terms of each."""
+    F = Fraction
+    parts = []
+    for i, j in np.ndindex(x.shape[0], y.shape[1]):
+        pairs = [(F(x[i, k].real), F(x[i, k].imag), F(y[k, j].real), F(y[k, j].imag))
+                 for k in range(x.shape[1])]
+        re = [t for a, b, c, d in pairs for t in (a * c, -b * d)]
+        im = [t for a, b, c, d in pairs for t in (a * d, b * c)]
+        parts.append(((i, j), sum(re), sum(map(abs, re)), sum(im), sum(map(abs, im))))
+    return parts
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_real_form_product_is_within_gamma_2n_of_the_exact_product(n):
+    # Each part of an entry is a real dot product of 2n terms, so in any
+    # summation order its error is at most gamma_2n = 2nu / (1 - 2nu) times
+    # the sum of the terms' magnitudes (Higham 2002, ch. 3), measured here
+    # against the exact rational product.
+    u = Fraction(1, 2**53)
+    gamma = 2 * n * u / (1 - 2 * n * u)
+    rng = np.random.default_rng(50 + n)
+    shape = (3, 4, n, n)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    for got, a, b in _real_form_products(x, y):
+        lead = got.shape[:-2]
+        assert np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) == lead
+        a, b = np.broadcast_to(a, (*lead, n, n)), np.broadcast_to(b, (*lead, n, n))
+        for index in np.ndindex(lead):
+            for (i, j), re, re_mag, im, im_mag in _exact_parts(a[index], b[index]):
+                z = got[index][i, j]
+                assert abs(Fraction(z.real) - re) <= gamma * re_mag
+                assert abs(Fraction(z.imag) - im) <= gamma * im_mag
 
 
 def test_mat_exp_real_nilpotent_stack_is_exactly_i_plus_a():

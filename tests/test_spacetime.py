@@ -7,6 +7,7 @@ import pytest
 
 from lieforge import spacetime
 from lieforge.checks import all_passed, check_poincare
+from lieforge.cli import main
 from lieforge.generators import GeneratorSet, Kind, REP5_AFFINE, gamma, j2, rep22_jk, v2
 from lieforge.linalg import DEFAULT_TOL, Tolerance, mat_exp
 from lieforge.spacetime import (
@@ -265,10 +266,12 @@ def _intertwine_alone(J, K, V, draws, seed):
 
 @pytest.mark.parametrize("draws", [100, 300])
 @pytest.mark.parametrize("seed", [1, 2, 7])
-def test_shared_intertwining_sweep_equals_the_separate_sweeps(seed, draws):
+def test_shared_intertwining_sweep_equals_the_separate_sweeps(monkeypatch, seed, draws):
     # One draw and one Lambda serve both families; each report must be the one
-    # its family gives alone, bit for bit.  300 draws span two blocks.  At a
-    # bound nothing meets, every report fails and keeps its witness.
+    # its family gives alone, bit for bit.  In blocks of 256, 300 draws span
+    # two blocks.  At a bound nothing meets, every report fails and keeps its
+    # witness.
+    monkeypatch.setattr(spacetime, "_BLOCK", 256)
     families = _families()
     prechecks = [r for J, K, V in families for r in check_poincare(J, K, V)]
     reports = intertwine_sweep(families, prechecks, draws, Tolerance(1e-300, 1e-300), seed)
@@ -705,6 +708,17 @@ def test_sweep_reports_do_not_depend_on_the_block_size(monkeypatch):
         "seed=4, draws=300",
         "seed=4, draws=300",
     ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+def test_invariants_output_does_not_depend_on_the_block_size(monkeypatch, capsys, seed):
+    # The default run's 1000-trial sweeps in one block or in four.
+    def output(block):
+        monkeypatch.setattr(spacetime, "_BLOCK", block)
+        assert main(["invariants", "--trials", "1000", "--format", "json", "--seed", str(seed)]) == 0
+        return capsys.readouterr().out
+
+    assert output(1024) == output(256)
 
 
 class _ZeroRow:

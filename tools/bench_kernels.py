@@ -15,7 +15,7 @@ input ``sun-sweep`` extracts); ``adjoint_from_f`` on the Gell-Mann
 structure tensors at N = 4 and 6; the seeded sweeps
 ``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
 trials; one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
-exponents theta.(i J4) of 256 seeded angle triples, one sweep block; one
+exponents theta.(i J4) of 256 seeded angle triples; one
 ``mat_exp`` of a complex ``(400, 4, 4)`` stack: the exponents +-theta.(i J)
 and +-phi.(i K) of the 2+2 rep at 100 seeded draws, as the 2+2 intertwining
 sweep stacks them (random directions, norms uniform below pi and 2);
@@ -33,8 +33,11 @@ rep, ``vector_relation_reports`` of the 2+2 rep with gamma and
 the 2+2 vector family and of the single-block momentum family against the
 2+2 rotation generators; ``intertwine_sweep`` of the 2+2 rep with gamma and
 the 5-affine rep together at 100 draws, behind their precomputed closure
-reports; and the uncached ``cli.build_parser`` (``__wrapped__`` where the
-parser is cached).
+reports; the uncached ``cli.build_parser`` (``__wrapped__`` where the
+parser is cached); and whole CLI runs through ``cli.main`` with stdout
+captured: ``verify``, ``transfer``, ``sun`` and ``exercises`` at their
+defaults, and ``invariants --trials 1000 --format json`` (the command
+perfbench's ``invariants-1k`` times, at the default seed).
 
 Alone, the tool runs each case once untimed, then REPEATS times, and the
 line gives the median and quartiles of the raw wall times in seconds.  With
@@ -48,6 +51,15 @@ kernel change of 10-20 % is then resolved: separate processes see the
 host's speed change between them, alternating calls in one process see it
 on both sides alike.  Either line carries the Python, numpy and BLAS
 versions and a hash of each tree's package sources.
+
+Every timed call runs with the garbage collector disabled, and the cyclic
+garbage it left is collected after it, untimed (``gc.collect(0)``).  With
+the collector on, a case that leaves cycles (``build_parser``) triggers a
+collection every few calls at a period that locks onto the alternation
+of sides, so one side pays for most of them: two copies of one tree read
+107-155 of 200 pairs in favour of the package loaded second, and 93-103
+of 200 with this rule.
+
 The thread variables are set to ``perfbench/run.py``'s ``THREAD_ENV`` (BLAS
 on one thread) before numpy is imported, so both tools run under the same
 threading.  Not part of the tests.
@@ -56,8 +68,11 @@ threading.  Not part of the tests.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -94,13 +109,20 @@ def _summary(times: list[float]) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3}
 
 
-def _timed(fn, arg) -> dict:
+def _call(fn, arg) -> float:
+    """The wall time of ``fn(arg)``, run with the collector disabled (as
+    :func:`main` leaves it); the cyclic garbage of the call is collected
+    after it, untimed."""
+    t0 = time.perf_counter()
     fn(arg)
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn(arg)
-        times.append(time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
+    gc.collect(0)
+    return elapsed
+
+
+def _timed(fn, arg) -> dict:
+    _call(fn, arg)
+    times = [_call(fn, arg) for _ in range(REPEATS)]
     return {**_summary(times), "repeats": REPEATS}
 
 
@@ -110,13 +132,10 @@ def _interleaved(old, new, pairs: int) -> dict:
     sides = {"old": old, "new": new}
     times = {"old": [], "new": []}
     for fn, arg in sides.values():
-        fn(arg)
+        _call(fn, arg)
     for k in range(pairs):
         for side in ("old", "new") if k % 2 == 0 else ("new", "old"):
-            fn, arg = sides[side]
-            t0 = time.perf_counter()
-            fn(arg)
-            times[side].append(time.perf_counter() - t0)
+            times[side].append(_call(*sides[side]))
     faster = sum(b < a for a, b in zip(times["old"], times["new"]))
     return {
         "old": _summary(times["old"]),
@@ -228,6 +247,14 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
     )
     uncached = getattr(cli.build_parser, "__wrapped__", cli.build_parser)
     cases.append(("build_parser", lambda _: uncached(), None))
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+
+    commands = (["verify"], ["transfer"], ["sun"], ["exercises"],
+                ["invariants", "--trials", "1000", "--format", "json"])
+    cases += [(f"cli {' '.join(argv)}", run, argv) for argv in commands]
     return cases
 
 
@@ -249,6 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np
 
     workloads = _load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    gc.collect()
+    gc.disable()
     if args.against:
         _load(args.against / "lieforge" / "__init__.py", "lieforge_old", package=True)
         _load(args.src / "lieforge" / "__init__.py", "lieforge_new", package=True)
