@@ -14,8 +14,7 @@ forms rows in blocks in two reused buffers of at most 64 KB or one
 that fits one block is formed whole; a larger table of a stack with itself
 under (anti)symmetric coefficients is formed only on and above the diagonal
 and mirrored.  The blocks come from :func:`_row_blocks`, which yields both
-products of each block; ``su_n.extract_structure`` takes f, d and both of
-its residual tables from the same blocks in one pass.
+products of each block.
 :func:`residual_report` turns any residual array into a report whose witness
 is the first worst index tuple, so the same engine validates hand-built,
 extracted and candidate generator sets alike.
@@ -165,6 +164,11 @@ def _row_blocks(A, B, mirror: bool):
     :func:`_rows_per_block` rows, and ``AB`` and ``BA`` are views of two
     buffers reused from block to block, which the consumer may overwrite but
     must not keep.
+
+    It serves :func:`bracket_table` only.  ``su_n.extract_structure`` takes
+    the same blocks (:func:`_rows_per_block` rows, pairs b >= a) but forms
+    them in real arithmetic, with buffers of its own; on the 2x2 to 5x5
+    stacks of the bracket tables the real form measured slower.
     """
     m, p = len(A), len(B)
     rows = _rows_per_block(B)

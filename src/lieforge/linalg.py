@@ -95,10 +95,14 @@ def _real_form(y: np.ndarray) -> np.ndarray:
     return r.view(np.float64).reshape(*y.shape[:-2], 2 * n, 2 * n)
 
 
-def _times_real_form(x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _times_real_form(
+    x: np.ndarray, r: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """x @ y for a complex128 stack ``x`` whose last axis is contiguous and
     ``r`` = :func:`_real_form` (y), broadcast over the leading axes as
-    ``matmul`` broadcasts them, computed as one float64 product.
+    ``matmul`` broadcasts them, computed as one float64 product; written to
+    ``out``, a complex128 array of the result's shape whose last axis is
+    contiguous, when one is given.
 
     Each real and imaginary part of the result is a dot product of 2n real
     terms: Re(x_ik) Re(y_kj) - Im(x_ik) Im(y_kj) summed over k for the real
@@ -108,7 +112,8 @@ def _times_real_form(x: np.ndarray, r: np.ndarray) -> np.ndarray:
     in any summation order; when every product and partial sum is exact (the
     dyadic entries of the package's generators) it equals numpy's complex
     product exactly."""
-    return (x.view(np.float64) @ r).view(np.complex128)
+    out = None if out is None else out.view(np.float64)
+    return np.matmul(x.view(np.float64), r, out=out).view(np.complex128)
 
 
 # Degree of the Taylor polynomial mat_exp evaluates after scaling; see its

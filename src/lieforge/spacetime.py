@@ -265,17 +265,24 @@ def _intertwine_residuals(families, theta, phi) -> list[np.ndarray]:
     norms of D^-1 V^mu D - Lambda^mu_nu V^nu for mu = 1..4 and every row of
     the ``(T, 3)`` arrays ``theta`` and ``phi``.  D and D^-1 are built in each
     triple's own rep by :func:`mat_exp`; Lambda, the 4-vector transform, is
-    built once for all, in closed form.  Every product of the conjugation is
-    formed in real arithmetic (:func:`~lieforge.linalg._times_real_form`),
-    the real forms of V and D broadcast over the trials and the members."""
+    built once for all, in closed form.  D and D^-1 are float64 products
+    when :func:`mat_exp` returns the exponentials as float64 (the real
+    5-affine rep); every other product of the conjugation is formed in real
+    arithmetic (:func:`~lieforge.linalg._times_real_form`), the real forms
+    of V and D broadcast over the trials and the members."""
     lam = _d4_stack(theta, phi)
     residuals = []
     for J, K, V in families:
         rot, boost = _combine(theta, 1j * J.stack), _combine(phi, 1j * K.stack)
-        exps = mat_exp(np.stack([rot, boost, -rot, -boost])).astype(complex, copy=False)
+        exps = mat_exp(np.stack([rot, boost, -rot, -boost]))
+        times = (
+            np.matmul
+            if exps.dtype == np.float64
+            else lambda x, y: _times_real_form(x, _real_form(y))
+        )
         e_rot, e_boost, e_mrot, e_mboost = exps
-        D = _times_real_form(e_boost, _real_form(e_rot))
-        Dinv = _times_real_form(e_mrot, _real_form(e_mboost))
+        D = times(e_boost, e_rot).astype(complex, copy=False)
+        Dinv = times(e_mrot, e_mboost).astype(complex, copy=False)
         moved = _times_real_form(Dinv[:, None], _real_form(V.stack))
         conj = _times_real_form(moved, _real_form(D)[:, None])
         residuals.append(frobenius_norms(conj - _combine(lam, V.stack)))

@@ -8,11 +8,17 @@ that funnels every spatial [V, K] commutator into a single time member no
 longer closes.  This module extracts f and d by trace formulas and reports
 how large the obstruction is.
 
-:func:`extract_structure` forms each product J_a J_b once: one pass over
-the pairs b >= a, in the row blocks of the bracket-table kernel, gives the
-(a, b) and (b, a) entries of f and d and the residuals of both bracket
-reconstructions.  It holds f, d and a few ``(m, n, n)`` slabs, and no m^3
-trace tensor.
+As the paper takes rotations from the commutators of su(2) and boosts from
+its anticommutators, :func:`extract_structure` takes f from the commutators,
+f_abc = Im trace([S_a, S_b] S_c) / kappa, and d from the anticommutators,
+d_abc = Re trace({S_a, S_b} S_c) / kappa.  It forms each product S_a S_b
+once: one pass over the pairs b >= a, in the row blocks of the
+bracket-table kernel, gives the (a, b) and (b, a) entries of f and d and the
+residuals of both bracket reconstructions.  Every product is a float64
+product on real forms (``linalg._real_form``), so each entry is within the
+gamma_k rounding bound :func:`extract_structure` states, not bit-identical
+to numpy's complex products.  It holds f, d and a few ``(m, n, n)`` slabs, and no m^3 trace
+tensor.
 """
 
 from __future__ import annotations
@@ -22,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import CheckReport, Identity, _row_blocks, bracket_table, make_report
+from .checks import CheckReport, Identity, _rows_per_block, bracket_table, make_report
 from .generators import GeneratorSet, Kind, Rep, adjoint_rep
 from .linalg import (
     BasisError,
     DEFAULT_TOL,
     Tolerance,
-    frobenius_norms,
+    _real_form,
+    _times_real_form,
 )
 
 __all__ = [
@@ -153,31 +160,95 @@ def gell_mann() -> list[np.ndarray]:
     return generalized_gell_mann(3)
 
 
-def _transposed_rows(S: np.ndarray) -> np.ndarray:
-    """Row c is S_c transposed and flattened, so that X.reshape(n^2) @ row c
-    is trace(X S_c) for any n x n matrix X."""
-    return S.transpose(0, 2, 1).reshape(len(S), -1)
+# Relative tolerance of extract_structure's input checks: hermitian and
+# traceless to within _INPUT_TOL max|S|, trace-orthogonal to within
+# _INPUT_TOL kappa, so that a valid basis passes at any scale.
+_INPUT_TOL = 1e-9
+
+
+def _trace_forms(S: np.ndarray) -> np.ndarray:
+    """The real ``(2, 2n^2, m)`` forms of the transposed basis: for a complex
+    ``(..., n, n)`` stack X, X.view(float64) flattened to ``(..., 2n^2)``
+    times form 0 is Re trace(X S_c) and times form 1 is Im trace(X S_c), in
+    column c.  Column c of form 0 is conj(S_c^T) and of form 1 i conj(S_c^T),
+    laid out as (Re, Im) pairs; both hold S's entries exactly."""
+    m, n = len(S), S.shape[-1]
+    forms = np.empty((2, m, n, n), dtype=complex)
+    np.conjugate(S.transpose(0, 2, 1), out=forms[0])
+    np.multiply(forms[0], 1j, out=forms[1])
+    return forms.view(np.float64).reshape(2, m, -1).transpose(0, 2, 1)
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """A complex stack's ``(..., n, n)`` matrices as float64 rows of 2n^2
+    (Re, Im) pairs, a view of a contiguous ``x``."""
+    return x.view(np.float64).reshape(*x.shape[:-2], -1)
+
+
+def _largest_norms(x: np.ndarray, n: int) -> np.ndarray:
+    """The largest Frobenius norm of the n x n matrices laid out row-major in
+    each row of a complex array whose last axis is contiguous, each squared
+    norm a dot product of its matrix's 2n^2 (Re, Im) values."""
+    rows = x.view(np.float64).reshape(len(x), -1, 1, 2 * n * n)
+    return np.sqrt((rows @ rows.swapaxes(-1, -2)).max(axis=(1, 2, 3)))
+
+
+def _validated_kappa(S: np.ndarray, forms: np.ndarray) -> float:
+    """kappa = trace(S_1 S_1) of a stack that is hermitian and traceless to
+    within _INPUT_TOL max|S| and whose Gram matrix trace(S_a S_b), taken
+    through its ``forms`` (:func:`_trace_forms`), is kappa * delta_ab to
+    within _INPUT_TOL kappa; :class:`BasisError` otherwise."""
+    asymmetry = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    trace = np.abs(np.trace(S, axis1=1, axis2=2))
+    bad = np.maximum(asymmetry, trace) > _INPUT_TOL * np.abs(S).max()
+    if bad.any():
+        raise BasisError(f"generator {np.argmax(bad) + 1} is not hermitian traceless")
+    kappa = float(np.trace(S[0] @ S[0]).real)
+    if kappa <= 0:
+        raise BasisError("trace normalisation must be positive")
+    gram_re, gram_im = _flat(S) @ forms
+    off = np.hypot(gram_re - kappa * np.eye(len(S)), gram_im) > _INPUT_TOL * kappa
+    if off.any():
+        a, b = np.unravel_index(np.argmax(off), off.shape)
+        raise BasisError(
+            f"generators {a + 1}, {b + 1} are not trace-orthogonal with common norm"
+        )
+    return kappa
 
 
 def extract_structure(generators) -> StructureTensors:
     """Extract f, d and the identity coefficient by the trace oracle.
 
     Requires hermitian traceless generators, mutually orthogonal under the
-    trace pairing trace(J_a J_b) = kappa * delta_ab for a common kappa; then
+    trace pairing trace(S_a S_b) = kappa * delta_ab for a common kappa, to
+    within 1e-9 times the largest entry |S_a|_ij and 1e-9 kappa, so that
+    the checks hold a basis to the same standard at any scale; then
 
-        f_abc = trace([J_a, J_b] J_c) / (i kappa)
-        d_abc = trace({J_a, J_b} J_c) / kappa
+        f_abc = Im trace([S_a, S_b] S_c) / kappa
+        d_abc = Re trace({S_a, S_b} S_c) / kappa
         delta_coeff = 2 kappa / dim
 
-    and the reconstruction residuals of both brackets are computed and
+    and the reconstruction residuals of both brackets,
+    ||[S_a, S_b] - f_abc (i S_c)|| and
+    ||{S_a, S_b} - delta_coeff delta_ab 1 - d_abc S_c||, are computed and
     stored (they vanish for a complete su(N) basis but are reported, not
     assumed).
 
     One pass over the pairs b >= a, in the row blocks of
-    :func:`~lieforge.checks.bracket_table`, forms each product J_a J_b and
-    J_b J_a once and takes from them the (a, b) and (b, a) entries of f and
-    d and both residuals, with the same operations as the trace tensor and
-    the two residual tables would take.  Beyond f and d (m^3 floats each,
+    :func:`~lieforge.checks.bracket_table`, forms each product S_a S_b and
+    S_b S_a once, in real arithmetic (:func:`~lieforge.linalg._times_real_form`
+    with R(S) built once), and takes from their commutator and
+    anticommutator the (a, b) and (b, a) entries of f and d and both
+    residuals.  Every other product is a float64 product too: the traces
+    are the brackets' (Re, Im) rows times the real forms of the transposed
+    basis (:func:`_trace_forms`), and the reconstructions multiply the real
+    f and d into the float views of i S and [S; 1].  Each real part of
+    S_a S_b is a sum of 2n products and each trace a sum of 2n^2, so an
+    entry of f or d is within sqrt(2) gamma_{2n^2 + 2n + 3} of
+    (trace(|S_a||S_b||S_c|) + trace(|S_b||S_a||S_c|)) / kappa of its exact
+    value, gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 3); on dyadic entries, such as the
+    sigma / 2 trio's, every step is exact.  Beyond f and d (m^3 floats each,
     read-only and not copied again) it holds a few ``(m, n, n)`` slabs.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
@@ -185,69 +256,68 @@ def extract_structure(generators) -> StructureTensors:
         raise BasisError("empty generator list")
     m = len(gens)
     dim = gens[0].shape[0]
-    ortho_tol = 1e-9
     if any(g.shape != (dim, dim) for g in gens):
         raise BasisError("generators must share one dimension")
-    S = np.stack(gens)
-    asymmetry = np.abs(S - S.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = (asymmetry > ortho_tol) | (np.abs(np.trace(S, axis1=1, axis2=2)) > ortho_tol)
-    if bad.any():
-        raise BasisError(f"generator {np.argmax(bad) + 1} is not hermitian traceless")
-    kappa = float(np.trace(gens[0] @ gens[0]).real)
-    if kappa <= 0:
-        raise BasisError("trace normalisation must be positive")
-    rows = _transposed_rows(S).T
-    gram = S.reshape(m, dim * dim) @ rows
-    off = np.abs(gram - kappa * np.eye(m)) > ortho_tol
-    if off.any():
-        a, b = np.unravel_index(np.argmax(off), off.shape)
-        raise BasisError(
-            f"generators {a + 1}, {b + 1} are not trace-orthogonal with common norm"
-        )
-
+    # The anticommutators are reconstructed with 1 as an extra member; S is
+    # a view of the others.
+    with_one = np.empty((m + 1, dim, dim), dtype=complex)
+    S = np.stack(gens, out=with_one[:m])
+    with_one[m] = np.eye(dim)
+    forms = _trace_forms(S)
+    kappa = _validated_kappa(S, forms)
     delta_coeff = 2.0 * kappa / dim
-    i_S = (1j * S).reshape(m, -1)
-    # The anticommutators are reconstructed with 1 as an extra member.
-    with_one = np.concatenate([S, np.eye(dim, dtype=complex)[None]]).reshape(m + 1, -1)
+    R = _real_form(S)
+    i_S = _flat(1j * S)
+    rows = min(_rows_per_block(S), m)
+    # A block's anticommutators, commutators and one more product.
+    buffers = np.empty((3, rows * S.size), dtype=complex)
+    # A block's f and d coefficients; d's carry delta_coeff delta_ab, the
+    # coefficient of the identity, in an extra column.
+    f_buf = np.empty(rows * m * m)
+    d_buf = np.empty(rows * m * (m + 1))
     f = np.empty((m, m, m))
     d = np.empty((m, m, m))
-    f_res = d_res = 0.0
-    for lo, hi, _, P, Q in _row_blocks(S, S, mirror=True):
-        # P[i, j] = J_a J_b and Q[i, j] = J_b J_a for a = lo + i, b = lo + j.
-        block = P.shape[:2]
+    worst = np.zeros(2)  # the largest residual norms, {,} first, then [,]
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        block = (hi - lo, m - lo)
         pairs = math.prod(block)
-        P_flat, Q_flat = P.reshape(pairs, -1), Q.reshape(pairs, -1)
-        # f and d are the parts of t_abc = trace(J_a J_b J_c) antisymmetric
-        # and symmetric in (a, b): t_ab is a row of P's traces, t_ba of Q's.
-        t_ab, t_ba = P_flat @ rows, Q_flat @ rows
-        anti = np.subtract(t_ab.imag, t_ba.imag, out=t_ab.imag).reshape(*block, m)
-        sym = np.add(t_ab.real, t_ba.real, out=t_ab.real).reshape(*block, m)
-        del t_ba
+        A, C, Q = buffers[:, : pairs * dim * dim].reshape(3, *block, dim, dim)
+        # A[i, j] = S_a S_b and Q[i, j] = S_b S_a for a = lo + i, b = lo + j,
+        # then A[i, j] = {S_a, S_b} and C[i, j] = [S_a, S_b].
+        _times_real_form(S[lo:hi, None], R[None, lo:], out=A)
+        _times_real_form(S[None, lo:], R[lo:hi, None], out=Q)
+        np.subtract(A, Q, out=C)
+        A += Q
+        anti = f_buf[: pairs * m].reshape(*block, m)
+        d_coeffs = d_buf[: pairs * (m + 1)].reshape(*block, m + 1)
+        sym = d_coeffs[..., :m]
+        np.matmul(_flat(C), forms[1], out=anti)
+        np.matmul(_flat(A), forms[0], out=sym)
         anti /= kappa
         sym /= kappa
         # Entries (b, a) are written first, so the diagonal block keeps the
-        # entries formed as (a, b).  0.0 - x and x + 0.0 turn -0.0 into 0.0.
-        np.subtract(0.0, anti.transpose(1, 0, 2), out=f[lo:, lo:hi])
-        np.add(sym.transpose(1, 0, 2), 0.0, out=d[lo:, lo:hi])
-        np.add(anti, 0.0, out=f[lo:hi, lo:])
-        np.add(sym, 0.0, out=d[lo:hi, lo:])
-        del t_ab, anti, sym
+        # entries formed as (a, b).  0.0 - x and x + 0.0 turn -0.0 into 0.0;
+        # they are taken in place, as 0.0 - (0.0 - x) is x + 0.0, and copied
+        # out, which is faster than a transposed ufunc.
+        np.subtract(0.0, anti, out=anti)
+        np.copyto(f[lo:, lo:hi], anti.transpose(1, 0, 2))
+        np.subtract(0.0, anti, out=anti)
+        np.copyto(f[lo:hi, lo:], anti)
+        sym += 0.0
+        np.copyto(d[lo:, lo:hi], sym.transpose(1, 0, 2))
+        np.copyto(d[lo:hi, lo:], sym)
 
-        commutator = np.subtract(P, Q)
-        np.add(P, Q, out=P)
-        # [J_a, J_b] = f_abc (i J_c); Q is not read again.
-        coeffs = f[lo:hi, lo:].astype(complex).reshape(pairs, m)
-        np.matmul(coeffs, i_S, out=Q_flat)
-        commutator -= Q
-        f_res = max(f_res, float(frobenius_norms(commutator).max()))
-        # {J_a, J_b} = delta_coeff delta_ab 1 + d_abc J_c.
-        coeffs = np.empty((*block, m + 1), dtype=complex)
-        coeffs[..., :m] = d[lo:hi, lo:]
-        coeffs[..., m] = delta_coeff * np.eye(*block)
-        np.matmul(coeffs.reshape(pairs, m + 1), with_one, out=Q_flat)
-        P -= Q
-        d_res = max(d_res, float(frobenius_norms(P).max()))
-        del commutator, coeffs  # before the next block's traces
+        # [S_a, S_b] = f_abc (i S_c) and {S_a, S_b} = delta_coeff delta_ab 1
+        # + d_abc S_c: each right side is formed in Q and subtracted.
+        right = _flat(Q).reshape(pairs, -1)
+        np.matmul(anti.reshape(pairs, m), i_S, out=right)
+        C -= Q
+        d_coeffs[..., m] = delta_coeff * np.eye(*block)
+        np.matmul(d_coeffs.reshape(pairs, m + 1), _flat(with_one), out=right)
+        A -= Q
+        worst = np.maximum(worst, _largest_norms(buffers[:2, : pairs * dim * dim], dim))
+    d_res, f_res = (float(x) for x in worst)
     f.flags.writeable = False
     d.flags.writeable = False
     return StructureTensors(
@@ -273,7 +343,7 @@ def adjoint_from_f(st: StructureTensors, tol: Tolerance = DEFAULT_TOL) -> Genera
     if worst > tol.abs_eps:
         raise ValueError(f"adjoint matrices fail to close, residual {worst:.3g}")
     rep = adjoint_rep(st.n) if m == st.n * st.n - 1 else Rep("adjoint", m)
-    return GeneratorSet(rep, Kind.ANGULAR_MOMENTUM, tuple(1j * F))
+    return GeneratorSet(rep, Kind.ANGULAR_MOMENTUM, 1j * F)
 
 
 def boost_obstruction_report(

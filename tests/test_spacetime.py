@@ -246,6 +246,19 @@ def test_intertwine_sweep_passes():
     assert _intertwine_one(J22, K22, gamma(), draws=25, seed=3).passed
 
 
+def test_real_rep_conjugation_equals_the_complex_route(monkeypatch):
+    # mat_exp returns the 5-affine exponentials as float64, and D and D^-1
+    # are then float64 products.  Cast to complex and multiplied in real
+    # arithmetic, as every complex rep's are, they give the same residuals
+    # bit for bit.
+    theta, phi = spacetime._draw(spacetime._streams(1), 100, (), (np.pi, 2.0))
+    family = [affine_generators()]
+    (real,) = spacetime._intertwine_residuals(family, theta, phi)
+    monkeypatch.setattr(spacetime, "mat_exp", lambda a: mat_exp(a).astype(complex))
+    (complex_route,) = spacetime._intertwine_residuals(family, theta, phi)
+    np.testing.assert_array_equal(real, complex_route)
+
+
 def _families():
     return [(*rep22_jk(), gamma()), affine_generators()]
 

@@ -160,6 +160,29 @@ def test_extract_rejects_bad_bases():
         extract_structure([])
 
 
+def test_extract_accepts_a_valid_basis_at_any_scale():
+    # The input checks are relative to max|S| and kappa: scaled by 1e4, a
+    # Haar-conjugated su(4) basis still passes them, and f and d scale with it.
+    st = extract_structure(haar_basis(4))
+    big = extract_structure([1e4 * g for g in haar_basis(4)])
+    np.testing.assert_allclose(big.f, 1e4 * st.f, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(big.d, 1e4 * st.d, rtol=0, atol=1e-10)
+
+
+def test_extract_rejects_a_non_orthogonal_basis_at_small_scale():
+    basis = [1e-5 * g / 2 for g in gell_mann()]
+    basis[1] = basis[0] + basis[1]
+    with pytest.raises(BasisError, match="generators 1, 2 are not trace-orthogonal"):
+        extract_structure(basis)
+
+
+def test_extract_rejects_a_non_hermitian_generator_at_small_scale():
+    basis = [1e-10 * g for g in j2().members]
+    basis[2] = 1j * basis[2]
+    with pytest.raises(BasisError, match="generator 3 is not hermitian traceless"):
+        extract_structure(basis)
+
+
 def test_adjoint_from_f_su2_matches_spatial_blocks():
     st = extract_structure(list(j2().members))
     adj = adjoint_from_f(st)
@@ -242,24 +265,80 @@ def test_trace_tensor_matches_per_triple_traces(n):
     assert np.abs(st.d - ref_d).max() <= 2e-15
 
 
+def gamma(k):
+    """gamma_k = k u / (1 - k u), u = 2^-53 (Higham 2002, ch. 3)."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def two_route_bounds(S, f, d, f_res, d_res):
+    """Bounds on the difference between two extractions of the stack S: one
+    per entry of f and d, one per residual, given the f, d and residuals of
+    one of them.  Each extraction forms every product of two matrices, every
+    trace and every reconstruction as sums of real products, so for either,
+    with T_abc = trace(|S_a||S_b||S_c|) + trace(|S_b||S_a||S_c|), an entry of
+    f or d is within E_abc = sqrt(2) gamma_{2n^2 + 2n + 3} T_abc / kappa of
+    its exact value; a reconstruction residual matrix is within
+    W_ab = sqrt(2) gamma_{2n + 2} H_ab + sum_c (sqrt(2) gamma_{2m + 3} |g_abc|
+    + E_abc) |M_c| of its exact one, with H_ab = |S_a||S_b| + |S_b||S_a|, g
+    and M the coefficients and members (f and i S, or d plus delta_coeff
+    delta_ab and [S; 1]), and its norm is rounded by gamma_{2n^2 + 1}
+    relative.  The derivation is in CHANGES.md; magnitudes are taken from the
+    given extraction, which moves them only at second order in u."""
+    m, n = len(S), S.shape[1]
+    kappa = float(np.trace(S[0] @ S[0]).real)
+    abs_S = np.abs(S)
+    rows = abs_S.reshape(m, n * n)
+    G = abs_S[:, None] @ abs_S[None]
+    H = (G + G.transpose(1, 0, 2, 3)).reshape(m * m, n * n)
+    E = math.sqrt(2) * gamma(2 * n * n + 2 * n + 3) * (H @ abs_S.transpose(0, 2, 1).reshape(m, -1).T) / kappa
+    g = math.sqrt(2) * gamma(2 * m + 3)
+    W = math.sqrt(2) * gamma(2 * n + 2) * H + E @ rows
+    W_f = W + g * np.abs(f).reshape(m * m, m) @ rows
+    W_d = W + g * np.abs(d).reshape(m * m, m) @ rows
+    W_d.reshape(m, m, -1)[np.arange(m), np.arange(m), :: n + 1] += g * 2.0 * kappa / n
+    norm = gamma(2 * n * n + 1)
+    return (
+        2 * E.reshape(m, m, m),
+        2 * np.linalg.norm(W_f, axis=1).max() + 2 * norm * f_res,
+        2 * np.linalg.norm(W_d, axis=1).max() + 2 * norm * d_res,
+    )
+
+
+def oracle_and_bounds(basis):
+    ref = three_pass_structure(np.stack(basis))
+    return ref, two_route_bounds(np.stack(basis), *ref)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 @pytest.mark.parametrize("conjugated", [False, True], ids=["gell-mann", "haar"])
 def test_extract_structure_matches_the_three_pass_oracle(n, conjugated):
-    # The single pass takes f, d and both residuals from the same products as
-    # the trace tensor and the two residual tables, with the same operations.
-    # Its trace products have other shapes than the trace tensor's rows; up
-    # to N = 6 BLAS still gives the same bits, from N = 7 it may sum some
-    # entries in another order, and d and the residuals move in the last bit.
+    # The single pass forms its products in real arithmetic, the oracle with
+    # complex matmul, so they round differently: f, d and both residuals
+    # agree to within the sum of the two routes' gamma_k bounds.  On the
+    # sigma / 2 trio every step is exact and they agree bit for bit.
     basis = haar_basis(n) if conjugated else [g / 2 for g in generalized_gell_mann(n)]
     st = extract_structure(basis)
-    f, d, f_res, d_res = three_pass_structure(np.stack(basis))
-    got, ref = (st.f, st.d, st.f_residual, st.d_residual), (f, d, f_res, d_res)
-    if n <= 6:
-        for x, y in zip(got, ref):
+    (f, d, f_res, d_res), (entry, f_res_bound, d_res_bound) = oracle_and_bounds(basis)
+    assert (np.abs(st.f - f) <= entry).all() and (np.abs(st.d - d) <= entry).all()
+    assert abs(st.f_residual - f_res) <= f_res_bound
+    assert abs(st.d_residual - d_res) <= d_res_bound
+    if n == 2 and not conjugated:
+        for x, y in zip((st.f, st.d, st.f_residual, st.d_residual), (f, d, f_res, d_res)):
             np.testing.assert_array_equal(x, y)
-    else:
-        for x, y in zip(got, ref):
-            assert np.abs(np.subtract(x, y)).max() <= 1e-15
+
+
+def test_a_bumped_generator_fails_the_two_route_bound():
+    # A 2^-40 bump to one entry of one generator (still hermitian, and
+    # traceless and orthogonal to within the input checks) moves f and d by
+    # more than the rounding bound: the bound does not hide a change of that
+    # size, at the N where it is loosest.
+    basis = haar_basis(9)
+    (f, d, _, _), (entry, _, _) = oracle_and_bounds(basis)
+    basis[0] = basis[0].copy()
+    basis[0][0, 0] += 2.0**-40
+    st = extract_structure(basis)
+    assert (np.abs(st.f - f) > entry).any() and (np.abs(st.d - d) > entry).any()
 
 
 def test_su2_structure_tensors_have_no_negative_zeros():
@@ -284,6 +363,13 @@ def test_structure_tensors_satisfy_exact_sum_rules(n, conjugated):
     assert close(float(np.sum(st.d**2)), (n * n - 4) * (n * n - 1) / n)
     assert close(float(np.abs(st.d).max()), math.sqrt(2.0) * (n - 2) / math.sqrt(n * (n - 1)))
     assert st.f_residual < 1e-12 and st.d_residual < 1e-12
+
+
+def test_adjoint_stack_is_i_times_the_transposed_f():
+    st = extract_structure([g / 2 for g in generalized_gell_mann(4)])
+    adj = adjoint_from_f(st)
+    np.testing.assert_array_equal(adj.stack, 1j * st.f.transpose(1, 0, 2))
+    assert not adj.stack.flags.writeable
 
 
 def test_adjoint_from_zero_f():

@@ -9,10 +9,14 @@ one copy of this script times any version of the package whose
 ``_d4_stack`` takes no tolerance and whose ``intertwine_sweep`` takes a
 list of families.
 Cases: ``extract_structure`` on the generalized Gell-Mann basis
-T = lambda / 2 at N = 2..9 and 12, and on the su(6) basis conjugated by a
-seeded random unitary (``perfbench/workloads.py``'s ``haar_unitary``, the
-input ``sun-sweep`` extracts); ``adjoint_from_f`` on the Gell-Mann
-structure tensors at N = 4 and 6; the seeded sweeps
+T = lambda / 2 at N = 2..9 and 12, and on the su(N) bases, N = 2..6,
+conjugated by a random unitary seeded with N (``perfbench/workloads.py``'s
+``haar_unitary``, the kind of input ``sun-sweep`` extracts);
+``adjoint_from_f`` on the Gell-Mann structure tensors at N = 4 and 6 and on
+the Haar su(6) ones; one ``sun-sweep``-shaped iteration over those Haar
+bases, each through ``extract_structure``, ``structure_reports``,
+``boost_obstruction_report`` and ``adjoint_from_f`` (the bases are built
+beforehand, where ``sun-sweep`` builds them in each iteration); the seeded sweeps
 ``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
 trials; one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
 exponents theta.(i J4) of 256 seeded angle triples; one
@@ -100,6 +104,7 @@ def _load(path: Path, name: str, package: bool = False):
 THREAD_ENV = _load(ROOT / "perfbench" / "run.py", "perfbench_run").THREAD_ENV
 EXTRACT_N = (*range(2, 10), 12)
 ADJOINT_N = (4, 6)
+HAAR_N = range(2, 7)
 REPEATS = 5
 PAIRS = 100
 
@@ -166,11 +171,22 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
     extract_structure, adjoint_from_f = su_n.extract_structure, su_n.adjoint_from_f
     bases = {n: [g / 2 for g in su_n.generalized_gell_mann(n)] for n in EXTRACT_N}
     cases = [(f"extract_structure n={n}", extract_structure, bases[n]) for n in EXTRACT_N]
-    u = haar_unitary(np.random.default_rng(6), 6)
-    cases.append(
-        ("extract_structure haar n=6", extract_structure, [u @ g @ u.conj().T for g in bases[6]])
-    )
+    haar = {}
+    for n in HAAR_N:
+        u = haar_unitary(np.random.default_rng(n), n)
+        haar[n] = [u @ g @ u.conj().T for g in bases[n]]
+    cases += [(f"extract_structure haar n={n}", extract_structure, haar[n]) for n in HAAR_N]
     cases += [(f"adjoint_from_f n={n}", adjoint_from_f, extract_structure(bases[n])) for n in ADJOINT_N]
+    cases.append(("adjoint_from_f haar n=6", adjoint_from_f, extract_structure(haar[6])))
+
+    def sun_sweep(haar_bases):
+        for basis in haar_bases:
+            st = extract_structure(basis)
+            su_n.structure_reports(st)
+            su_n.boost_obstruction_report(st)
+            adjoint_from_f(st)
+
+    cases.append(("sun-sweep iteration haar n=2..6", sun_sweep, list(haar.values())))
     cases += [
         (f"{check.__name__}(1000)", check, 1000)
         for check in (spacetime.boost_invariance_check, spacetime.rotation_invariance_check)
