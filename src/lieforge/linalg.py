@@ -161,10 +161,13 @@ def mat_exp(a) -> np.ndarray:
     That moves only rounding, each product within the gamma_2n bound stated
     there.
 
-    For the matrices this package handles (dimension <= 10, norms of order
-    10) the element-wise error stays well below 1e-10, the default bound the
-    sweeps hold it to, on either path; the inverse-product identity
-    ``mat_exp(A) @ mat_exp(-A) == I`` is the advertised accuracy contract.
+    No run of the package calls it: every spacetime exponential is summed in
+    closed form from its generators' identity (:mod:`lieforge.spacetime`).
+    It stays as the general exponential the tests hold those closed forms
+    against.  For matrices of dimension <= 10 and norms of order 10 the
+    element-wise error stays well below 1e-10 on either path; the
+    inverse-product identity ``mat_exp(A) @ mat_exp(-A) == I`` is the
+    advertised accuracy contract.
     A zero matrix comes out as exactly I, with no special case: s = 0, every
     Horner step multiplies by B^4 = 0 and the last one adds c_0 I = I.  A
     nilpotent B with B @ B == 0 (the translation generators) comes out as

@@ -10,17 +10,22 @@ is checked exactly where they are read, and from there on every 4-vector and
 is checked once where it enters (:func:`apply`).  A failed purity check
 signals a convention bug, typically a stray factor of i.
 
-Every 4-vector transform Lambda is built in closed form from the cubic
-identities of its generators: for a unit axis, N = n.(i J4) obeys N^3 = -N
-and M = n.(i K4) obeys M^3 = M, so exp(theta.(i J4)) and exp(phi.(i K4)) are
+Every runtime exponential is summed in closed form from an identity of its
+generators, with no series.  For a unit axis, N = n.(i J4) obeys N^3 = -N and
+M = n.(i K4) obeys M^3 = M, so exp(theta.(i J4)) and exp(phi.(i K4)) are
 finite trigonometric and hyperbolic polynomials in N and M, and Lambda is
-the boost times the rotation.  :func:`~lieforge.linalg.mat_exp` serves only
-the rep-side D and D^-1 of the intertwining sweep, which the identity
-compares with that independently built Lambda, and the translations.
+the boost times the rotation.  The rep-side D and D^-1 of the intertwining
+sweep come from the same kernel: the paper's spin-1/2 anticommutator
+{J_a, J_b} = 1/2 delta_ab 1 gives the 2+2 rep N^2 = -1/4 and M^2 = +1/4,
+hence N^3 = -N/4 and M^3 = M/4, and the 5-affine rotations and boosts obey
+the 4-vector identities.  :func:`intertwine_sweep` checks each stack's
+identity exactly before it draws.  The translation generators are
+nilpotent, so exp(i a.P) is I + i a.P.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,6 @@ from .linalg import (
     _real_form,
     _times_real_form,
     frobenius_norms,
-    mat_exp,
 )
 from .transfer import build_j4, build_k4
 
@@ -143,14 +147,20 @@ _SIGMA4 = np.array([pauli(mu) for mu in range(1, 5)])
 _BLOCK = 1024
 
 
+def _times_i(G: GeneratorSet) -> np.ndarray:
+    """The stack i G: float64 when it is exactly real, complex128 otherwise."""
+    iG = 1j * G.stack
+    return iG if iG.imag.any() else iG.real
+
+
 def _real_generators(G: GeneratorSet) -> np.ndarray:
     """The stack i G as float64; :class:`PurityError` if any entry of it has
     an imaginary part, however small."""
-    iG = 1j * G.stack
-    if iG.imag.any():
+    iG = _times_i(G)
+    if iG.dtype != np.float64:
         residue = np.abs(iG.imag).max()
         raise PurityError(f"4-vector {G.kind.value} generators have imaginary part {residue:.3g}")
-    return iG.real
+    return iG
 
 
 def _combine(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -167,34 +177,97 @@ def _norms_and_axes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, v / np.where(t == 0.0, 1.0, t)[:, None]
 
 
-def _cubic_exp(v: np.ndarray, iG: np.ndarray, sin) -> np.ndarray:
-    """exp(v.iG) as I + sin|v| N + 2 sin^2(|v|/2) N^2, N = (v/|v|).iG, for
-    every row of the ``(T, 3)`` array ``v``.
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for two stacks of one dtype: numpy's product for float64, the
+    product in real arithmetic (:func:`~lieforge.linalg._times_real_form`)
+    for complex128."""
+    return np.matmul(x, y) if x.dtype == np.float64 else _times_real_form(x, _real_form(y))
 
-    The formula is the exponential when every unit combination obeys
-    N^3 = -N with ``sin`` = ``np.sin`` (the rotation generators i J4), or
-    N^3 = N with ``sin`` = ``np.sinh`` (the boost generators i K4): the
-    series of exp(t N) then sums to those two terms, since 1 - cos t =
-    2 sin^2(t/2) and cosh t - 1 = 2 sinh^2(t/2).  ``np.sin`` reduces any
-    finite angle exactly, so a large angle still gives a rotation.
+
+def _plus_identity(stack: np.ndarray) -> np.ndarray:
+    """Add I to every matrix of a ``(T, n, n)`` stack, in place; return it."""
+    stack.reshape(len(stack), -1)[:, :: stack.shape[-1] + 1] += 1.0
+    return stack
+
+
+def _cubic_exp(v: np.ndarray, U: np.ndarray, sin, inverse: bool = False) -> tuple:
+    """exp(v.U) for every row of the ``(T, 3)`` array ``v``, followed by
+    exp(-v.U) when ``inverse``, as I +- sin(t) M + 2 sin^2(t/2) M^2 with
+    t = |v| and M = (v/|v|).U, from one M and M^2.
+
+    The formula is the exponential when every unit combination of the stack
+    ``U`` obeys M^3 = -M with ``sin`` = ``np.sin`` (rotations) or M^3 = M
+    with ``np.sinh`` (boosts): the series of exp(t M) then sums to it, since
+    1 - cos t = 2 sin^2(t/2) and cosh t - 1 = 2 sinh^2(t/2).
+    :func:`_cubic_unit` brings a stack with N^3 = -c N to that form.
+    ``np.sin`` reduces any finite angle exactly, so a large angle still
+    gives a rotation.
     """
     t, axes = _norms_and_axes(v)
-    N = _combine(axes, iG)
-    out = sin(t)[:, None, None] * N + (2.0 * sin(0.5 * t) ** 2)[:, None, None] * (N @ N)
-    out.reshape(len(v), -1)[:, :: N.shape[-1] + 1] += 1.0
-    return out
+    M = _combine(axes, U)
+    odd = sin(t)[:, None, None] * M
+    even = (2.0 * sin(0.5 * t) ** 2)[:, None, None] * _matmul(M, M)
+    minus = (_plus_identity(even - odd),) if inverse else ()
+    return (_plus_identity(np.add(even, odd, out=even)), *minus)
 
 
 def _rotation_stack(theta) -> np.ndarray:
     """exp(i theta.J) in the 4-vector rep, as float64, for every row of the
     ``(T, 3)`` array ``theta``."""
-    return _cubic_exp(theta, _real_generators(_J4), np.sin)
+    return _cubic_exp(theta, _real_generators(_J4), np.sin)[0]
 
 
 def _d4_stack(theta, phi) -> np.ndarray:
     """exp(i phi.K) exp(i theta.J) in the 4-vector rep, as float64, for every
     row of the ``(T, 3)`` arrays ``theta`` and ``phi``, in closed form."""
-    return _cubic_exp(phi, _real_generators(_K4), np.sinh) @ _rotation_stack(theta)
+    return _cubic_exp(phi, _real_generators(_K4), np.sinh)[0] @ _rotation_stack(theta)
+
+
+# The ten integer directions u at which the identity N^3 = -c |u|^2 N of
+# N = u.(i G) is checked, and their |u|^2: e1, e2, e3, e1 +- e2, e1 +- e3,
+# e2 +- e3 and e1 + e2 + e3.  Both sides are cubic forms in u, and the ten
+# cubic monomials u_a u_b u_c take linearly independent values at these
+# points (rank 10), so agreement at all ten is agreement at every u.
+_DIRECTIONS = np.array(
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0],
+     [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1], [1, 1, 1]],
+    dtype=float,
+)
+_DIRECTION_SQ = (_DIRECTIONS**2).sum(axis=1)
+
+
+def _cubic_unit(G: GeneratorSet) -> tuple[np.ndarray, float, np.ufunc]:
+    """The stack i G in the unit form :func:`_cubic_exp` takes, as
+    ``(i G / lam, lam, sin)``: every combination N = u.(i G) must obey
+    N^3 = -c |u|^2 N for one nonzero c, lam = sqrt(|c|), and ``sin`` is
+    ``np.sin`` for c > 0 or ``np.sinh`` for c < 0, so that
+    exp(v.(i G)) = exp((lam v).(i G / lam)).
+
+    c is -<N, N^3> / <N, N> over the members, and the identity is checked
+    exactly, in floating point, at the ten :data:`_DIRECTIONS`, hence at
+    every u; :class:`PrecondError` if it fails or c is 0.  The generators of
+    this package have dyadic entries, so both sides are exact at those
+    integer directions.  A rep whose entries are not dyadic, such as a
+    dyadic one in a rotated basis, meets the identity only up to rounding
+    and is refused."""
+    iG = _times_i(G)
+    N = _combine(_DIRECTIONS, iG)
+    cubes = N @ N @ N
+    norm = np.vdot(N[:3], N[:3]).real
+    c = float(-np.vdot(N[:3], cubes[:3]).real / norm) if norm else 0.0
+    if c == 0.0 or not np.array_equal(cubes, (-c * _DIRECTION_SQ)[:, None, None] * N):
+        raise PrecondError(
+            f"{G.rep.tag}-rep {G.kind.value} generators fail the identity "
+            "N^3 = -c |n|^2 N exactly, with c nonzero"
+        )
+    lam = math.sqrt(abs(c))
+    return iG / lam, lam, np.sin if c > 0 else np.sinh
+
+
+def _unit_families(families) -> list[tuple]:
+    """Each ``(J, K, V)`` triple of ``families`` as ``(J, K, V)`` with J and
+    K in the unit form of :func:`_cubic_unit`, which checks their identity."""
+    return [(_cubic_unit(J), _cubic_unit(K), V) for J, K, V in families]
 
 
 def _apply_stack(D: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -260,29 +333,38 @@ def affine_generators() -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
     )
 
 
+def _rep_transforms(rot, boost, theta, phi) -> tuple[np.ndarray, np.ndarray]:
+    """D = exp(i phi.K) exp(i theta.J) and D^-1 = exp(-i theta.J)
+    exp(-i phi.K) in the rep of the stacks J and K, given in the unit form of
+    :func:`_cubic_unit` as ``rot`` and ``boost``, for every row of the
+    ``(T, 3)`` arrays ``theta`` and ``phi``: each factor summed by
+    :func:`_cubic_exp` from one N and N^2 per stack.  Float64 when i J and
+    i K are exactly real (the 5-affine rep), complex128 otherwise."""
+    (e_rot, e_mrot), (e_boost, e_mboost) = (
+        _cubic_exp(lam * v, U, sin, inverse=True)
+        for v, (U, lam, sin) in ((theta, rot), (phi, boost))
+    )
+    return _matmul(e_boost, e_rot), _matmul(e_mrot, e_mboost)
+
+
 def _intertwine_residuals(families, theta, phi) -> list[np.ndarray]:
-    """Per ``(J, K, V)`` triple of ``families``, the ``(T, 4)`` Frobenius
+    """Per ``(J, K, V)`` triple of ``families``, J and K in the unit form of
+    :func:`_cubic_unit` (:func:`_unit_families`), the ``(T, 4)`` Frobenius
     norms of D^-1 V^mu D - Lambda^mu_nu V^nu for mu = 1..4 and every row of
-    the ``(T, 3)`` arrays ``theta`` and ``phi``.  D and D^-1 are built in each
-    triple's own rep by :func:`mat_exp`; Lambda, the 4-vector transform, is
-    built once for all, in closed form.  D and D^-1 are float64 products
-    when :func:`mat_exp` returns the exponentials as float64 (the real
-    5-affine rep); every other product of the conjugation is formed in real
-    arithmetic (:func:`~lieforge.linalg._times_real_form`), the real forms
-    of V and D broadcast over the trials and the members."""
+    the ``(T, 3)`` arrays ``theta`` and ``phi``.  D and D^-1 are built in
+    each triple's own rep (:func:`_rep_transforms`); Lambda, the 4-vector
+    transform, is built once for all, from J4 and K4.  Every product of the
+    conjugation is formed in real arithmetic
+    (:func:`~lieforge.linalg._times_real_form`), the real forms of V and D
+    broadcast over the trials and the members.
+
+    In the 5-affine rep the closed forms give R(theta)^T = R(-theta) and
+    B(phi)^T = B(phi) bit for bit, so D^-1 P^mu D and Lambda^mu_nu P^nu are
+    the same floating-point computation and the residual is exactly 0."""
     lam = _d4_stack(theta, phi)
     residuals = []
-    for J, K, V in families:
-        rot, boost = _combine(theta, 1j * J.stack), _combine(phi, 1j * K.stack)
-        exps = mat_exp(np.stack([rot, boost, -rot, -boost]))
-        times = (
-            np.matmul
-            if exps.dtype == np.float64
-            else lambda x, y: _times_real_form(x, _real_form(y))
-        )
-        e_rot, e_boost, e_mrot, e_mboost = exps
-        D = times(e_boost, e_rot).astype(complex, copy=False)
-        Dinv = times(e_mrot, e_mboost).astype(complex, copy=False)
+    for rot, boost, V in families:
+        D, Dinv = (m.astype(complex, copy=False) for m in _rep_transforms(rot, boost, theta, phi))
         moved = _times_real_form(Dinv[:, None], _real_form(V.stack))
         conj = _times_real_form(moved, _real_form(D)[:, None])
         residuals.append(frobenius_norms(conj - _combine(lam, V.stack)))
@@ -395,13 +477,20 @@ def intertwine_sweep(
     Lambda; the test suite pins that orientation numerically).  The caller
     passes that algebraic precheck in: ``prechecks`` holds the
     :func:`~lieforge.checks.check_poincare` reports of the triples, and any
-    failed one raises :class:`PrecondError` before anything is drawn.
+    failed one raises :class:`PrecondError` before anything is drawn.  So
+    does a rotation or boost stack that fails the identity its closed-form
+    exponential rests on, N^3 = -c |n|^2 N, exactly in floating point
+    (:func:`_cubic_unit`).  The sweep therefore accepts only reps whose
+    generators meet that identity without rounding, such as the dyadic
+    2+2 and 5-affine stacks of this package; the same rep conjugated by a
+    random unitary passes the closure precheck but is refused here.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
     bad = [r.identity.value for r in prechecks if not r.passed]
     if bad:
         raise PrecondError(f"inputs fail the closure precheck: {', '.join(bad)}")
+    units = _unit_families(families)
     return _seeded_sweep(
         Identity.INTERTWINING,
         [f"{V.rep.tag}-rep" for _, _, V in families],
@@ -410,7 +499,7 @@ def intertwine_sweep(
         draws,
         seed,
         lambda streams, size: _draw(streams, size, (), (np.pi, 2.0)),
-        lambda theta, phi: _intertwine_residuals(families, theta, phi),
+        lambda theta, phi: _intertwine_residuals(units, theta, phi),
         lambda idx, _: f"draw {idx[0]}, member mu={idx[1]}",
     )
 
@@ -533,7 +622,7 @@ def affine_composition_check(
 
 
 def _translation_residuals(a, x, p5: GeneratorSet) -> np.ndarray:
-    g = mat_exp(1j * _combine(a, p5.stack))
+    g = _plus_identity(_combine(a, _times_i(p5)))
     expected = _affine5(np.broadcast_to(np.eye(4), (len(a), 4, 4)), a)
     moved = (g @ _append_one(x)[:, :, None])[:, :, 0]
     return np.maximum.reduce(
@@ -551,7 +640,11 @@ def translation_check(
     """exp(i a.P) in the affine rep is exactly the displacement by a.
 
     The translation generators are nilpotent (any product of two vanishes), so
-    the exponential terminates after its linear term and the check is exact.
+    the exponential terminates after its linear term: it is built as
+    I + i a.P and the check is exact.  That sum is the exponential only
+    while the products vanish, so the report also holds the largest entry of
+    any P_a P_b, with the witness "generator products" when it is the worst
+    residual.
     """
     _, _, p5 = affine_generators()
     report = _seeded_sweep(

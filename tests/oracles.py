@@ -186,3 +186,17 @@ def per_relation_transfer(rotations, boosts) -> list[np.ndarray]:
         bracket_table(K, J, i_eps, K),
         _mirrored(bracket_table(K, K, -i_eps, J)),
     ]
+
+
+def unit_cubic_exp(v, iG, sin) -> np.ndarray:
+    """exp(v.iG) as I + sin|v| N + 2 sin^2(|v|/2) N^2 with N = (v/|v|).iG,
+    for every row of a (T, 3) array ``v`` and a real (3, n, n) stack ``iG``
+    whose unit combinations obey N^3 = -N (``sin`` = ``np.sin``) or
+    N^3 = N (``np.sinh``), written as one expression: a bit-for-bit
+    reference for the package's kernel on the 4-vector stacks; a zero row
+    has axis 0 and gives I."""
+    t = np.hypot(np.hypot(v[:, 0], v[:, 1]), v[:, 2])
+    axes = v / np.where(t == 0.0, 1.0, t)[:, None]
+    N = (axes @ iG.reshape(len(iG), -1)).reshape(len(v), *iG.shape[1:])
+    out = sin(t)[:, None, None] * N + (2.0 * sin(0.5 * t) ** 2)[:, None, None] * (N @ N)
+    return out + np.eye(iG.shape[-1])

@@ -383,21 +383,19 @@ def test_a_run_is_freed_when_main_returns(capsys):
 
 
 def test_invariants_exponentiates_no_zero_matrix(monkeypatch, capsys):
-    # Every 4-vector Lambda is built in closed form; only the rep-side D and
-    # D^-1 of the two intertwining sweeps and the translations are
-    # exponentiated: 3 calls over 900 matrices, none of them all zero.
+    # Every exponential is summed in closed form: Lambda, the rep-side D and
+    # D^-1 of the two intertwining sweeps and the translations.  No matrix,
+    # zero or not, goes through the series.
     seen = []
     mat_exp = lieforge.linalg.mat_exp
 
     def counted(a):
-        stack = np.asarray(a)
-        seen.append(stack.reshape(-1, stack.shape[-1] ** 2).any(axis=1))
+        seen.append(np.asarray(a).shape)
         return mat_exp(a)
 
-    monkeypatch.setattr(lieforge.linalg, "mat_exp", counted)
-    monkeypatch.setattr(lieforge.spacetime, "mat_exp", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lieforge") and hasattr(module, "mat_exp"):
+            monkeypatch.setattr(module, "mat_exp", counted)
     assert main(["invariants", "--trials", "1000"]) == 0
-    assert len(seen) == 3
-    assert sum(len(s) for s in seen) == 900
-    assert all(s.all() for s in seen)
+    assert seen == []
     capsys.readouterr()

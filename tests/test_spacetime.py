@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from lieforge import spacetime
-from lieforge.checks import all_passed, check_poincare
+from lieforge.checks import all_passed, check_lorentz, check_poincare
 from lieforge.cli import main
-from lieforge.generators import GeneratorSet, Kind, REP5_AFFINE, gamma, j2, rep22_jk, v2
+from lieforge.generators import GeneratorSet, Kind, REP5_AFFINE, Rep, gamma, j2, rep22_jk, v2
 from lieforge.linalg import DEFAULT_TOL, Tolerance, mat_exp
 from lieforge.spacetime import (
     PrecondError,
@@ -26,7 +26,16 @@ from lieforge.spacetime import (
     translation_check,
 )
 from lieforge.transfer import build_j4, build_k4
-from oracles import affine_apply, affine_matrix, covering_map, interval_sq_via_det
+import scipy.linalg
+import scipy.stats
+
+from oracles import (
+    affine_apply,
+    affine_matrix,
+    covering_map,
+    interval_sq_via_det,
+    unit_cubic_exp,
+)
 
 MINKOWSKI = np.diag([1.0, 1.0, 1.0, -1.0])
 
@@ -192,7 +201,8 @@ def test_affine_boost_labeling():
 def _intertwine_at(J, K, V, params):
     """The four intertwining residuals, one per member V^mu, of one draw."""
     theta, phi = np.array([params.theta]), np.array([params.phi])
-    return spacetime._intertwine_residuals([(J, K, V)], theta, phi)[0][0]
+    units = spacetime._unit_families([(J, K, V)])
+    return spacetime._intertwine_residuals(units, theta, phi)[0][0]
 
 
 def _intertwine_one(J, K, V, draws=100, tol=DEFAULT_TOL, seed=1):
@@ -247,14 +257,19 @@ def test_intertwine_sweep_passes():
 
 
 def test_real_rep_conjugation_equals_the_complex_route(monkeypatch):
-    # mat_exp returns the 5-affine exponentials as float64, and D and D^-1
-    # are then float64 products.  Cast to complex and multiplied in real
+    # The closed form returns the 5-affine exponentials as float64, and D and
+    # D^-1 are then float64 products.  Cast to complex and multiplied in real
     # arithmetic, as every complex rep's are, they give the same residuals
     # bit for bit.
     theta, phi = spacetime._draw(spacetime._streams(1), 100, (), (np.pi, 2.0))
-    family = [affine_generators()]
+    family = spacetime._unit_families([affine_generators()])
     (real,) = spacetime._intertwine_residuals(family, theta, phi)
-    monkeypatch.setattr(spacetime, "mat_exp", lambda a: mat_exp(a).astype(complex))
+    closed_form = spacetime._cubic_exp
+    monkeypatch.setattr(
+        spacetime,
+        "_cubic_exp",
+        lambda *a, **k: tuple(e.astype(complex) for e in closed_form(*a, **k)),
+    )
     (complex_route,) = spacetime._intertwine_residuals(family, theta, phi)
     np.testing.assert_array_equal(real, complex_route)
 
@@ -267,10 +282,11 @@ def _intertwine_alone(J, K, V, draws, seed):
     """The residual and the first-maximum witness of one triple swept alone,
     with its own streams, its own draws and its own Lambda per block."""
     streams, worst, witness = spacetime._streams(seed), 0.0, None
+    units = spacetime._unit_families([(J, K, V)])
     for start in range(0, draws, spacetime._BLOCK):
         size = min(spacetime._BLOCK, draws - start)
         theta, phi = spacetime._draw(streams, size, (), (np.pi, 2.0))
-        (r,) = spacetime._intertwine_residuals([(J, K, V)], theta, phi)
+        (r,) = spacetime._intertwine_residuals(units, theta, phi)
         t, mu = np.unravel_index(int(np.argmax(r)), r.shape)
         if r[t, mu] > worst:
             worst, witness = float(r[t, mu]), f"draw {start + t}, member mu={mu + 1}"
@@ -282,8 +298,8 @@ def _intertwine_alone(J, K, V, draws, seed):
 def test_shared_intertwining_sweep_equals_the_separate_sweeps(monkeypatch, seed, draws):
     # One draw and one Lambda serve both families; each report must be the one
     # its family gives alone, bit for bit.  In blocks of 256, 300 draws span
-    # two blocks.  At a bound nothing meets, every report fails and keeps its
-    # witness.
+    # two blocks.  At a bound nothing inexact meets, the 2+2 report fails and
+    # keeps its witness; the 5-affine residual is exactly 0, with none.
     monkeypatch.setattr(spacetime, "_BLOCK", 256)
     families = _families()
     prechecks = [r for J, K, V in families for r in check_poincare(J, K, V)]
@@ -292,8 +308,9 @@ def test_shared_intertwining_sweep_equals_the_separate_sweeps(monkeypatch, seed,
     for report, family in zip(reports, families):
         worst, witness = _intertwine_alone(*family, draws, seed)
         assert report.max_residual == worst
-        assert report.witness["description"] == witness
+        assert (report.witness and report.witness["description"]) == witness
         assert report.note == f"seed={seed}, draws={draws}"
+    assert reports[1].max_residual == 0.0 and reports[1].witness is None
 
 
 def test_a_failed_precheck_raises_before_anything_is_drawn(monkeypatch):
@@ -463,6 +480,155 @@ def test_stack_combinations_equal_their_einsum_forms():
         np.testing.assert_array_equal(
             spacetime._combine(lam, V.stack), np.einsum("tmn,nab->tmab", lam, V.stack)
         )
+
+
+def test_d4_stack_is_the_unit_cubic_formula_bit_for_bit():
+    # The kernel also serves the intertwining reps, with an inverse and a
+    # complex product; on the 4-vector stacks it is the one-expression
+    # formula, bit for bit.
+    iJ, iK = ((1j * G.stack).real for G in (build_j4(), build_k4()))
+    rng = np.random.default_rng(13)
+    theta, phi = rng.uniform(-np.pi, np.pi, size=(2, 500, 3))
+    theta[:5], phi[5:10] = 0.0, 0.0
+    expected = unit_cubic_exp(phi, iK, np.sinh) @ unit_cubic_exp(theta, iJ, np.sin)
+    np.testing.assert_array_equal(spacetime._d4_stack(theta, phi), expected)
+    np.testing.assert_array_equal(
+        spacetime._rotation_stack(theta), unit_cubic_exp(theta, iJ, np.sin)
+    )
+
+
+def test_the_identity_directions_determine_every_cubic_form():
+    # N^3 + c |u|^2 N is a cubic form in u with ten matrix coefficients, one
+    # per monomial u_a u_b u_c (a <= b <= c); it vanishes for every u when it
+    # vanishes at ten points where the monomials are independent.
+    u = spacetime._DIRECTIONS
+    triples = [(a, b, c) for a in range(3) for b in range(a, 3) for c in range(b, 3)]
+    monomials = np.array([[p[a] * p[b] * p[c] for a, b, c in triples] for p in u])
+    assert monomials.shape == (10, 10)
+    assert np.linalg.matrix_rank(monomials) == 10
+
+
+def _series_transforms(J, K, theta, phi, exp):
+    """D and D^-1 of a rep by a general matrix exponential ``exp``."""
+    rot, boost = (np.einsum("ti,iab->tab", v, 1j * G.stack) for v, G in ((theta, J), (phi, K)))
+    return exp(boost) @ exp(rot), exp(-rot) @ exp(-boost)
+
+
+@pytest.mark.parametrize("family", ["2+2", "5-affine"])
+@pytest.mark.parametrize("seed", [1, 5])
+def test_rep_transforms_match_expm_and_mat_exp(family, seed):
+    J, K = rep22_jk() if family == "2+2" else affine_generators()[:2]
+    theta, phi = spacetime._draw(spacetime._streams(seed), 500, (), (np.pi, 2.0))
+    theta[:5], phi[5:10] = 0.0, 0.0
+    D, Dinv = spacetime._rep_transforms(
+        spacetime._cubic_unit(J), spacetime._cubic_unit(K), theta, phi
+    )
+    assert D.dtype == Dinv.dtype == (np.float64 if family == "5-affine" else np.complex128)
+    bound = 1e-14 * np.maximum(1.0, np.abs(D).max(axis=(1, 2)))
+    for exp in (scipy.linalg.expm, mat_exp):
+        for got, want in zip((D, Dinv), _series_transforms(J, K, theta, phi, exp)):
+            assert np.all(np.abs(got - want).max(axis=(1, 2)) <= bound)
+    np.testing.assert_allclose(Dinv @ D, np.broadcast_to(np.eye(len(J[1])), D.shape), atol=1e-14)
+
+
+def _bumped(family, index):
+    """The 2+2 triple (with gamma) or the 5-affine one, its ``index``-th
+    stack's first member moved by 2^-40 at its first nonzero entry."""
+    J, K, V = (*rep22_jk(), gamma()) if family == "2+2" else affine_generators()
+    stacks = [J, K, V]
+    m = stacks[index][1].copy()
+    m[tuple(np.argwhere(m != 0)[0])] += 2.0**-40
+    stacks[index] = stacks[index].with_member(1, m)
+    return tuple(stacks)
+
+
+def _spin_three_halves():
+    """The spin-3/2 trio J and K = i J, which close the Lorentz table."""
+    m = np.array([1.5, 0.5, -0.5, -1.5])
+    raising = np.diag(np.sqrt(1.5 * 2.5 - m[1:] * (m[1:] + 1)), 1)
+    lowering = raising.T
+    trio = np.array([(raising + lowering) / 2, (raising - lowering) / 2j, np.diag(m)])
+    rep = Rep("spin-3/2", 4)
+    return GeneratorSet(rep, Kind.ANGULAR_MOMENTUM, trio), GeneratorSet(rep, Kind.BOOST, 1j * trio)
+
+
+def test_the_spin_three_halves_trio_closes_but_is_not_cubic():
+    # Its minimal polynomial has degree 4: i J3 has four distinct eigenvalues.
+    J, K = _spin_three_halves()
+    assert all_passed(check_lorentz(J, K))
+    assert len(np.unique(np.round(np.linalg.eigvals(1j * J[3]), 12))) == 4
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        (("2+2", 0), "2[+]2-rep angular-momentum"),
+        (("2+2", 1), "2[+]2-rep boost"),
+        (("5-affine", 0), "5-affine-rep angular-momentum"),
+        (("5-affine", 1), "5-affine-rep boost"),
+        ("spin-3/2", "spin-3/2-rep angular-momentum"),
+    ],
+)
+def test_a_stack_off_its_identity_raises_before_anything_is_drawn(monkeypatch, case, match):
+    # A 2^-40 bump is below the closure bound of 1e-12 in the 5-affine rep;
+    # only the identity guard sees it.  The closure prechecks passed in are
+    # those of the unbumped families.
+    def no_draw(*args):
+        raise AssertionError("drew before the identity guard")
+
+    monkeypatch.setattr(spacetime, "_draw", no_draw)
+    families = _families()
+    prechecks = [r for J, K, V in families for r in check_poincare(J, K, V)]
+    if case == "spin-3/2":
+        families.append((*_spin_three_halves(), gamma()))
+    else:
+        family, index = case
+        at = ["2+2", "5-affine"].index(family)
+        families[at] = _bumped(family, index)
+        if family == "5-affine":
+            assert all_passed(check_poincare(*families[at]))
+    with pytest.raises(PrecondError, match=f"^{match} generators fail the identity N\\^3"):
+        intertwine_sweep(families, prechecks)
+
+
+def test_a_rotated_basis_is_refused_though_it_closes():
+    # The known limit of the exact guard: the 2+2 triple conjugated by a
+    # random unitary closes the table and meets N^3 = -c |n|^2 N up to
+    # rounding, but not exactly, so the sweep refuses it.
+    u = scipy.stats.unitary_group.rvs(4, random_state=3)
+    J, K, V = (
+        GeneratorSet(G.rep, G.kind, tuple(u @ m @ u.conj().T for m in G.members))
+        for G in (*rep22_jk(), gamma())
+    )
+    prechecks = check_poincare(J, K, V)
+    assert all_passed(prechecks)
+    for G in (J, K):
+        N = np.einsum("ui,iab->uab", spacetime._DIRECTIONS, 1j * G.stack)
+        c = 0.25 if G.kind is Kind.ANGULAR_MOMENTUM else -0.25
+        miss = N @ N @ N + (c * spacetime._DIRECTION_SQ)[:, None, None] * N
+        assert 0.0 < np.abs(miss).max() < 1e-14
+    with pytest.raises(PrecondError, match="^2[+]2-rep angular-momentum .* exactly"):
+        intertwine_sweep([(J, K, V)], prechecks)
+
+
+def test_the_exact_affine_intertwining_is_earned():
+    # The correctly labelled 5-affine boosts give exactly 0 because the
+    # closed forms give R(theta)^T = R(-theta) and B(phi)^T = B(phi) bit for
+    # bit; the naturally labelled boosts (ratio -1) conjugate to the inverse
+    # boost and miss by order 1 on the same draws.
+    j5, k5, p5 = affine_generators()
+    natural = GeneratorSet(REP5_AFFINE, Kind.BOOST, tuple(-m for m in k5.members))
+    theta, phi = spacetime._draw(spacetime._streams(1), 100, (), (np.pi, 2.0))
+    labelled, relabelled = spacetime._intertwine_residuals(
+        spacetime._unit_families([(j5, k5, p5), (j5, natural, p5)]), theta, phi
+    )
+    assert labelled.max() == 0.0
+    assert relabelled.max() > 1.0
+    iJ, iK = spacetime._times_i(j5), spacetime._times_i(k5)
+    rot, inverse_rot = spacetime._cubic_exp(theta, iJ, np.sin, inverse=True)
+    (boost,) = spacetime._cubic_exp(phi, iK, np.sinh)
+    np.testing.assert_array_equal(rot.transpose(0, 2, 1), inverse_rot)
+    np.testing.assert_array_equal(boost.transpose(0, 2, 1), boost)
 
 
 # Per-trial references for the batched sweeps: the loops the sweeps replaced,
@@ -704,14 +870,15 @@ def _all_seven(trials, tol, seed):
 def test_sweep_reports_do_not_depend_on_the_block_size(monkeypatch):
     # At a tolerance nothing meets, every inexact sweep fails and carries the
     # witness of its first worst trial, which must be the same whether the
-    # 300 trials run as one block or as 43 blocks of 7.
+    # 300 trials run as one block or as 43 blocks of 7.  Translation and the
+    # 5-affine intertwining are exact.
     tol = Tolerance(1e-300, 1e-300)
     whole = [r.to_json() for r in _all_seven(300, tol, 4)]
     monkeypatch.setattr(spacetime, "_BLOCK", 7)
     assert [r.to_json() for r in _all_seven(300, tol, 4)] == whole
-    assert [r["passed"] for r in whole] == [False] * 4 + [True] + [False] * 2
-    assert whole[4]["max_residual"] == 0.0
-    assert all(r["witness"] is not None for i, r in enumerate(whole) if i != 4)
+    assert [r["passed"] for r in whole] == [False] * 4 + [True, False, True]
+    assert whole[4]["max_residual"] == whole[6]["max_residual"] == 0.0
+    assert all(r["witness"] is not None for i, r in enumerate(whole) if i not in (4, 6))
     assert [r["note"] for r in whole] == [
         "seed=4, trials=300, residuals relative to max(1, |x_space|^2)",
         "seed=4, trials=300, residuals relative to max(1, |x|^2)",
@@ -872,3 +1039,18 @@ def test_a_momentum_family_whose_members_do_not_commute_fails_the_precheck():
     relabelled = GeneratorSet(V.rep, Kind.MOMENTUM, V.members)
     with pytest.raises(PrecondError, match="momenta-commute$"):
         _intertwine_one(J22, K22, relabelled, draws=1)
+
+
+def test_non_nilpotent_translations_fail_with_the_generator_products(monkeypatch):
+    # exp(i a.P) is built as I + i a.P, so the products P_a P_b are the only
+    # guard of nilpotency.  With 100 at the corner of i P1, (i P1)^2 has
+    # 100^2 there, more than any trial's miss, |a1| 100 < 1000.
+    j5, k5, p5 = affine_generators()
+    corner = p5[1].copy()
+    corner[4, 4] = -100j
+    bumped = p5.with_member(1, corner)
+    monkeypatch.setattr(spacetime, "affine_generators", lambda: (j5, k5, bumped))
+    report = translation_check(trials=50)
+    assert not report.passed
+    assert report.max_residual == 1e4
+    assert report.witness == {"indices": [], "description": "generator products"}

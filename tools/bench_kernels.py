@@ -18,11 +18,12 @@ bases, each through ``extract_structure``, ``structure_reports``,
 ``boost_obstruction_report`` and ``adjoint_from_f`` (the bases are built
 beforehand, where ``sun-sweep`` builds them in each iteration); the seeded sweeps
 ``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
-trials; one ``mat_exp`` of a real ``(256, 4, 4)`` stack: the rotation
-exponents theta.(i J4) of 256 seeded angle triples; one
-``mat_exp`` of a complex ``(400, 4, 4)`` stack: the exponents +-theta.(i J)
-and +-phi.(i K) of the 2+2 rep at 100 seeded draws, as the 2+2 intertwining
-sweep stacks them (random directions, norms uniform below pi and 2);
+trials and ``translation_check`` at 100; one ``mat_exp`` of a real
+``(256, 4, 4)`` stack: the rotation exponents theta.(i J4) of 256 seeded
+angle triples; one ``mat_exp`` of a complex ``(400, 4, 4)`` stack: the
+exponents +-theta.(i J) and +-phi.(i K) of the 2+2 rep at 100 seeded draws,
+as the 2+2 intertwining sweep stacked them before it summed them in closed
+form (random directions, norms uniform below pi and 2);
 ``_d4_stack``, the stacked 4-vector transform, at 256 seeded trials, and the
 rotation-only transform of the rotation sweep at the same 256 angle triples
 (``_rotation_stack``, or ``mat_exp`` of theta.(i J4) in versions without
@@ -40,8 +41,9 @@ the 5-affine rep together at 100 draws, behind their precomputed closure
 reports; the uncached ``cli.build_parser`` (``__wrapped__`` where the
 parser is cached); and whole CLI runs through ``cli.main`` with stdout
 captured: ``verify``, ``transfer``, ``sun`` and ``exercises`` at their
-defaults, and ``invariants --trials 1000 --format json`` (the command
-perfbench's ``invariants-1k`` times, at the default seed).
+defaults, ``invariants --trials 1000 --format json`` (the command
+perfbench's ``invariants-1k`` times, at the default seed) and
+``all --trials 10`` in text mode (the command ``suite-small`` times).
 
 Alone, the tool runs each case once untimed, then REPEATS times, and the
 line gives the median and quartiles of the raw wall times in seconds.  With
@@ -191,6 +193,7 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
         (f"{check.__name__}(1000)", check, 1000)
         for check in (spacetime.boost_invariance_check, spacetime.rotation_invariance_check)
     ]
+    cases.append(("translation_check(100)", spacetime.translation_check, 100))
     mat_exp = linalg.mat_exp
     theta = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(256, 3))
     rotations = np.einsum("ti,iab->tab", theta, (1j * transfer.build_j4().stack).real)
@@ -269,7 +272,8 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
             cli.main(argv)
 
     commands = (["verify"], ["transfer"], ["sun"], ["exercises"],
-                ["invariants", "--trials", "1000", "--format", "json"])
+                ["invariants", "--trials", "1000", "--format", "json"],
+                ["all", "--trials", "10"])
     cases += [(f"cli {' '.join(argv)}", run, argv) for argv in commands]
     return cases
 
