@@ -10,11 +10,8 @@ generator arrays and a coefficient table and returns the Frobenius norm of
 one table of [J; K] with itself, and each vector family one table of V
 against [J; K], or [J; K; V] for momenta, whose blocks are the reports.  It
 forms rows in blocks in two reused buffers of at most 64 KB or one
-``(p, n, n)`` slab each, where the whole table would need m slabs.  A table
-that fits one block is formed whole; a larger table of a stack with itself
-under (anti)symmetric coefficients is formed only on and above the diagonal
-and mirrored.  The blocks come from :func:`_row_blocks`, which yields both
-products of each block.
+``(p, n, n)`` slab each, where the whole table would need m slabs; every
+entry is formed, and a table that fits one block is formed whole.
 :func:`residual_report` turns any residual array into a report whose witness
 is the first worst index tuple, so the same engine validates hand-built,
 extracted and candidate generator sets alike.
@@ -149,39 +146,8 @@ _BLOCK_BYTES = 64 * 1024
 
 
 def _rows_per_block(B) -> int:
-    """Rows of A that one block of :func:`_row_blocks` takes against the stack B."""
+    """Rows of A per block of :func:`bracket_table` (and of su(N) extraction) against B."""
     return max(1, _BLOCK_BYTES // max(B.nbytes, 1))
-
-
-def _row_blocks(A, B, mirror: bool):
-    """Both products of every pair of two stacks, a block of rows at a time.
-
-    Yields ``(lo, hi, first, AB, BA)`` with ``AB[i, j] = A[lo + i] @ B[first + j]``
-    and ``BA[i, j] = B[first + j] @ A[lo + i]`` for rows ``lo <= i < hi`` and
-    columns from ``first``, which is ``lo`` when ``mirror`` (the upper
-    triangle of a stack with itself, diagonal blocks whole) and 0 otherwise.
-    ``A`` and ``B`` are contiguous stacks of one dtype.  Each block takes
-    :func:`_rows_per_block` rows, and ``AB`` and ``BA`` are views of two
-    buffers reused from block to block, which the consumer may overwrite but
-    must not keep.
-
-    It serves :func:`bracket_table` only.  ``su_n.extract_structure`` takes
-    the same blocks (:func:`_rows_per_block` rows, pairs b >= a) but forms
-    them in real arithmetic, with buffers of its own; on the 2x2 to 5x5
-    stacks of the bracket tables the real form measured slower.
-    """
-    m, p = len(A), len(B)
-    rows = _rows_per_block(B)
-    buffers = np.empty((2, min(rows, m) * B.size), dtype=A.dtype)
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        first = lo if mirror else 0
-        shape = (hi - lo, p - first, *B.shape[1:])
-        AB, BA = (buf[: math.prod(shape)].reshape(shape) for buf in buffers)
-        a, b = A[lo:hi, None], B[None, first:]
-        np.matmul(a, b, out=AB)
-        np.matmul(b, a, out=BA)
-        yield lo, hi, first, AB, BA
 
 
 def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
@@ -194,25 +160,16 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
         A_i B_j -/+ B_j A_i - sum_k coeffs[i, j, k] T_k
 
     with the commutator by default and the anticommutator when ``anti``.
-    Rows are formed in blocks by :func:`_row_blocks`, ``A[I, None] @ B[None, :]``
-    and the reverse product in two reused buffers of at most ``_BLOCK_BYTES``
-    or one ``(p, n, n)`` slab each: the full ``(m, p, n, n)`` table of an
-    su(6) adjoint (m = p = n = 35) would take 24 MB per complex temporary.
-    The sum over k is one BLAS product per block, the block's slice of
+    Rows are formed in blocks of :func:`_rows_per_block` rows,
+    ``A[I, None] @ B[None, :]`` and the reverse product in two reused buffers
+    of at most ``_BLOCK_BYTES`` or one ``(p, n, n)`` slab each: the full
+    ``(m, p, n, n)`` table of 35 members of 35 x 35 would take 24 MB per
+    complex temporary.  The sum over k is one BLAS product per block, the block's slice of
     ``coeffs`` cast to the stacks' dtype times T flattened to ``(q, n^2)``.
     BLAS may reorder and fuse the sum, so an entry can differ from a hand
     loop's residual in the last bits; where every product and partial sum
     is exact (dyadic entries) it is the same exact value.
-
-    A table that fits one row block is formed whole.  A larger one with
-    ``A is B`` and ``coeffs[j, i] == -coeffs[i, j]`` (commutator) or
-    ``coeffs[j, i] == coeffs[i, j]`` (anticommutator) exactly for every i
-    and j has -/+ the matrix behind entry (i, j) behind entry (j, i), so it
-    is formed only on and above the diagonal, diagonal blocks whole, and
-    each block's norms are copied into the lower triangle.  A commutator
-    table with a nonzero diagonal fails that test and is formed in full.
     """
-    same = A is B  # before the cast, which may copy
     coeffs = np.asarray(coeffs)
     dtype = np.result_type(A, B, T, coeffs)
     A, B, T = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T))
@@ -222,22 +179,21 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
             f"coefficients of shape {coeffs.shape} do not match stacks of "
             f"{m}, {p} and {q} members"
         )
-    mirror = (
-        same
-        and _rows_per_block(B) < m
-        and np.array_equal(coeffs.swapaxes(0, 1), coeffs if anti else -coeffs)
-    )
     flat_T = T.reshape(q, -1)
+    rows = _rows_per_block(B)
+    buffers = np.empty((2, min(rows, m) * B.size), dtype=dtype)
     out = np.empty((m, p))
-    for lo, hi, first, table, scratch in _row_blocks(A, B, mirror):
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        shape = (hi - lo, *B.shape)
+        table, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in buffers)
+        np.matmul(A[lo:hi, None], B[None], out=table)
+        np.matmul(B[None], A[lo:hi, None], out=scratch)
         (np.add if anti else np.subtract)(table, scratch, out=table)
-        block = np.asarray(coeffs[lo:hi, first:], dtype=dtype).reshape(-1, q)
+        block = np.asarray(coeffs[lo:hi], dtype=dtype).reshape(-1, q)
         np.matmul(block, flat_T, out=scratch.reshape(len(block), -1))
         table -= scratch
-        norms = frobenius_norms(table)
-        out[lo:hi, first:] = norms
-        if mirror:
-            out[hi:, lo:hi] = norms[:, hi - lo:].T
+        out[lo:hi] = frobenius_norms(table)
     return out
 
 

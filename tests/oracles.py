@@ -3,7 +3,8 @@
 They share no code with lieforge, so a test that checks the package against
 them does not check the package against itself.  The exceptions are
 :func:`three_pass_structure`, an earlier form of the package's own su(N)
-extraction, and the ``per_relation_*`` tables, the earlier one call per
+extraction, :func:`adjoint_closure_table`, the earlier adjoint closure
+check, and the ``per_relation_*`` tables, the earlier one call per
 relation of the Lorentz, vector-family and transfer tables, kept as
 bit-for-bit references; they call ``bracket_table``, which has its own
 double-loop tests.
@@ -130,6 +131,17 @@ def three_pass_structure(S) -> tuple[np.ndarray, np.ndarray, float, float]:
     with_one = np.concatenate([S, np.eye(n, dtype=complex)[None]])
     d_res = float(bracket_table(S, S, d_coeffs, with_one, anti=True).max())
     return f, d, f_res, d_res
+
+
+def adjoint_closure_table(f) -> np.ndarray:
+    """The ``(m, m)`` Frobenius norms of [F_a, F_b] - f_abc F_c for the
+    adjoint matrices (F_a)_ce = f_cae of a real ``(m, m, m)`` tensor f, from
+    every product F_a F_b: one ``bracket_table`` call, about 1.5 m^5
+    multiply-adds.  It assumes nothing of f."""
+    from lieforge.checks import bracket_table
+
+    F = np.ascontiguousarray(np.transpose(f, (1, 0, 2)))
+    return bracket_table(F, F, f, F)
 
 
 def _mirrored(table) -> np.ndarray:

@@ -341,7 +341,7 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
     count("extract_coeffs", lambda V, A, tol: (V.kind.value, A.kind.value))
     # Every binding of the bracket-table kernel, the closure precheck of the
     # intertwining sweep included.
-    for module in (lieforge.checks, lieforge.su_n, lieforge.transfer):
+    for module in (lieforge.checks, lieforge.transfer):
         count("bracket_table", lambda *args, **kwargs: "any", module)
     once = {
         ("check_lorentz", "2"): 1,

@@ -9,9 +9,10 @@ import pytest
 
 from lieforge.checks import EPS3
 from lieforge.generators import Rep, adjoint_rep, j2, pauli
-from lieforge.linalg import BasisError
+from lieforge.linalg import DEFAULT_TOL, BasisError
 from lieforge.su_n import (
     StructureTensors,
+    _jacobiator_norms,
     adjoint_from_f,
     boost_obstruction_report,
     extract_structure,
@@ -20,7 +21,7 @@ from lieforge.su_n import (
     structure_reports,
 )
 from lieforge.transfer import build_j4
-from oracles import is_hermitian_traceless, three_pass_structure
+from oracles import adjoint_closure_table, is_hermitian_traceless, three_pass_structure
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "su3_obstruction.json"
 
@@ -393,6 +394,146 @@ def test_adjoint_from_f_rejects_an_f_that_does_not_close(antisymmetric):
     )
     with pytest.raises(ValueError, match="fail to close"):
         adjoint_from_f(st)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("conjugated", [False, True], ids=["gell-mann", "haar"])
+def test_extracted_f_is_exactly_antisymmetric_and_d_exactly_symmetric(n, conjugated):
+    # f_bac is 0.0 - f_abc and d_bac is d_abc bit for bit, with no -0.0,
+    # including the pairs that one row block forms in both orders.
+    st = extract_structure(haar_basis(n) if conjugated else [g / 2 for g in generalized_gell_mann(n)])
+    bits = lambda x: np.ascontiguousarray(x).view(np.uint64)
+    assert np.array_equal(bits(st.f), bits(0.0 - st.f.swapaxes(0, 1)))
+    assert np.array_equal(bits(st.d), bits(st.d.swapaxes(0, 1)))
+    for tensor in (st.f, st.d):
+        assert not np.signbit(tensor[tensor == 0.0]).any()
+
+
+def jacobiator_and_oracle(f):
+    f = np.array(f, dtype=float)
+    return _jacobiator_norms(f), adjoint_closure_table(f)
+
+
+def assert_close_to_oracle(got, ref):
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) <= 1e-14 * np.maximum(1.0, ref)).all()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("conjugated", [False, True], ids=["gell-mann", "haar"])
+def test_jacobiator_norms_match_the_product_table(n, conjugated):
+    # Per pair, the sorted-triple Jacobiator against every product F_a F_b:
+    # su(2) and su(3) take the one-block route, su(4) to su(7) the sorted
+    # triples one middle index at a time.
+    st = extract_structure(haar_basis(n) if conjugated else [g / 2 for g in generalized_gell_mann(n)])
+    got, ref = jacobiator_and_oracle(st.f)
+    assert_close_to_oracle(got, ref)
+    assert got.max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_a_bumped_f_fails_both_closure_routes(n):
+    # A 1e-9 bump to f_abc, and -1e-9 to f_bac, keeps f exactly
+    # antisymmetric but breaks the Jacobi identity: both routes see it.
+    f = extract_structure(haar_basis(n)).f.copy()
+    f[0, 1, 2] += 1e-9
+    f[1, 0, 2] -= 1e-9
+    got, ref = jacobiator_and_oracle(f)
+    assert_close_to_oracle(got, ref)
+    assert ref.max() > DEFAULT_TOL.abs_eps
+    st = StructureTensors(n=n, f=f, d=np.zeros_like(f), delta_coeff=0.5, f_residual=0.0, d_residual=0.0)
+    with pytest.raises(ValueError, match="fail to close, residual"):
+        adjoint_from_f(st)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16])
+def test_jacobiator_norms_of_a_random_antisymmetric_f(m):
+    # Random f antisymmetric in (a, b) breaks the Jacobi identity at m >= 3;
+    # m <= 9 takes the one-block route, 10 and 16 the sorted triples.  At
+    # m = 1 and 2 every triple repeats an index, so the residual is 0.
+    raw = np.random.default_rng(m).normal(size=(m, m, m))
+    f = raw - raw.transpose(1, 0, 2)
+    got, ref = jacobiator_and_oracle(f)
+    assert_close_to_oracle(got, ref)
+    st = StructureTensors(n=2, f=f, d=np.zeros_like(f), delta_coeff=0.5, f_residual=0.0, d_residual=0.0)
+    if m < 3:
+        assert got.max() == 0.0
+        assert len(adjoint_from_f(st)) == m
+    else:
+        assert ref.max() > DEFAULT_TOL.abs_eps
+        with pytest.raises(ValueError, match="fail to close, residual"):
+            adjoint_from_f(st)
+
+
+@pytest.mark.parametrize(
+    "basis, rep",
+    [
+        ([pauli(3) / 2], Rep("adjoint", 1)),
+        ([gell_mann()[a] / 2 for a in (2, 7)], Rep("adjoint", 2)),
+        (su2_plus_u1(), Rep("adjoint", 4)),
+    ],
+    ids=["m=1", "m=2 commuting", "su2+u1"],
+)
+def test_small_families_close_on_both_routes(basis, rep):
+    st = extract_structure(basis)
+    got, ref = jacobiator_and_oracle(st.f)
+    assert_close_to_oracle(got, ref)
+    assert adjoint_from_f(st).rep == rep
+
+
+def test_zero_f_has_zero_jacobiator_on_both_routes():
+    for m in (3, 12):
+        got, ref = jacobiator_and_oracle(np.zeros((m, m, m)))
+        assert got.max() == 0.0 and ref.max() == 0.0
+
+
+def test_adjoint_from_f_takes_signed_zeros_as_antisymmetric():
+    # -0.0 below the diagonal mirrors 0.0 above it.
+    f = np.zeros((3, 3, 3))
+    f[np.tril_indices(3)] = -0.0
+    st = StructureTensors(n=2, f=f, d=f, delta_coeff=0.5, f_residual=0.0, d_residual=0.0)
+    assert all(np.abs(g).max() == 0.0 for g in adjoint_from_f(st).members)
+
+
+@pytest.mark.parametrize(
+    "entry, value, message",
+    [
+        ((1, 0, 2), 0.75, r"f\[1, 2, 3\] = 0\.5 but f\[2, 1, 3\] = 0\.75"),
+        ((0, 0, 1), 1e-300, r"f\[1, 1, 2\] = 1e-300 but f\[1, 1, 2\] = 1e-300"),
+        ((1, 0, 2), np.nan, r"f\[1, 2, 3\] = 0\.5 but f\[2, 1, 3\] = nan"),
+    ],
+    ids=["off by 0.25", "nonzero diagonal", "nan"],
+)
+def test_adjoint_from_f_refuses_an_f_that_is_not_antisymmetric(entry, value, message):
+    f = 0.5 * EPS3
+    f[entry] = value
+    st = StructureTensors(n=2, f=f, d=np.zeros((3, 3, 3)), delta_coeff=0.5, f_residual=0.0, d_residual=0.0)
+    with pytest.raises(ValueError, match="not antisymmetric in \\(a, b\\), " + message):
+        adjoint_from_f(st)
+
+
+def test_adjoint_from_f_refuses_a_non_finite_residual():
+    # An infinite entry, antisymmetric, makes the residual NaN: refused.
+    f = 0.5 * EPS3
+    f[0, 1, 2], f[1, 0, 2] = np.inf, -np.inf
+    st = StructureTensors(n=2, f=f, d=np.zeros((3, 3, 3)), delta_coeff=0.5, f_residual=0.0, d_residual=0.0)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="fail to close, residual nan"):
+        adjoint_from_f(st)
+
+
+def test_adjoint_from_f_holds_no_m4_table():
+    # At su(6) (m = 35) the closure holds F, the m^3 triple sums and two
+    # buffers of m^3 / 4, and lets F go before the returned complex stack
+    # is built (1j F and its copy, 4 m^3): far below one m^4 table (35 m^3).
+    st = extract_structure(haar_basis(6))
+    m = st.f.shape[0]
+    tracemalloc.start()
+    try:
+        adjoint_from_f(st)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * m**3 * 8
 
 
 def test_extract_structure_holds_no_whole_table_copy():

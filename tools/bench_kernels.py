@@ -13,7 +13,7 @@ T = lambda / 2 at N = 2..9 and 12, and on the su(N) bases, N = 2..6,
 conjugated by a random unitary seeded with N (``perfbench/workloads.py``'s
 ``haar_unitary``, the kind of input ``sun-sweep`` extracts);
 ``adjoint_from_f`` on the Gell-Mann structure tensors at N = 4 and 6 and on
-the Haar su(6) ones; one ``sun-sweep``-shaped iteration over those Haar
+the Haar ones at N = 5 to 8; one ``sun-sweep``-shaped iteration over those Haar
 bases, each through ``extract_structure``, ``structure_reports``,
 ``boost_obstruction_report`` and ``adjoint_from_f`` (the bases are built
 beforehand, where ``sun-sweep`` builds them in each iteration); the seeded sweeps
@@ -107,6 +107,7 @@ THREAD_ENV = _load(ROOT / "perfbench" / "run.py", "perfbench_run").THREAD_ENV
 EXTRACT_N = (*range(2, 10), 12)
 ADJOINT_N = (4, 6)
 HAAR_N = range(2, 7)
+ADJOINT_HAAR_N = range(5, 9)
 REPEATS = 5
 PAIRS = 100
 
@@ -174,12 +175,15 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
     bases = {n: [g / 2 for g in su_n.generalized_gell_mann(n)] for n in EXTRACT_N}
     cases = [(f"extract_structure n={n}", extract_structure, bases[n]) for n in EXTRACT_N]
     haar = {}
-    for n in HAAR_N:
+    for n in sorted({*HAAR_N, *ADJOINT_HAAR_N}):
         u = haar_unitary(np.random.default_rng(n), n)
         haar[n] = [u @ g @ u.conj().T for g in bases[n]]
     cases += [(f"extract_structure haar n={n}", extract_structure, haar[n]) for n in HAAR_N]
     cases += [(f"adjoint_from_f n={n}", adjoint_from_f, extract_structure(bases[n])) for n in ADJOINT_N]
-    cases.append(("adjoint_from_f haar n=6", adjoint_from_f, extract_structure(haar[6])))
+    cases += [
+        (f"adjoint_from_f haar n={n}", adjoint_from_f, extract_structure(haar[n]))
+        for n in ADJOINT_HAAR_N
+    ]
 
     def sun_sweep(haar_bases):
         for basis in haar_bases:
@@ -188,7 +192,7 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
             su_n.boost_obstruction_report(st)
             adjoint_from_f(st)
 
-    cases.append(("sun-sweep iteration haar n=2..6", sun_sweep, list(haar.values())))
+    cases.append(("sun-sweep iteration haar n=2..6", sun_sweep, [haar[n] for n in HAAR_N]))
     cases += [
         (f"{check.__name__}(1000)", check, 1000)
         for check in (spacetime.boost_invariance_check, spacetime.rotation_invariance_check)
