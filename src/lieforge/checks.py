@@ -162,9 +162,9 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
     with the commutator by default and the anticommutator when ``anti``.
     Rows are formed in blocks of :func:`_rows_per_block` rows,
     ``A[I, None] @ B[None, :]`` and the reverse product in two reused buffers
-    of at most ``_BLOCK_BYTES`` or one ``(p, n, n)`` slab each: the full
-    ``(m, p, n, n)`` table of 35 members of 35 x 35 would take 24 MB per
-    complex temporary.  The sum over k is one BLAS product per block, the block's slice of
+    of at most ``_BLOCK_BYTES`` or one ``(p, n, n)`` slab each (the whole
+    table of 35 members of 35 x 35 would take 24 MB per complex temporary).
+    The sum over k is one BLAS product per block, the block's slice of
     ``coeffs`` cast to the stacks' dtype times T flattened to ``(q, n^2)``.
     BLAS may reorder and fuse the sum, so an entry can differ from a hand
     loop's residual in the last bits; where every product and partial sum

@@ -11,14 +11,12 @@ how large the obstruction is.
 As the paper takes rotations from the commutators of su(2) and boosts from
 its anticommutators, :func:`extract_structure` takes f from the commutators,
 f_abc = Im trace([S_a, S_b] S_c) / kappa, and d from the anticommutators,
-d_abc = Re trace({S_a, S_b} S_c) / kappa.  It forms each product S_a S_b
-once: one pass over the pairs b >= a, in the row blocks of the
-bracket-table kernel, gives the (a, b) and (b, a) entries of f and d and the
-residuals of both bracket reconstructions.  Every product is a float64
-product on real forms (``linalg._real_form``), so each entry is within the
-gamma_k rounding bound :func:`extract_structure` states, not bit-identical
-to numpy's complex products.  It holds f, d and a few ``(m, n, n)`` slabs, and no m^3 trace
-tensor.
+d_abc = Re trace({S_a, S_b} S_c) / kappa, in one pass over the pairs b >= a
+that forms each product S_a S_b once, as a float64 product on real forms
+(``linalg._real_form``), within the rounding bound it states.  It holds f,
+d and a few ``(m, n, n)`` slabs, and no m^3 trace tensor.
+:func:`adjoint_from_f` checks the closure of the adjoint matrices as the
+Jacobi identity of f, over the sorted index triples a < b < c.
 """
 
 from __future__ import annotations
@@ -279,8 +277,7 @@ def extract_structure(generators) -> StructureTensors:
     f = np.empty((m, m, m))
     d = np.empty((m, m, m))
     worst = np.zeros(2)  # the largest residual norms, {,} first, then [,]
-    # Compared as floats: the first int64 comparison of a run pages in
-    # 132 KB of numpy code, a float64 one nothing new.
+    # Floats: a run's first int64 comparison pages in 132 KB of numpy code.
     on_or_above = (np.arange(float(m)) >= np.arange(float(rows))[:, None])[..., None]
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
@@ -300,14 +297,11 @@ def extract_structure(generators) -> StructureTensors:
         np.matmul(_flat(A), forms[0], out=sym)
         anti /= kappa
         sym /= kappa
-        # Entries (b, a) are written first, and the entries (a, b) after
-        # them skip the diagonal block's lower triangle, which keeps the
-        # mirrors of its upper one: f is exactly antisymmetric and d
-        # symmetric (the diagonal, A - Q of two equal products, is 0).  The
-        # residuals are those of the coefficients as formed.  0.0 - x and
-        # x + 0.0 turn -0.0 into 0.0; they are taken in place, as
-        # 0.0 - (0.0 - x) is x + 0.0, and copied out, which is faster than a
-        # transposed ufunc.
+        # Entries (b, a) are written first; the (a, b) ones skip the diagonal
+        # block's lower triangle, so f is exactly antisymmetric and d exactly
+        # symmetric.  0.0 - x and x + 0.0 turn -0.0 into 0.0; they are taken
+        # in place (0.0 - (0.0 - x) is x + 0.0) and copied out, which is
+        # faster than a transposed ufunc.
         upper = on_or_above[: hi - lo, : m - lo]
         np.subtract(0.0, anti, out=anti)
         np.copyto(f[lo:, lo:hi], anti.transpose(1, 0, 2))
@@ -335,11 +329,9 @@ def extract_structure(generators) -> StructureTensors:
 
 
 def _jacobiator_norms(f: np.ndarray) -> np.ndarray:
-    """The ``(m, m)`` norms of [F_a, F_b] - f_abg F_g, F = f with its first
-    two axes swapped, from the Jacobiator R of :func:`adjoint_from_f`:
-    whole (T plus two transposes) when its m^4 entries fit one 64 KB block,
-    m <= 9; else on the triples a < b < c, one b at a time, as
-    T_abce + T_bcae - T_acbe, each triple's sum of R^2 going to its pairs."""
+    """The ``(m, m)`` norms of [F_a, F_b] - f_abg F_g from the Jacobiator R
+    of :func:`adjoint_from_f`: whole when its m^4 entries fit one 64 KB
+    block (m <= 9), else on the triples a < b < c, one b at a time."""
     m = len(f)
     if m**4 * f.itemsize <= _BLOCK_BYTES:
         T = (f.reshape(m * m, m) @ f.reshape(m, -1)).reshape((m,) * 4)
@@ -348,21 +340,19 @@ def _jacobiator_norms(f: np.ndarray) -> np.ndarray:
         R *= R  # squared and summed, not einsum, which pages in 112 KB of code
         return np.sqrt(R.sum(axis=(2, 3)))
     F = np.ascontiguousarray(f.transpose(1, 0, 2))
-    # One allocation: sum_e R_abce^2 at [a, b, c] for a < b < c, then two
-    # buffers of the largest b < m / 2 < c block.  A block this large goes
-    # back to the system when freed; three smaller ones stayed on the heap
-    # and raised sun-sweep's peak RSS.
+    # One allocation: sum_e R_abce^2 at [a, b, c], a < b < c, then two
+    # buffers of the largest block; three smaller separate ones stayed on
+    # the heap and raised sun-sweep's peak RSS.
     work = np.zeros(m**3 + 2 * ((m - 1) ** 2 // 4 * m))
     triples, buffers = work[: m**3].reshape(m, m, m), work[m**3 :].reshape(2, -1)
     for b in range(1, m - 1):
-        below, above = b, m - 1 - b
-        R, T = buffers[:, : below * above * m]
-        np.matmul(F[b, :b], f[:, b + 1 :].reshape(m, -1), out=R.reshape(below, -1))
+        above = m - 1 - b
+        R, T = buffers[:, : b * above * m].reshape(2, b, above, m)
+        np.matmul(F[b, :b], f[:, b + 1 :].reshape(m, -1), out=R.reshape(b, -1))
         np.matmul(f[b, b + 1 :], f[:, :b].reshape(m, -1), out=T.reshape(above, -1))
-        R = R.reshape(below, above, m)
-        R += T.reshape(above, below, m).transpose(1, 0, 2)
-        np.matmul(f[:b, b + 1 :], F[b], out=T.reshape(below, above, m))
-        R -= T.reshape(below, above, m)
+        R += T.reshape(above, b, m).transpose(1, 0, 2)
+        np.matmul(f[:b, b + 1 :], F[b], out=T)
+        R -= T
         R *= R
         R.sum(axis=2, out=triples[:b, b, b + 1 :])
     pairs = triples.sum(axis=2) + triples.sum(axis=1) + triples.sum(axis=0)
@@ -379,19 +369,17 @@ def adjoint_from_f(st: StructureTensors, tol: Tolerance = DEFAULT_TOL) -> Genera
     other closed family of m members, such as su(2) plus a commuting u(1),
     gets a plain dimension-m label.
 
-    With J_a = i F_a, (F_a)_ce = f_cae, the closure is [F_a, F_b] = f_abg F_g.
-    f must be exactly antisymmetric in (a, b), f_bac == -f_abc (signed zeros
-    equal, NaN never), as :func:`extract_structure` returns it; a
-    ``ValueError`` names the first entry that is not.  Then entry (c, e) of
-    [F_a, F_b] - f_abg F_g is the Jacobiator R_abce = T_abce + T_bcae +
-    T_cabe, T_xyze = sum_d f_xyd f_dze, totally antisymmetric in (a, b, c)
-    (Georgi, *Lie Algebras in Particle Physics*, 1999, ch. 2), so it is
-    formed on the triples a < b < c only: about m^5 / 2 multiply-adds
-    against 1.5 m^5 for every product F_a F_b, with worst residuals within
-    1e-16 of that table's on Haar su(N) bases.  A NaN residual fails.
-    ``tools/bench_kernels.py`` medians on one core, Haar bases, two runs:
-    1.9-2.1 ms at N = 6, 6.8-7.8 ms at N = 7 and 24-28 ms at N = 8, growing
-    like N^10; N <= 8 is the supported range.
+    With J_a = i F_a, (F_a)_ce = f_cae, the closure [F_a, F_b] = f_abg F_g
+    is the Jacobi identity of f (Georgi, *Lie Algebras in Particle Physics*,
+    1999, ch. 2).  For f exactly antisymmetric in (a, b), as
+    :func:`extract_structure` returns it (signed zeros equal, NaN never; a
+    ``ValueError`` names the first entry that is not), entry (c, e) of the
+    residual is R_abce = T_abce + T_bcae + T_cabe, T_xyze = sum_d f_xyd
+    f_dze, totally antisymmetric in (a, b, c).  So it is formed on the
+    triples a < b < c only: about m^5 / 2 multiply-adds against 1.5 m^5 for
+    every product F_a F_b.  A NaN residual fails.  One core, Haar bases
+    (``tools/bench_kernels.py``, two runs): 1.9-2.1 ms at N = 6, 6.8-7.8 ms
+    at N = 7, 24-28 ms at N = 8, growing like N^10; N <= 8 is supported.
     """
     f = st.f
     if not np.array_equal(f, -f.swapaxes(0, 1)):

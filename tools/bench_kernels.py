@@ -13,8 +13,8 @@ T = lambda / 2 at N = 2..9 and 12, and on the su(N) bases, N = 2..6,
 conjugated by a random unitary seeded with N (``perfbench/workloads.py``'s
 ``haar_unitary``, the kind of input ``sun-sweep`` extracts);
 ``adjoint_from_f`` on the Gell-Mann structure tensors at N = 4 and 6 and on
-the Haar ones at N = 5 to 8; one ``sun-sweep``-shaped iteration over those Haar
-bases, each through ``extract_structure``, ``structure_reports``,
+the Haar ones at N = 2 to 8; one ``sun-sweep``-shaped iteration over the Haar
+bases at N = 2 to 6, each through ``extract_structure``, ``structure_reports``,
 ``boost_obstruction_report`` and ``adjoint_from_f`` (the bases are built
 beforehand, where ``sun-sweep`` builds them in each iteration); the seeded sweeps
 ``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
@@ -107,7 +107,7 @@ THREAD_ENV = _load(ROOT / "perfbench" / "run.py", "perfbench_run").THREAD_ENV
 EXTRACT_N = (*range(2, 10), 12)
 ADJOINT_N = (4, 6)
 HAAR_N = range(2, 7)
-ADJOINT_HAAR_N = range(5, 9)
+ADJOINT_HAAR_N = range(2, 9)
 REPEATS = 5
 PAIRS = 100
 
