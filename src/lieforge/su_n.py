@@ -378,8 +378,8 @@ def adjoint_from_f(st: StructureTensors, tol: Tolerance = DEFAULT_TOL) -> Genera
     f_dze, totally antisymmetric in (a, b, c).  So it is formed on the
     triples a < b < c only: about m^5 / 2 multiply-adds against 1.5 m^5 for
     every product F_a F_b.  A NaN residual fails.  One core, Haar bases
-    (``tools/bench_kernels.py``, two runs): 1.9-2.1 ms at N = 6, 6.8-7.8 ms
-    at N = 7, 24-28 ms at N = 8, growing like N^10; N <= 8 is supported.
+    (``tools/bench_kernels.py``, three runs): 1.7-2.1 ms at N = 6, 6.3-7.8
+    ms at N = 7, 23-28 ms at N = 8, growing like N^10; N <= 8 is supported.
     """
     f = st.f
     if not np.array_equal(f, -f.swapaxes(0, 1)):

@@ -29,7 +29,8 @@ rotation-only transform of the rotation sweep at the same 256 angle triples
 (``_rotation_stack``, or ``mat_exp`` of theta.(i J4) in versions without
 it); ``bracket_table`` on the su(6) adjoint closure table (35 real 35 x 35
 matrices with f as coefficients), the su(6) fundamental f and d tables (the
-two residual tables of the su(6) extraction), the 2+2 Lorentz jk table
+two residual tables of the su(6) extraction; these three many-block tables
+are formed only by the tests' oracles now), the 2+2 Lorentz jk table
 [J_i, K_j] = i eps_ijk K_k (two different stacks) and the one-block 2+2
 self-table jj [J_i, J_j] = i eps_ijk J_k; ``check_lorentz`` of the 2+2
 rep, ``vector_relation_reports`` of the 2+2 rep with gamma and
