@@ -224,7 +224,7 @@ class _Run:
         J22, K22 = self(rep22_jk)
         j5, k5, p5 = self(affine_generators)
         g = self(gamma)
-        pre22 = self(check_lorentz, J22, K22, tol) + self(vector_relation_reports, J22, K22, g, tol)
+        pre22 = self.poincare(J22, K22, 1.0, [("2+2-rep", g)])
         pre5 = self.poincare(j5, k5, 1.0, [("5-affine", p5)])
         families = [(J22, K22, g), (j5, k5, p5)]
         return intertwine_sweep(families, pre22 + pre5, min(100, cfg.trials), tol, cfg.seed)

@@ -5,15 +5,14 @@ where a kernel keeps an exactly real input real (:func:`mat_exp`).
 Everything here is a pure function; nothing mutates its inputs.
 
 Stacks of small complex matrices are multiplied in real arithmetic
-(:func:`_real_form`, :func:`_times_real_form`), as :func:`mat_exp`'s complex
-path and the intertwining sweep do: 400 complex 4x4 products take 118 us as
+(:func:`_real_form`, :func:`_times_real_form`), as the intertwining sweep and
+the su(N) structure extraction do: 400 complex 4x4 products take 118 us as
 a stacked complex128 ``matmul`` and 44 us through the real form, 19 us of it
 the float64 product itself (numpy 2.4, BLAS on one thread).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,32 +115,16 @@ def _times_real_form(
     return np.matmul(x.view(np.float64), r, out=out).view(np.complex128)
 
 
-# Degree of the Taylor polynomial mat_exp evaluates after scaling; see its
-# docstring for the truncation bound this degree buys.
-_TAYLOR_DEGREE = 18
-# Its coefficients 1/k!, padded with zeros to whole Horner blocks of four.  A
-# tuple of floats: as a numpy array built at import it raised the peak RSS of
-# runs that never call mat_exp (perfbench sun-sweep) by 0.3 MB.
-_TAYLOR = tuple(
-    [1.0 / math.factorial(k) for k in range(_TAYLOR_DEGREE + 1)]
-    + [0.0] * (-(_TAYLOR_DEGREE + 1) % 4)
-)
-
-
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential of a matrix or of every matrix in a ``(..., n, n)``
     stack, by scaling and squaring with a fixed-degree Taylor polynomial.
 
     Each matrix A is scaled by its own power of two, B = A / 2^s, with s the
     least integer making ||B||_inf <= 1.  The degree-18 Taylor polynomial
-    T_18(B) = sum_k B^k / k! is evaluated on the whole stack as in Paterson
-    and Stockmeyer (SIAM J. Comput. 2(1), 1973): from B^2, B^3 and B^4, by
-    Horner's rule in B^4 over the blocks c_k I + c_{k+1} B + c_{k+2} B^2 +
-    c_{k+3} B^3 (c_k = 1/k!, k = 16, 12, ..., 0), which takes 7 matrix
-    products where summing term by term takes 17.  It is the same
-    polynomial, so its truncation error is bounded as before, as in Higham
-    (SIAM J. Matrix Anal. Appl. 26(4), 2005), by the tail of the series at
-    ||B|| <= 1:
+    T_18(B) = sum_k B^k / k! is evaluated on the whole stack by Horner's rule,
+    T_18(B) = I + B (I + B/2 (I + ... (I + B/18))).  Its truncation error is
+    bounded, as in Higham (SIAM J. Matrix Anal. Appl. 26(4), 2005), by the
+    tail of the series at ||B|| <= 1:
 
         ||exp(B) - T_18(B)|| <= sum_{k >= 19} ||B||^k / k!
                              <= (20/19) / 19!  <  9e-18,
@@ -150,16 +133,10 @@ def mat_exp(a) -> np.ndarray:
     times, the squares applied only to the matrices that still need them.
 
     A float64 stack, or a complex one whose imaginary part is exactly zero
-    (the exponents of the real 5-affine rep), is exponentiated in float64,
-    several times cheaper per product, and returned as float64; any nonzero
-    imaginary part, however small, keeps the whole stack complex128.  Other
-    dtypes are promoted to complex128 first.  The input is never written to.
-    On the complex path every product (B^2, B^3, B^4, the Horner steps and
-    the squarings) is formed in real arithmetic by :func:`_times_real_form`,
-    with R(B) built once for B^2 and B^3 and R(B^4) once for every Horner
-    step; the scaling counts still come from the complex infinity norms.
-    That moves only rounding, each product within the gamma_2n bound stated
-    there.
+    (the exponents of the real 5-affine rep), is exponentiated in float64
+    and returned as float64; any nonzero imaginary part, however small,
+    keeps the whole stack complex128.  Other dtypes are promoted to
+    complex128 first.  The input is never written to.
 
     No run of the package calls it: every spacetime exponential is summed in
     closed form from its generators' identity (:mod:`lieforge.spacetime`).
@@ -168,10 +145,9 @@ def mat_exp(a) -> np.ndarray:
     element-wise error stays well below 1e-10 on either path; the
     inverse-product identity ``mat_exp(A) @ mat_exp(-A) == I`` is the
     advertised accuracy contract.
-    A zero matrix comes out as exactly I, with no special case: s = 0, every
-    Horner step multiplies by B^4 = 0 and the last one adds c_0 I = I.  A
-    nilpotent B with B @ B == 0 (the translation generators) comes out as
-    exactly I + A.
+    A zero matrix comes out as exactly I, with no special case: s = 0 and
+    every Horner step adds I to a product with B = 0.  A nilpotent B with
+    B @ B == 0 (the translation generators) comes out as exactly I + A.
     """
     a = np.asarray(a)
     a = _square_finite(a if a.dtype == np.float64 else a.astype(complex, copy=False))
@@ -182,33 +158,13 @@ def mat_exp(a) -> np.ndarray:
     norms = np.abs(a).sum(axis=-1).max(axis=-1)
     squarings = np.ceil(np.log2(np.maximum(norms, 1.0))).astype(int)
     b = a / (2.0**squarings)[:, None, None]
-    # x @ y is times(x, form(y)): in real arithmetic on the complex path; on
-    # the float64 path form is the identity and times numpy's matmul.
-    form, times = (
-        (_real_form, _times_real_form) if b.dtype == complex else (lambda y: y, np.matmul)
-    )
-    r = form(b)
-    b2 = times(b, r)
-    b3, b4 = times(b2, r), times(b2, form(b2))
-    r = form(b4)  # for every Horner step; R(B) is no longer held
-
-    def block(k: int, out: np.ndarray) -> np.ndarray:
-        """c_k I + c_{k+1} B + c_{k+2} B^2 + c_{k+3} B^3, written to ``out``."""
-        np.multiply(b, _TAYLOR[k + 1], out=out)
-        out += _TAYLOR[k + 2] * b2
-        out += _TAYLOR[k + 3] * b3
-        out.reshape(-1, n * n)[:, :: n + 1] += _TAYLOR[k]
-        return out
-
-    top, *rest = range(len(_TAYLOR) - 4, -1, -4)
-    series, scratch = block(top, np.empty_like(b)), np.empty_like(b)
-    for k in rest:
-        series = times(series, r)
-        series += block(k, scratch)
+    eye = series = np.eye(n)
+    for k in range(18, 0, -1):  # Horner's rule for T_18(B)
+        series = eye + series @ b / k
     for i in range(int(squarings.max(initial=0))):
         more = squarings > i
         square = series[more]
-        series[more] = times(square, form(square))
+        series[more] = square @ square
     return series.reshape(shape)
 
 

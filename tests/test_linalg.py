@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lieforge.linalg
 from lieforge.linalg import (
     BasisError,
     DimError,
@@ -229,9 +230,9 @@ def test_mat_exp_real_stack_against_scipy():
 
 def test_mat_exp_complex_norm_ladder_against_mpmath():
     # Every member of the complex ladder (norms 0, 1e-3, 1, 10 and 40, so 0
-    # to 6 squarings), products formed in real arithmetic, against a 40-digit
-    # exponential.  The worst relative error seen on seeds 12-15 is 9.5e-15,
-    # at norm 40.
+    # to 6 squarings), products formed by numpy's complex128 matmul, against
+    # a 40-digit exponential.  The worst relative error seen on seeds 12-15 is
+    # 1.3e-14, at norm 40.
     mpmath = pytest.importorskip("mpmath")
     for seed in (12, 13):
         a = _complex_norm_ladder(seed)
@@ -241,6 +242,22 @@ def test_mat_exp_complex_norm_ladder_against_mpmath():
             ref = _mpmath_expm(a[k], mpmath)
             scale = max(1.0, float(np.linalg.norm(ref)))
             assert frobenius_distance(got[k], ref) < 1e-13 * scale
+
+
+def test_mat_exp_shares_no_kernel_with_the_real_form_products(monkeypatch):
+    # The closed forms of the intertwining sweep multiply through the real
+    # form; the oracle they are held against must not.
+    def refuse(*args, **kwargs):
+        raise AssertionError("mat_exp used a real-form product")
+
+    for name in ("_real_form", "_times_real_form"):
+        monkeypatch.setattr(lieforge.linalg, name, refuse)
+    for a in (_complex_norm_ladder()[:16], _real_norm_ladder()[:16]):
+        got = mat_exp(a)
+        for k in range(len(a)):
+            ref = scipy.linalg.expm(a[k])
+            scale = max(1.0, float(np.linalg.norm(ref)))
+            assert frobenius_distance(got[k], ref) < 1e-12 * scale
 
 
 def _gaussian_dyadic(rng, shape):
@@ -323,9 +340,9 @@ def test_mat_exp_real_nilpotent_stack_is_exactly_i_plus_a():
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_mat_exp_mixed_stack_keeps_zero_and_nilpotent_members_exact(dtype):
     # Zero matrices run the same series as the others: exp(0) = I comes out
-    # of the last Horner step, c_0 I, and a nilpotent N (N @ N == 0) comes out
-    # as I + N after its squarings.  The general member A equals its own
-    # exponential, computed alone, bit for bit.
+    # of the last Horner step, I plus a product with 0, and a nilpotent N
+    # (N @ N == 0) comes out as I + N after its squarings.  The general
+    # member A equals its own exponential, computed alone, bit for bit.
     rng = np.random.default_rng(15)
     A = 3.0 * rng.normal(size=(4, 4)).astype(dtype)
     N = np.zeros((4, 4), dtype=dtype)
