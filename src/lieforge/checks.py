@@ -9,9 +9,8 @@ generator arrays and a coefficient table and returns the Frobenius norm of
 (left side - right side) for every index pair: the whole Lorentz algebra is
 one table of [J; K] with itself, and each vector family one table of V
 against [J; K], or [J; K; V] for momenta, whose blocks are the reports.  It
-forms rows in blocks in two reused buffers of at most 64 KB or one
-``(p, n, n)`` slab each, where the whole table would need m slabs; every
-entry is formed, and a table that fits one block is formed whole.
+forms every table whole: the largest a run forms, the 5-affine momentum
+table of 4 x 10 members of 5 x 5, takes 16 KB per complex array.
 :func:`residual_report` turns any residual array into a report whose witness
 is the first worst index tuple, so the same engine validates hand-built,
 extracted and candidate generator sets alike.
@@ -19,7 +18,6 @@ extracted and candidate generator sets alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -140,16 +138,6 @@ def all_passed(reports) -> bool:
     return all(r.passed for r in reports)
 
 
-# Byte budget of one row block of bracket_table: a stack B smaller than this
-# takes several rows per block, a larger one a row at a time.
-_BLOCK_BYTES = 64 * 1024
-
-
-def _rows_per_block(B) -> int:
-    """Rows of A per block of :func:`bracket_table` (and of su(N) extraction) against B."""
-    return max(1, _BLOCK_BYTES // max(B.nbytes, 1))
-
-
 def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
     """Residuals of a whole bracket table over stacked generator arrays.
 
@@ -160,41 +148,33 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
         A_i B_j -/+ B_j A_i - sum_k coeffs[i, j, k] T_k
 
     with the commutator by default and the anticommutator when ``anti``.
-    Rows are formed in blocks of :func:`_rows_per_block` rows,
-    ``A[I, None] @ B[None, :]`` and the reverse product in two reused buffers
-    of at most ``_BLOCK_BYTES`` or one ``(p, n, n)`` slab each (the whole
-    table of 35 members of 35 x 35 would take 24 MB per complex temporary).
-    The sum over k is one BLAS product per block, the block's slice of
-    ``coeffs`` cast to the stacks' dtype times T flattened to ``(q, n^2)``.
+    The table is formed whole: ``A[:, None] @ B[None]``, less or plus the
+    reverse product, less the sum over k as one BLAS product, ``coeffs``
+    cast to the stacks' dtype times T flattened to ``(q, n^2)``.  It holds
+    two ``(m, p, n, n)`` arrays at once, sized for the closure checks of
+    this package and :mod:`~lieforge.transfer`, whose largest table is 4 x
+    10 members of 5 x 5 (16 KB per complex array); su(N) extraction and the
+    adjoint closure have their own kernels in :mod:`~lieforge.su_n`.
     BLAS may reorder and fuse the sum, so an entry can differ from a hand
     loop's residual in the last bits; where every product and partial sum
     is exact (dyadic entries) it is the same exact value.
     """
     coeffs = np.asarray(coeffs)
     dtype = np.result_type(A, B, T, coeffs)
-    A, B, T = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T))
+    A, B, T, coeffs = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T, coeffs))
     m, p, q = len(A), len(B), len(T)
     if coeffs.shape != (m, p, q):
         raise ShapeError(
             f"coefficients of shape {coeffs.shape} do not match stacks of "
             f"{m}, {p} and {q} members"
         )
-    flat_T = T.reshape(q, -1)
-    rows = _rows_per_block(B)
-    buffers = np.empty((2, min(rows, m) * B.size), dtype=dtype)
-    out = np.empty((m, p))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        shape = (hi - lo, *B.shape)
-        table, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in buffers)
-        np.matmul(A[lo:hi, None], B[None], out=table)
-        np.matmul(B[None], A[lo:hi, None], out=scratch)
-        (np.add if anti else np.subtract)(table, scratch, out=table)
-        block = np.asarray(coeffs[lo:hi], dtype=dtype).reshape(-1, q)
-        np.matmul(block, flat_T, out=scratch.reshape(len(block), -1))
-        table -= scratch
-        out[lo:hi] = frobenius_norms(table)
-    return out
+    table = A[:, None] @ B[None]
+    if anti:
+        table += B[None] @ A[:, None]
+    else:
+        table -= B[None] @ A[:, None]
+    table -= (coeffs.reshape(-1, q) @ T.reshape(q, -1)).reshape(table.shape)
+    return frobenius_norms(table)
 
 
 def residual_report(

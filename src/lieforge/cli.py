@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -498,6 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         parents = [common, transform] if name in ("invariants", "all") else [common]
         sub.add_parser(name, help=help_text, parents=parents)
+    # argparse (3.11) takes -1e-3 for an option; any "-digit" or "-.digit" is a value.
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -378,7 +378,7 @@ def _streams(seed: int) -> list[np.random.Generator]:
 
 def _seeded_sweep(
     identity: Identity,
-    subject: str | list[str],
+    subjects: list[str],
     bound: float,
     note: str,
     trials: int,
@@ -386,10 +386,9 @@ def _seeded_sweep(
     draw,
     residuals,
     describe,
-) -> CheckReport | list[CheckReport]:
-    """The report of the worst residual over ``trials`` seeded random trials,
-    held to ``bound``; with a list of subjects, one report per subject, from
-    the same trials.
+) -> list[CheckReport]:
+    """One report per subject of the worst residual over ``trials`` seeded
+    random trials, held to ``bound``; every subject sees the same trials.
 
     ``draw(streams, B)`` returns the inputs of ``B`` trials as a tuple of
     ``(B, ...)`` arrays, drawing once from each of ``streams`` (a normal and a
@@ -399,11 +398,10 @@ def _seeded_sweep(
     the block size.  Versions that drew one trial at a time from a single
     stream gave other inputs for the same seed: their seeded residuals and
     witnesses are not comparable.  ``residuals`` maps those arrays to a
-    ``(B, ...)`` residual array, or, given a list of subjects, to a sequence
-    of such arrays, one per subject.  Trials run in blocks of ``_BLOCK``, so
-    memory is bounded by one block's inputs and residual temporaries whatever
-    ``trials`` is: about 0.8 MB for a block of 1024 boost trials
-    (tracemalloc).
+    sequence of ``(B, ...)`` residual arrays, one per subject.  Trials run
+    in blocks of ``_BLOCK``, so memory is bounded by one block's inputs and
+    residual temporaries whatever ``trials`` is: about 0.8 MB for a block of
+    1024 boost trials (tracemalloc).
 
     The witness is the first maximum: earliest trial, then row-major over the
     trailing axes.  Its ``indices`` are the 0-based trial followed by the
@@ -413,14 +411,12 @@ def _seeded_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    single = isinstance(subject, str)
-    subjects = [subject] if single else subject
     streams = _streams(seed)
     worst, witness = [0.0] * len(subjects), [None] * len(subjects)
     for start in range(0, trials, _BLOCK):
         inputs = draw(streams, min(_BLOCK, trials - start))
         block = residuals(*inputs)
-        for f, r in enumerate([block] if single else block):
+        for f, r in enumerate(block):
             at = np.unravel_index(int(np.argmax(r)), r.shape)
             if r[at] > worst[f]:
                 worst[f] = float(r[at])
@@ -431,7 +427,7 @@ def _seeded_sweep(
         make_report(identity, w, bound, subject=s, witness=wit, note=note)
         for s, w, wit in zip(subjects, worst, witness)
     ]
-    return reports[0] if single else reports
+    return reports
 
 
 def _random_direction_scaled(normals: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -509,14 +505,14 @@ def _draw_rotation(streams, size: int) -> tuple[np.ndarray, ...]:
     return _draw(streams, size, (10.0,), (np.pi,))
 
 
-def _rotation_residuals(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _rotation_residuals(x: np.ndarray, theta: np.ndarray) -> list[np.ndarray]:
     xr = _apply_stack(_rotation_stack(theta), x)
     space = np.einsum("ti,ti->t", x[:, :3], x[:, :3])
     moved = np.einsum("ti,ti->t", xr[:, :3], xr[:, :3])
-    return np.maximum(
+    return [np.maximum(
         np.abs(moved - space) / np.maximum(1.0, space),
         np.abs(xr[:, 3] - x[:, 3]) / np.maximum(1.0, np.abs(x[:, 3])),
-    )
+    )]
 
 
 def rotation_invariance_check(
@@ -525,7 +521,7 @@ def rotation_invariance_check(
     """Finite rotations preserve the spatial square and the time component."""
     return _seeded_sweep(
         Identity.ROTATION_INVARIANCE,
-        "4-rep",
+        ["4-rep"],
         tol.exp_eps,
         f"seed={seed}, trials={trials}, residuals relative to max(1, |x_space|^2)",
         trials,
@@ -533,7 +529,7 @@ def rotation_invariance_check(
         _draw_rotation,
         _rotation_residuals,
         lambda idx, inp: f"trial {idx[0]}: x={inp[0].tolist()}, theta={inp[1].tolist()}",
-    )
+    )[0]
 
 
 def _draw_boost(streams, size: int) -> tuple[np.ndarray, ...]:
@@ -542,9 +538,9 @@ def _draw_boost(streams, size: int) -> tuple[np.ndarray, ...]:
     return _draw(streams, size, (10.0,), (np.pi, 3.0))
 
 
-def _boost_residuals(x, theta, phi) -> np.ndarray:
+def _boost_residuals(x, theta, phi) -> list[np.ndarray]:
     xb = _apply_stack(_d4_stack(theta, phi), x)
-    return np.abs(_interval(xb) - _interval(x)) / np.maximum(1.0, np.einsum("ti,ti->t", x, x))
+    return [np.abs(_interval(xb) - _interval(x)) / np.maximum(1.0, np.einsum("ti,ti->t", x, x))]
 
 
 def boost_invariance_check(
@@ -553,7 +549,7 @@ def boost_invariance_check(
     """Finite rotation-plus-boost transforms preserve the squared interval."""
     return _seeded_sweep(
         Identity.INTERVAL_INVARIANCE,
-        "4-rep",
+        ["4-rep"],
         tol.exp_eps,
         f"seed={seed}, trials={trials}, residuals relative to max(1, |x|^2)",
         trials,
@@ -563,7 +559,7 @@ def boost_invariance_check(
         lambda idx, inp: (
             f"trial {idx[0]}: x={inp[0].tolist()}, theta={inp[1].tolist()}, phi={inp[2].tolist()}"
         ),
-    )
+    )[0]
 
 
 def det_interval_check(
@@ -572,16 +568,16 @@ def det_interval_check(
     """The determinant route to the interval agrees with the direct formula."""
     return _seeded_sweep(
         Identity.DETERMINANT_INTERVAL,
-        "4-vector",
+        ["4-vector"],
         tol.abs_eps,
         f"seed={seed}, trials={trials}",
         trials,
         seed,
         lambda streams, size: _draw(streams, size, (10.0,)),
-        lambda x: np.abs(_interval_via_det(x) - _interval(x))
-        / np.maximum(1.0, np.einsum("ti,ti->t", x, x)),
+        lambda x: [np.abs(_interval_via_det(x) - _interval(x))
+                   / np.maximum(1.0, np.einsum("ti,ti->t", x, x))],
         lambda idx, inp: f"trial {idx[0]}: x={inp[0].tolist()}",
-    )
+    )[0]
 
 
 def _draw_affine(streams, size: int) -> tuple[np.ndarray, ...]:
@@ -590,7 +586,7 @@ def _draw_affine(streams, size: int) -> tuple[np.ndarray, ...]:
     return _draw(streams, size, (5.0, 5.0, 10.0, 5.0, 10.0), (np.pi, 2.0, np.pi, 2.0))
 
 
-def _affine_residuals(shift1, shift2, x, shift, x0, theta1, phi1, theta2, phi2) -> np.ndarray:
+def _affine_residuals(shift1, shift2, x, shift, x0, theta1, phi1, theta2, phi2) -> list:
     t = len(x)
     linear = _d4_stack(np.concatenate([theta1, theta2]), np.concatenate([phi1, phi2]))
     m1, m2 = _affine5(linear[:t], shift1), _affine5(linear[t:], shift2)
@@ -600,7 +596,7 @@ def _affine_residuals(shift1, shift2, x, shift, x0, theta1, phi1, theta2, phi2) 
     translate = _affine5(np.broadcast_to(np.eye(4), (t, 4, 4)), shift)
     diff = _affine_images(translate, x) - _affine_images(translate, x0)
     composed = np.abs(seq - combined).max(axis=1)
-    return np.maximum(composed, np.abs(diff - (x - x0)).max(axis=1)) / scale
+    return [np.maximum(composed, np.abs(diff - (x - x0)).max(axis=1)) / scale]
 
 
 def affine_composition_check(
@@ -610,7 +606,7 @@ def affine_composition_check(
     product, and pure translations leave coordinate differences alone."""
     return _seeded_sweep(
         Identity.AFFINE_COMPOSITION,
-        "5-affine",
+        ["5-affine"],
         tol.exp_eps,
         f"seed={seed}, trials={trials}",
         trials,
@@ -618,20 +614,20 @@ def affine_composition_check(
         _draw_affine,
         _affine_residuals,
         lambda idx, _: f"trial {idx[0]}",
-    )
+    )[0]
 
 
-def _translation_residuals(a, x, p5: GeneratorSet) -> np.ndarray:
+def _translation_residuals(a, x, p5: GeneratorSet) -> list[np.ndarray]:
     g = _plus_identity(_combine(a, _times_i(p5)))
     expected = _affine5(np.broadcast_to(np.eye(4), (len(a), 4, 4)), a)
     moved = (g @ _append_one(x)[:, :, None])[:, :, 0]
-    return np.maximum.reduce(
+    return [np.maximum.reduce(
         [
             np.abs(g - expected).max(axis=(1, 2)),
             np.abs(moved[:, :4] - (x + a)).max(axis=1),
             np.abs(moved[:, 4] - 1.0),
         ]
-    )
+    )]
 
 
 def translation_check(
@@ -649,7 +645,7 @@ def translation_check(
     _, _, p5 = affine_generators()
     report = _seeded_sweep(
         Identity.TRANSLATION_DISPLACEMENT,
-        "5-affine",
+        ["5-affine"],
         tol.abs_eps,
         f"seed={seed}, trials={trials}, exact nilpotent exponential",
         trials,
@@ -657,7 +653,7 @@ def translation_check(
         lambda streams, size: _draw(streams, size, (10.0, 10.0)),
         lambda a, x: _translation_residuals(a, x, p5),
         lambda idx, inp: f"trial {idx[0]}: a={inp[0].tolist()}",
-    )
+    )[0]
     sq = float(np.abs(p5.stack[:, None] @ p5.stack[None]).max())
     if sq >= report.max_residual and sq > 0.0:
         witness = {"indices": [], "description": "generator products"}

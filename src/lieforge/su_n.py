@@ -13,8 +13,9 @@ its anticommutators, :func:`extract_structure` takes f from the commutators,
 f_abc = Im trace([S_a, S_b] S_c) / kappa, and d from the anticommutators,
 d_abc = Re trace({S_a, S_b} S_c) / kappa, in one pass over the pairs b >= a
 that forms each product S_a S_b once, as a float64 product on real forms
-(``linalg._real_form``), within the rounding bound it states.  It holds f,
-d and a few ``(m, n, n)`` slabs, and no m^3 trace tensor.
+(``linalg._real_form``), within the rounding bound it states.  It forms
+the pairs in its own row blocks of 64 KB, or one ``(m, n, n)`` slab once S
+is larger, so it holds f, d and a few such slabs, and no m^3 trace tensor.
 :func:`adjoint_from_f` checks the closure of the adjoint matrices as the
 Jacobi identity of f, over the sorted index triples a < b < c.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _BLOCK_BYTES, CheckReport, Identity, _rows_per_block, make_report
+from .checks import CheckReport, Identity, make_report
 from .generators import GeneratorSet, Kind, Rep, adjoint_rep
 from .linalg import (
     BasisError,
@@ -158,6 +159,10 @@ def gell_mann() -> list[np.ndarray]:
     return generalized_gell_mann(3)
 
 
+# Byte budget of one row block of extract_structure's stack of pairs, and
+# of the Jacobiator that _jacobiator_norms forms whole.
+_BLOCK_BYTES = 64 * 1024
+
 # Relative tolerance of extract_structure's input checks: hermitian and
 # traceless to within _INPUT_TOL max|S|, trace-orthogonal to within
 # _INPUT_TOL kappa, so that a valid basis passes at any scale.
@@ -232,15 +237,16 @@ def extract_structure(generators) -> StructureTensors:
     stored (they vanish for a complete su(N) basis but are reported, not
     assumed).
 
-    One pass over the pairs b >= a, in the row blocks of
-    :func:`~lieforge.checks.bracket_table`, forms each product S_a S_b and
-    S_b S_a once, in real arithmetic (:func:`~lieforge.linalg._times_real_form`
-    with R(S) built once), and takes from their commutator and
-    anticommutator the (a, b) and (b, a) entries of f and d and both
-    residuals.  Every other product is a float64 product too: the traces
-    are the brackets' (Re, Im) rows times the real forms of the transposed
-    basis (:func:`_trace_forms`), and the reconstructions multiply the real
-    f and d into the float views of i S and [S; 1].  Each real part of
+    One pass over the pairs b >= a, in row blocks of as many a as fit
+    their products with S in ``_BLOCK_BYTES`` (64 KB; at least one), forms
+    each product S_a S_b and S_b S_a once, in real arithmetic
+    (:func:`~lieforge.linalg._times_real_form` with R(S) built once), and
+    takes from their commutator and anticommutator the (a, b) and (b, a)
+    entries of f and d and both residuals.  Every other product is a
+    float64 product too: the traces are the brackets' (Re, Im) rows times
+    the real forms of the transposed basis (:func:`_trace_forms`), and the
+    reconstructions multiply the real f and d into the float views of i S
+    and [S; 1].  Each real part of
     S_a S_b is a sum of 2n products and each trace a sum of 2n^2, so an
     entry of f or d is within sqrt(2) gamma_{2n^2 + 2n + 3} of
     (trace(|S_a||S_b||S_c|) + trace(|S_b||S_a||S_c|)) / kappa of its exact
@@ -267,7 +273,7 @@ def extract_structure(generators) -> StructureTensors:
     delta_coeff = 2.0 * kappa / dim
     R = _real_form(S)
     i_S = _flat(1j * S)
-    rows = min(_rows_per_block(S), m)
+    rows = min(max(1, _BLOCK_BYTES // S.nbytes), m)
     # A block's anticommutators, commutators and one more product.
     buffers = np.empty((3, rows * S.size), dtype=complex)
     # A block's f and d coefficients; d's carry delta_coeff delta_ab, the
@@ -330,8 +336,9 @@ def extract_structure(generators) -> StructureTensors:
 
 def _jacobiator_norms(f: np.ndarray) -> np.ndarray:
     """The ``(m, m)`` norms of [F_a, F_b] - f_abg F_g from the Jacobiator R
-    of :func:`adjoint_from_f`: whole when its m^4 entries fit one 64 KB
-    block (m <= 9), else on the triples a < b < c, one b at a time."""
+    of :func:`adjoint_from_f`: whole when its m^4 entries fit
+    ``_BLOCK_BYTES``, the 64 KB of one row block of :func:`extract_structure`
+    (m <= 9), else on the triples a < b < c, one b at a time."""
     m = len(f)
     if m**4 * f.itemsize <= _BLOCK_BYTES:
         T = (f.reshape(m * m, m) @ f.reshape(m, -1)).reshape((m,) * 4)

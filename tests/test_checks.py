@@ -1,6 +1,5 @@
 import json
 import pathlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,8 +250,8 @@ def test_bracket_table_matches_double_loop(n, anti):
 @pytest.mark.parametrize("anti", [False, True])
 def test_self_bracket_table_matches_double_loop(n, anti):
     # A with itself and coefficients with coeffs[j, i] = -/+ coeffs[i, j]:
-    # entries (i, j) and (j, i) are formed apart and agree.  40 members take
-    # 2 row blocks at n = 2, 7 at n = 4, 10 at n = 5 and 40 at n = 8.
+    # entries (i, j) and (j, i) are formed apart and agree.  The 40 x 40
+    # table is formed whole at every n.
     rng = np.random.default_rng(1000 + 100 * n + anti)
     m, q = 40, 4
     A, T = random_stack(rng, m, n), random_stack(rng, q, n)
@@ -289,8 +288,8 @@ def test_self_bracket_table_with_broken_symmetry_shows_the_defect(anti):
 @pytest.mark.parametrize("anti", [False, True])
 @pytest.mark.parametrize("coeffs", ["symmetric", "antisymmetric", "broken"])
 def test_one_block_self_table_is_formed_whole(monkeypatch, anti, coeffs):
-    # A table that fits one row block is formed whole whatever its
-    # coefficients: 6 members of 4 x 4 and 20 of 2 x 2 take one block each.
+    # A self-table is formed whole, as one block, whatever its coefficients:
+    # 40 members of 2 x 2 and of 8 x 8 take one frobenius_norms call each.
     formed = []
 
     def counting_norms(stack):
@@ -299,7 +298,7 @@ def test_one_block_self_table_is_formed_whole(monkeypatch, anti, coeffs):
 
     monkeypatch.setattr(checks, "frobenius_norms", counting_norms)
     rng = np.random.default_rng(11)
-    for m, n in ((6, 4), (20, 2)):
+    for m, n in ((40, 2), (40, 8)):
         A, T = random_stack(rng, m, n), random_stack(rng, 4, n)
         raw = random_stack(rng, m, m)[:, :, :4]
         table = {
@@ -328,23 +327,6 @@ def test_residual_report_witness_is_first_maximum_in_row_major_order():
     assert report.max_residual == 2.0 and not report.passed
     ok = residual_report(Identity.MOMENTA_COMMUTE, np.zeros(4), 1e-12, "member mu={}")
     assert ok.passed and ok.witness is None
-
-
-def test_bracket_table_forms_one_row_at_a_time():
-    # The whole (m, p, n, n) table would be m = 35 slabs; the kernel may hold
-    # only a few (p, n, n) slabs at once.
-    rng = np.random.default_rng(7)
-    size = 35
-    A, B, T = (random_stack(rng, size, size) for _ in range(3))
-    coeffs = random_stack(rng, size, size)
-    slab = B.nbytes
-    tracemalloc.start()
-    try:
-        bracket_table(A, B, coeffs, T)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * slab
 
 
 def failed_witnesses(objs):

@@ -233,6 +233,21 @@ def test_overflow_error_names_both_norms(capsys, args, norms):
     )
 
 
+@pytest.mark.parametrize("flag", ["--theta", "--phi", "--x", "--alpha"])
+def test_a_negative_value_may_carry_an_exponent(capsys, flag):
+    # argparse took -1e-3 for an option, so "--theta -1e-3 0 0" was refused
+    # (exit 2, "expected 3 arguments") while "--theta -0.001 0 0" ran.
+    def run(value):
+        values = {"--theta": ["0", "0", "0"], "--phi": ["0", "0", "0"],
+                  "--x": ["1", "0", "0", "2"], "--alpha": ["1"]}
+        values[flag][0] = value
+        options = [word for option, v in values.items() for word in (option, *v)]
+        return run_cli(capsys, "invariants", "--trials", "10", "--format", "json", *options)
+
+    assert run("-1e-3") == run("-0.001")
+    assert run("-1e-3")[0] == 0
+
+
 @pytest.mark.parametrize("theta", ["1e8", "1e20", "1e300"])
 def test_a_large_angle_is_a_rotation(capsys, theta):
     # sin reduces any finite angle exactly, and the angle's norm is taken
@@ -399,3 +414,26 @@ def test_invariants_exponentiates_no_zero_matrix(monkeypatch, capsys):
     assert main(["invariants", "--trials", "1000"]) == 0
     assert seen == []
     capsys.readouterr()
+
+
+def test_every_bracket_table_of_a_run_fits_64_kb(monkeypatch, capsys):
+    # bracket_table forms each table whole, two (m, p, n, n) arrays at once;
+    # that is the right design while no run forms a table above 64 KB.
+    sizes = []
+
+    def wrap(module):
+        bracket_table = module.bracket_table
+
+        def sized(A, B, coeffs, T, anti=False):
+            dtype = np.result_type(A, B, T, coeffs)
+            sizes.append(len(A) * np.asarray(B).size * dtype.itemsize)
+            return bracket_table(A, B, coeffs, T, anti)
+
+        monkeypatch.setattr(module, "bracket_table", sized)
+
+    for module in (lieforge.checks, lieforge.transfer):
+        wrap(module)
+    assert main(["all", "--trials", "10"]) == 0
+    assert main(["invariants", "--trials", "1000"]) == 0
+    capsys.readouterr()
+    assert sizes and max(sizes) <= 64 * 1024

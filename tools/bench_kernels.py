@@ -21,12 +21,10 @@ beforehand, where ``sun-sweep`` builds them in each iteration); the seeded sweep
 trials and ``translation_check`` at 100; ``_d4_stack``, the stacked
 4-vector transform, at 256 seeded trials, and the rotation-only transform of
 the rotation sweep (``_rotation_stack``) at the same 256 angle triples;
-``bracket_table`` on the su(6) adjoint closure table (35 real 35 x 35
-matrices with f as coefficients), the su(6) fundamental f and d tables (the
-two residual tables of the su(6) extraction; these three many-block tables
-are formed only by the tests' oracles now), the 2+2 Lorentz jk table
-[J_i, K_j] = i eps_ijk K_k (two different stacks) and the one-block 2+2
-self-table jj [J_i, J_j] = i eps_ijk J_k; ``check_lorentz`` of the 2+2
+``bracket_table`` on the 2+2 Lorentz jk table [J_i, K_j] = i eps_ijk K_k
+(two different stacks) and the 2+2 self-table jj [J_i, J_j] = i eps_ijk
+J_k, tables of the size the CLI forms (the su(N) tables that only the
+tests' oracles form are not timed); ``check_lorentz`` of the 2+2
 rep, ``vector_relation_reports`` of the 2+2 rep with gamma and
 ``transfer_reports`` of the tensors extracted from the 2+2 vector family;
 ``extract_coeffs`` of
@@ -208,15 +206,7 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
     transforms = angles((np.pi, 3.0), 256)
     cases.append(("_d4_stack (256 trials)", lambda a: spacetime._d4_stack(*a), transforms))
     cases.append(("rotation-only Lambda (256 trials)", spacetime._rotation_stack, transforms[0]))
-    st = extract_structure(bases[6])
-    S = np.stack(bases[6])
-    F = np.ascontiguousarray(st.f.transpose(1, 0, 2))
-    d_coeffs = np.concatenate([st.d, st.delta_coeff * np.eye(len(S))[:, :, None]], axis=2)
-    with_one = np.concatenate([S, np.eye(6, dtype=complex)[None]])
     tables = {
-        "su(6) adjoint": (F, F, st.f, F, False),
-        "su(6) f": (S, S, st.f, 1j * S, False),
-        "su(6) d": (S, S, d_coeffs, with_one, True),
         "2+2 Lorentz jk": (J22.stack, K22.stack, 1j * checks.EPS3, K22.stack, False),
         "2+2 Lorentz jj": (J22.stack, J22.stack, 1j * checks.EPS3, J22.stack, False),
     }

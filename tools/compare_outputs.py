@@ -61,6 +61,9 @@ def _invocations() -> list[tuple[dict, list[str]]]:
     # reduce them exactly, and the norm of 1e300 is taken without squaring it.
     for theta in ("1e20", "1e8", "1e300"):
         pairs.append(({}, ["invariants", "--trials", "10", "--theta", theta, "0", "0", "--x", "0", "1", "0", "2"]))
+    # A negative value written with an exponent: trees whose argparse takes
+    # -1e-3 for an option refuse it with exit 2.
+    pairs.append(({}, ["invariants", "--trials", "10", "--theta", "-1e-3", "0", "0", *TRANSFORM[4:]]))
     runs = [(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
     runs.append(({}, ["invariants", *TRANSFORM]))
     # A tolerance below the rounding floor: rejected as bad input.
