@@ -148,20 +148,21 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
         A_i B_j -/+ B_j A_i - sum_k coeffs[i, j, k] T_k
 
     with the commutator by default and the anticommutator when ``anti``.
-    The table is formed whole: ``A[:, None] @ B[None]``, less or plus the
-    reverse product, less the sum over k as one BLAS product, ``coeffs``
-    cast to the stacks' dtype times T flattened to ``(q, n^2)``.  It holds
-    two ``(m, p, n, n)`` arrays at once, sized for the closure checks of
-    this package and :mod:`~lieforge.transfer`, whose largest table is 4 x
-    10 members of 5 x 5 (16 KB per complex array); su(N) extraction and the
-    adjoint closure have their own kernels in :mod:`~lieforge.su_n`.
+    The table is formed whole: ``A[:, None] @ B[None]``, minus (plus when
+    ``anti``) the reverse product, minus the sum over k as one BLAS product,
+    ``coeffs`` cast to the stacks' dtype times T flattened to ``(q, n^2)``.
+    It holds two ``(m, p, n, n)`` arrays at once, sized for the closure
+    checks of this package and :mod:`~lieforge.transfer`, whose largest
+    table is 4 x 10 members of 5 x 5 (16 KB per complex array); su(N)
+    extraction and the adjoint closure have their own kernels in
+    :mod:`~lieforge.su_n`.
     BLAS may reorder and fuse the sum, so an entry can differ from a hand
     loop's residual in the last bits; where every product and partial sum
     is exact (dyadic entries) it is the same exact value.
     """
     coeffs = np.asarray(coeffs)
     dtype = np.result_type(A, B, T, coeffs)
-    A, B, T, coeffs = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T, coeffs))
+    A, B, T = (np.ascontiguousarray(X, dtype=dtype) for X in (A, B, T))
     m, p, q = len(A), len(B), len(T)
     if coeffs.shape != (m, p, q):
         raise ShapeError(
@@ -173,7 +174,7 @@ def bracket_table(A, B, coeffs, T, anti: bool = False) -> np.ndarray:
         table += B[None] @ A[:, None]
     else:
         table -= B[None] @ A[:, None]
-    table -= (coeffs.reshape(-1, q) @ T.reshape(q, -1)).reshape(table.shape)
+    table -= (coeffs.astype(dtype).reshape(-1, q) @ T.reshape(q, -1)).reshape(table.shape)
     return frobenius_norms(table)
 
 

@@ -237,16 +237,15 @@ def extract_structure(generators) -> StructureTensors:
     stored (they vanish for a complete su(N) basis but are reported, not
     assumed).
 
-    One pass over the pairs b >= a, in row blocks of as many a as fit
-    their products with S in ``_BLOCK_BYTES`` (64 KB; at least one), forms
-    each product S_a S_b and S_b S_a once, in real arithmetic
-    (:func:`~lieforge.linalg._times_real_form` with R(S) built once), and
-    takes from their commutator and anticommutator the (a, b) and (b, a)
-    entries of f and d and both residuals.  Every other product is a
-    float64 product too: the traces are the brackets' (Re, Im) rows times
-    the real forms of the transposed basis (:func:`_trace_forms`), and the
-    reconstructions multiply the real f and d into the float views of i S
-    and [S; 1].  Each real part of
+    One pass over the pairs b >= a, in row blocks of at most 64 KB
+    (``_BLOCK_BYTES``) or one row, forms each product S_a S_b and
+    S_b S_a once, in real arithmetic (:func:`~lieforge.linalg._times_real_form`
+    with R(S) built once), and takes from their commutator and
+    anticommutator the (a, b) and (b, a) entries of f and d and both
+    residuals.  Every other product is a float64 product too: the traces
+    are the brackets' (Re, Im) rows times the real forms of the transposed
+    basis (:func:`_trace_forms`), and the reconstructions multiply the real
+    f and d into the float views of i S and [S; 1].  Each real part of
     S_a S_b is a sum of 2n products and each trace a sum of 2n^2, so an
     entry of f or d is within sqrt(2) gamma_{2n^2 + 2n + 3} of
     (trace(|S_a||S_b||S_c|) + trace(|S_b||S_a||S_c|)) / kappa of its exact

@@ -7,9 +7,9 @@ extraction, :func:`adjoint_closure_table`, the earlier adjoint closure
 check, and the ``per_relation_*`` tables, the earlier one call per
 relation of the Lorentz, vector-family and transfer tables, kept as
 bit-for-bit references; they call ``bracket_table``, which has its own
-double-loop tests.  ``bracket_table`` forms each table whole, three
+double-loop tests.  ``bracket_table`` forms each table whole, two
 ``(m, p, n, n)`` arrays at once, so the largest table here, the adjoint
-closure of su(7) (48 members of 48 x 48, real), holds about 130 MB.
+closure of su(7) (48 members of 48 x 48, real), holds about 85 MB.
 """
 
 import numpy as np
