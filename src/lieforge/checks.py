@@ -18,7 +18,7 @@ extracted and candidate generator sets alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -85,21 +85,33 @@ EPS3 = np.array(
 EPS3.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CheckReport:
     """Outcome of one identity check.
 
-    ``passed`` is exactly ``max_residual < tolerance``; ``witness`` is present
-    only on failure and names the worst index pair.
+    The record derives its verdict: ``max_residual`` and ``tolerance`` are
+    held as Python floats and ``passed`` is exactly ``max_residual <
+    tolerance``, so a NaN residual fails.  ``witness`` names the worst index
+    tuple and is kept only on failure; a passing report drops it.
     """
 
     identity: Identity
     max_residual: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
     subject: str = ""
     witness: dict | None = None
     note: str | None = None
+
+    def __init__(self, identity: Identity, max_residual: float, tolerance: float,
+                 subject: str = "", witness: dict | None = None, note: str | None = None):
+        max_residual, tolerance = float(max_residual), float(tolerance)
+        passed = max_residual < tolerance
+        # One write of the instance dict: cheaper than the object.__setattr__
+        # per field of a frozen dataclass's own __init__.
+        vars(self).update(identity=identity, max_residual=max_residual, tolerance=tolerance,
+                          passed=passed, subject=subject, witness=None if passed else witness,
+                          note=note)
 
     def to_json(self) -> dict:
         return {
@@ -111,27 +123,6 @@ class CheckReport:
             "witness": self.witness,
             "note": self.note,
         }
-
-
-def make_report(
-    identity: Identity,
-    max_residual: float,
-    tolerance: float,
-    subject: str = "",
-    witness: dict | None = None,
-    note: str | None = None,
-) -> CheckReport:
-    max_residual = float(max_residual)
-    passed = max_residual < tolerance
-    return CheckReport(
-        identity=identity,
-        max_residual=max_residual,
-        tolerance=float(tolerance),
-        passed=passed,
-        subject=subject,
-        witness=witness if not passed else None,
-        note=note,
-    )
 
 
 def all_passed(reports) -> bool:
@@ -194,7 +185,7 @@ def residual_report(
     residuals = np.asarray(residuals)
     flat = int(np.argmax(residuals))
     indices = [int(k) + 1 for k in np.unravel_index(flat, residuals.shape)]
-    return make_report(
+    return CheckReport(
         identity,
         residuals.flat[flat],
         tolerance,

@@ -43,7 +43,6 @@ from .checks import (
     check_lorentz,
     check_su2_fundamental,
     gamma_match_report,
-    make_report,
     vector_relation_reports,
 )
 from .generators import (
@@ -180,15 +179,14 @@ class _Run:
     and a table of everything it computes.
 
     ``run(fn, *args)`` is ``fn(*args)``, computed at most once per run, on
-    first use, and keyed on ``fn`` and every argument: numbers, strings,
-    tolerances and parameter records by value, anything else by identity
-    (the table keeps it alive, so the identity is not reused).  Entries are
-    shared: concatenate report lists, never extend one in place.  The
-    intertwining sweeps, which several sections print, are the property
+    first use, and keyed on ``(fn, *args)``: numbers, strings, tolerances and
+    parameter records compare by value, generator sets, structure tensors and
+    coefficient tensors by identity (the key holds them, so an identity is
+    never reused).  So the table's keys name each result's premises.
+    Entries are shared: concatenate report lists, never extend one in place.
+    The intertwining sweeps, which several sections print, are the property
     ``intertwining``, computed on first use.
     """
-
-    _BY_VALUE = (int, float, str, Tolerance, VectorParams)
 
     def __init__(self, cfg: RunConfig, tol: Tolerance):
         self.cfg, self.tol = cfg, tol
@@ -198,20 +196,20 @@ class _Run:
         self._entries: dict = {}
 
     def __call__(self, fn, *args):
-        key = (fn, *(a if isinstance(a, self._BY_VALUE) else ("id", id(a)) for a in args))
+        key = (fn, *args)
         if key not in self._entries:
-            self._entries[key] = (args, fn(*args))
-        return self._entries[key][1]
+            self._entries[key] = fn(*args)
+        return self._entries[key]
 
     def reports(self) -> list[CheckReport]:
         return [r for _, rs in self.sections for r in rs]
 
     def poincare(self, J, K, alpha, families) -> list[CheckReport]:
-        """``check_poincare`` of each ``(subject, V)`` in ``families``, all
-        sharing the one Lorentz table of ``J`` and ``K``."""
-        lorentz = self(check_lorentz, J, K, self.tol)
+        """``check_poincare`` of each ``(subject, V)`` in ``families``: the
+        one Lorentz table of ``J`` and ``K``, listed once, then each
+        family's vector reports."""
         parts = (self(vector_relation_reports, J, K, V, self.tol, alpha, s) for s, V in families)
-        return [r for part in parts for r in lorentz + part]
+        return self(check_lorentz, J, K, self.tol) + [r for part in parts for r in part]
 
     # A property, not a table entry: an entry keyed on the run itself would
     # make the run reference itself and outlive main() until a garbage
@@ -260,7 +258,7 @@ def _verify(run: _Run) -> None:
     J22, K22 = run(rep22_jk)
     generic_v = run(rep22_v, VectorParams(alpha=alpha))
     doubled = run.poincare(J22, K22, alpha, [("vector-generic", generic_v)])
-    run.sections.append(("doubled-rep closure", run(check_lorentz, J22, K22, tol) + doubled))
+    run.sections.append(("doubled-rep closure", doubled))
 
     families = [
         ("momentum-plus", run(momentum, VectorParams(GAMMA_C_PLUS, 0.0, alpha))),
@@ -319,7 +317,7 @@ def _single_transform(run: _Run) -> None:
             norms["x"] = x
         named = ", ".join(f"|{k}| = {math.hypot(*v):g}" for k, v in norms.items())
         raise InputError(f"the requested transform of x overflows ({named})")
-    report = make_report(
+    report = CheckReport(
         Identity.INTERVAL_INVARIANCE,
         abs(after - before) / scale,
         tol.exp_eps,

@@ -87,7 +87,7 @@ _MEMBER_COUNT = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """An ordered, immutable family of same-dimension generators.
 
@@ -100,7 +100,7 @@ class GeneratorSet:
     rep: Rep
     kind: Kind
     members: tuple[np.ndarray, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         count = len(self.members)

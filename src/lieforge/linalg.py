@@ -43,7 +43,9 @@ class BasisError(ValueError):
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds: ``abs_eps`` for exact algebraic identities,
-    ``exp_eps`` for anything that went through a matrix exponential."""
+    ``exp_eps`` for the closed-form sweeps of finite transforms (rotation and
+    interval invariance, affine composition, intertwining), the requested
+    transform and the imaginary-residue guard of ``apply``."""
 
     abs_eps: float = 1e-12
     exp_eps: float = 1e-10

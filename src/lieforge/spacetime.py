@@ -26,11 +26,11 @@ nilpotent, so exp(i a.P) is I + i a.P.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CheckReport, Identity, make_report
+from .checks import CheckReport, Identity
 from .generators import (
     REP5_AFFINE,
     GeneratorSet,
@@ -423,11 +423,10 @@ def _seeded_sweep(
                 indices = [start + int(at[0])] + [int(k) + 1 for k in at[1:]]
                 row = [q[at[0]] for q in inputs]
                 witness[f] = {"indices": indices, "description": describe(indices, row)}
-    reports = [
-        make_report(identity, w, bound, subject=s, witness=wit, note=note)
+    return [
+        CheckReport(identity, w, bound, subject=s, witness=wit, note=note)
         for s, w, wit in zip(subjects, worst, witness)
     ]
-    return reports
 
 
 def _random_direction_scaled(normals: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -657,7 +656,5 @@ def translation_check(
     sq = float(np.abs(p5.stack[:, None] @ p5.stack[None]).max())
     if sq >= report.max_residual and sq > 0.0:
         witness = {"indices": [], "description": "generator products"}
-        return make_report(
-            report.identity, sq, report.tolerance, report.subject, witness, report.note
-        )
+        return replace(report, max_residual=sq, witness=witness)
     return report

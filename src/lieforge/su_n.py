@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import CheckReport, Identity, make_report
+from .checks import CheckReport, Identity
 from .generators import GeneratorSet, Kind, Rep, adjoint_rep
 from .linalg import (
     BasisError,
@@ -58,7 +58,7 @@ def _frozen(x) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureTensors:
     """f and d tensors of a generator family, with the identity coefficient of
     the anticommutator ansatz {J_a, J_b} = delta_coeff * delta_ab * 1 + d_abc J_c
@@ -444,27 +444,23 @@ def structure_reports(
     N = 2, nonzero otherwise, unless overridden with ``expect_obstructed``).
     """
     subject = f"su{st.n}"
-    reports = [
-        make_report(
+    ob = boost_obstruction_report(st, tol)
+    expected = expect_obstructed if expect_obstructed is not None else st.n >= 3
+    return [
+        CheckReport(
             Identity.STRUCTURE_RECONSTRUCTION,
             max(st.f_residual, st.d_residual),
             tol.abs_eps,
             subject=subject,
             note=f"f residual {st.f_residual:.3g}, d residual {st.d_residual:.3g}, "
             f"delta_coeff {st.delta_coeff:.12g}",
-        )
-    ]
-    ob = boost_obstruction_report(st, tol)
-    expected = expect_obstructed if expect_obstructed is not None else st.n >= 3
-    residual = 0.0 if ob.obstructed == expected else 1.0
-    reports.append(
-        make_report(
+        ),
+        CheckReport(
             Identity.ANTICOMMUTATOR_OBSTRUCTION,
-            residual,
+            0.0 if ob.obstructed == expected else 1.0,
             tol.abs_eps,
             subject=subject,
-            witness=None if residual == 0.0 else {"indices": list(ob.argmax), "description": ob.detail},
+            witness={"indices": list(ob.argmax), "description": ob.detail},
             note=f"max|d| = {ob.max_abs_d:.12g} at {ob.argmax}; " + ob.detail,
-        )
-    )
-    return reports
+        ),
+    ]

@@ -63,7 +63,7 @@ class SourceKind(str, Enum):
     FROM_K = "from-k"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoeffTensor:
     """Expansion coefficients values[mu, i, nu] of [V^mu, A^i] over the V^nu.
 

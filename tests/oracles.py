@@ -8,8 +8,9 @@ check, and the ``per_relation_*`` tables, the earlier one call per
 relation of the Lorentz, vector-family and transfer tables, kept as
 bit-for-bit references; they call ``bracket_table``, which has its own
 double-loop tests.  ``bracket_table`` forms each table whole, two
-``(m, p, n, n)`` arrays at once, so the largest table here, the adjoint
-closure of su(7) (48 members of 48 x 48, real), holds about 85 MB.
+``(m, p, n, n)`` arrays at once; the largest table here, the adjoint
+closure of su(7) (48 members of 48 x 48, real), is formed one row at a
+time, two arrays of about 0.9 MB.
 """
 
 import numpy as np
@@ -138,12 +139,12 @@ def three_pass_structure(S) -> tuple[np.ndarray, np.ndarray, float, float]:
 def adjoint_closure_table(f) -> np.ndarray:
     """The ``(m, m)`` Frobenius norms of [F_a, F_b] - f_abc F_c for the
     adjoint matrices (F_a)_ce = f_cae of a real ``(m, m, m)`` tensor f, from
-    every product F_a F_b: one ``bracket_table`` call, about 1.5 m^5
-    multiply-adds.  It assumes nothing of f."""
+    every product F_a F_b: one ``bracket_table`` call per row a, about
+    1.5 m^5 multiply-adds in all.  It assumes nothing of f."""
     from lieforge.checks import bracket_table
 
     F = np.ascontiguousarray(np.transpose(f, (1, 0, 2)))
-    return bracket_table(F, F, f, F)
+    return np.concatenate([bracket_table(F[a : a + 1], F, f[a : a + 1], F) for a in range(len(F))])
 
 
 def _mirrored(table) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -8,6 +9,7 @@ import lieforge.checks as checks
 import lieforge.transfer as transfer
 from lieforge.checks import (
     EPS3,
+    CheckReport,
     Identity,
     ShapeError,
     all_passed,
@@ -17,7 +19,6 @@ from lieforge.checks import (
     check_poincare,
     check_su2_fundamental,
     gamma_match_report,
-    make_report,
     residual_report,
     vector_relation_reports,
 )
@@ -192,8 +193,8 @@ def test_sensitivity_to_single_entry_perturbation():
 
 
 def test_report_invariants_and_json_lines():
-    good = make_report(Identity.LORENTZ_JJ, 1e-15, 1e-12, subject="x")
-    bad = make_report(
+    good = CheckReport(Identity.LORENTZ_JJ, 1e-15, 1e-12, subject="x")
+    bad = CheckReport(
         Identity.LORENTZ_JJ, 1.0, 1e-12, subject="x", witness={"indices": [1], "description": "d"}
     )
     assert good.passed and good.witness is None
@@ -204,6 +205,23 @@ def test_report_invariants_and_json_lines():
     assert parsed[0]["passed"] is True
     assert parsed[1]["passed"] is False
     assert set(parsed[0]) >= {"identity", "max_residual", "tolerance", "passed", "witness"}
+
+
+def test_a_report_derives_its_verdict():
+    # The record, not its caller, decides: passed is exactly residual <
+    # tolerance over Python floats, and a passing report keeps no witness.
+    witness = {"indices": [1], "description": "d"}
+    with pytest.raises(TypeError):
+        CheckReport(Identity.LORENTZ_JJ, 1.0, 1e-12, passed=True)
+    nan = CheckReport(Identity.LORENTZ_JJ, np.float64(np.nan), 1e-12, witness=witness)
+    assert nan.passed is False and nan.witness == witness
+    edge = CheckReport(Identity.LORENTZ_JJ, 1e-12, 1e-12, witness=witness)
+    assert edge.passed is False and edge.witness == witness
+    good = CheckReport(Identity.LORENTZ_JJ, np.float64(1e-13), np.float64(1e-12), witness=witness)
+    assert good.passed is True and good.witness is None
+    assert type(good.max_residual) is float and type(good.tolerance) is float
+    rebuilt = dataclasses.replace(edge, max_residual=0.0)
+    assert rebuilt.passed is True and rebuilt.witness is None
 
 
 def test_reports_are_reproducible():

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -14,6 +15,9 @@ import pytest
 import lieforge
 import lieforge.cli as cli
 from lieforge.cli import RunConfig, main, tolerance_from_env
+from lieforge.generators import j2
+from lieforge.su_n import extract_structure
+from lieforge.transfer import CoeffTensor, SourceKind
 
 COMMANDS = ["verify", "transfer", "invariants", "sun", "exercises"]
 
@@ -382,6 +386,53 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
     assert main(["all", "--trials", "10"]) == 0
     assert calls == {key: 2 * n for key, n in once.items()}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        j2,
+        lambda: extract_structure(j2().members),
+        lambda: CoeffTensor(np.zeros((4, 3, 4)), SourceKind.FROM_J),
+    ],
+    ids=["GeneratorSet", "StructureTensors", "CoeffTensor"],
+)
+def test_array_records_compare_and_hash_by_identity(make):
+    # The run table keys on its arguments as they are, so a record holding
+    # arrays must compare and hash without touching them: by value, == on
+    # the arrays raised and hash failed.
+    a, b = make(), make()
+    assert (a == b) is False and a != b and a == a
+    assert hash(a) == hash(a)
+    table = {a: 1, b: 2}
+    assert (table[a], table[b]) == (1, 2)
+
+
+_REPORT_LINE = re.compile(r"^  (\S+) +(\S*) +residual ")
+
+
+@pytest.mark.parametrize(
+    "env, args",
+    [({}, []), ({"LIEFORGE_PERTURB": "1e-6"}, []), ({}, ["--alpha", "2"])],
+    ids=["default", "perturb", "alpha-2"],
+)
+@pytest.mark.parametrize("command", [*COMMANDS, "all"])
+def test_no_section_lists_a_check_twice(monkeypatch, capsys, env, args, command):
+    # A section prints each (identity, subject) pair once: the Lorentz table
+    # that several vector families share is listed before all of them.
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out = run_cli(capsys, command, "--trials", "10", *args)
+    assert code in (0, 1)
+    sections = []
+    for line in out.splitlines():
+        if line.startswith("== "):
+            sections.append([])
+        elif match := _REPORT_LINE.match(line):
+            sections[-1].append(match.groups())
+    assert sum(map(len, sections)) > 0
+    repeats = [pair for pairs in sections for pair in pairs if pairs.count(pair) > 1]
+    assert repeats == []
 
 
 def test_a_run_is_freed_when_main_returns(capsys):

@@ -14,7 +14,10 @@ residual moved and which passes in both trees, the largest move over all
 runs is printed.  Moves of reports that fail in either tree are printed
 apart, one line per run with its label: the residual of a failing check
 (an out-of-range rapidity, say) can be any size, and folded into the same
-summary it would hide how far the passing reports moved.
+summary it would hide how far the passing reports moved.  For each run that
+differs beyond residuals, the first line (text) or record (JSON) at which
+the two trees part is printed, one per side, from stdout or else stderr: a
+deliberate output change can be reviewed from that alone.
 
 Exit status: 0 when every run matches up to residuals, 1 when any other
 field differs, 2 on a bad argument.
@@ -27,6 +30,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 TRANSFORM = ["--phi", "2", "0", "0", "--x", "1", "0", "0", "2"]
@@ -84,7 +88,8 @@ def _run(src: Path, env: dict, argv: list[str]) -> subprocess.CompletedProcess:
     )
 
 
-_RESIDUAL = re.compile(rb"residual +\S+")
+# The residual column of a text report, or the residual field of a JSON one.
+_RESIDUAL = re.compile(rb'residual +\S+|"max_residual":[^,}]+')
 
 
 def _json_records(stdout: bytes) -> list[dict]:
@@ -115,6 +120,17 @@ def _compare(old: bytes, new: bytes, is_json: bool, moves: dict, failing: list, 
     return same
 
 
+def _first_difference(old: bytes, new: bytes) -> tuple | None:
+    """The first line of each output, as ``(old, new)``, at which the two
+    differ beyond residuals (``None`` for a side that has ended), or ``None``
+    when they agree.  Text and JSON lines alike are compared with the
+    residual masked."""
+    for a, b in zip_longest(old.splitlines(), new.splitlines()):
+        if a is None or b is None or _RESIDUAL.sub(b"*", a) != _RESIDUAL.sub(b"*", b):
+            return a, b
+    return None
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all((Path(p) / "lieforge" / "__init__.py").is_file() for p in argv):
         print("usage: compare_outputs.py OLD_SRC NEW_SRC (each holding a lieforge package)",
@@ -137,6 +153,13 @@ def main(argv: list[str]) -> int:
             status = "DIFFERS"
             differing += 1
         print(f"{status:<16} exit {old.returncode}->{new.returncode}  {label}")
+        for stream in ("stdout", "stderr") if status == "DIFFERS" else ():
+            parted = _first_difference(getattr(old, stream), getattr(new, stream))
+            if parted:
+                for side, line in zip(("old", "new"), parted):
+                    shown = "(ended)" if line is None else line.decode(errors="replace")
+                    print(f"    {side} {stream}: {shown}")
+                break
     for (identity, subject), move in sorted(moves.items(), key=lambda kv: -kv[1]):
         print(f"largest residual move  {identity} {subject}: {move:.3g}")
     for label, identity, subject, before, after in failing:
