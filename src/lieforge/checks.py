@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .generators import GeneratorSet, Kind, gamma, k2, rep22_v, v2, VectorParams
+from .generators import GeneratorSet, Kind
 from .linalg import DEFAULT_TOL, Tolerance, frobenius_norms
 
 __all__ = [
@@ -325,38 +325,43 @@ def check_poincare(
     return check_lorentz(J, K, tol) + vector_relation_reports(J, K, V, tol, alpha, subject)
 
 
-def check_2rep_vk_asymmetry(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_2rep_vk_asymmetry(
+    V: GeneratorSet, K: GeneratorSet, tol: Tolerance = DEFAULT_TOL
+) -> CheckReport:
     """Demonstrate that the fundamental rep cannot host momenta.
 
-    In the 2-dimensional family both V^i and K^j are multiples of the angular
-    momenta, so [V^i, K^j] is antisymmetric in (i, j), while a translation
-    algebra needs it symmetric (proportional to delta_ij).  The check passes
-    when the symmetric part vanishes while the commutators themselves do not;
-    a degenerate all-zero family would force the residual to 1.
+    In the 2-dimensional family (``V`` = v2(1, 1), ``K`` = k2()) both V^i
+    and K^j are multiples of the angular momenta, so [V^i, K^j] is
+    antisymmetric in (i, j), while a translation algebra needs it symmetric
+    (proportional to delta_ij).  The check passes when the symmetric part
+    vanishes while the commutators themselves do not; a degenerate all-zero
+    family would force the residual to 1.
     """
-    V = v2(1.0, 1.0).stack[:3, None]
-    K = k2().stack[None]
-    comm = V @ K - K @ V
-    norms = frobenius_norms(comm)
+    if len(V) != 4 or len(K) != 3 or V.rep.dim != K.rep.dim:
+        raise ShapeError("expected a 4-member vector family and a 3-member boost set")
+    Vs, Ks = V.stack[:3, None], K.stack[None]
+    comm = Vs @ Ks - Ks @ Vs
     sym = frobenius_norms(comm + comm.transpose(1, 0, 2, 3))
-    largest = float(norms[~np.eye(3, dtype=bool)].max())
+    largest = float(frobenius_norms(comm)[~np.eye(3, dtype=bool)].max())
     return residual_report(
         Identity.VK_ANTISYMMETRY,
         sym if largest > 0.1 else np.maximum(sym, 1.0),
         tol.abs_eps,
         "symmetric part of pair (i={}, j={})",
-        subject="2-rep",
+        subject=f"{V.rep.tag}-rep",
         note=f"largest off-diagonal commutator norm {largest:.6g} (must be nonzero)",
     )
 
 
-def gamma_match_report(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """The gamma matrices coincide with the doubled vector family at the
-    default constants (c_plus = -2i, c_minus = +2i, alpha = 1)."""
+def gamma_match_report(
+    g: GeneratorSet, V: GeneratorSet, tol: Tolerance = DEFAULT_TOL
+) -> CheckReport:
+    """The gamma matrices ``g`` coincide with the doubled vector family ``V``
+    at the default constants (c_plus = -2i, c_minus = +2i, alpha = 1)."""
     return residual_report(
         Identity.GAMMA_VECTOR_MATCH,
-        frobenius_norms(gamma().stack - rep22_v(VectorParams()).stack),
+        frobenius_norms(g.stack - V.stack),
         tol.abs_eps,
         "member mu={}",
-        subject="2+2-rep",
+        subject=f"{V.rep.tag}-rep",
     )

@@ -59,6 +59,7 @@ from .generators import (
     momentum,
     rep22_jk,
     rep22_v,
+    v2,
 )
 from .linalg import Tolerance, matrix_to_json
 from .spacetime import (
@@ -182,7 +183,9 @@ class _Run:
     first use, and keyed on ``(fn, *args)``: numbers, strings, tolerances and
     parameter records compare by value, generator sets, structure tensors and
     coefficient tensors by identity (the key holds them, so an identity is
-    never reused).  So the table's keys name each result's premises.
+    never reused).  Every generator set a check reads is an entry passed in,
+    except the closed forms of ``transfer_reports`` and the 5-affine set of
+    ``translation_check``, so the table's keys name each result's premises.
     Entries are shared: concatenate report lists, never extend one in place.
     The intertwining sweeps, which several sections print, are the property
     ``intertwining``, computed on first use.
@@ -229,11 +232,11 @@ class _Run:
         return intertwine_sweep(families, pre22 + pre5, min(100, cfg.trials), tol, cfg.seed)
 
 
-def _projected(V: GeneratorSet) -> list[tuple[str, GeneratorSet]]:
-    """The chiral projections of the doubled vector family ``V``."""
+def _projected(V: GeneratorSet, g: GeneratorSet) -> list[tuple[str, GeneratorSet]]:
+    """The chiral projections of the doubled vector family ``V`` by gamma set ``g``."""
     return [
         (name, GeneratorSet(REP22, Kind.MOMENTUM, tuple(proj @ V[mu] for mu in range(1, 5))))
-        for name, proj in zip(("projected-plus", "projected-minus"), gamma5_projectors())
+        for name, proj in zip(("projected-plus", "projected-minus"), gamma5_projectors(g))
     ]
 
 
@@ -251,7 +254,7 @@ def _verify(run: _Run) -> None:
         bumped[0, 0] += cfg.perturb
         j = j.with_member(1, bumped)
     fundamental = run(check_su2_fundamental, j, tol) + run(check_lorentz, j, run(k2), tol)
-    fundamental.append(run(check_2rep_vk_asymmetry, tol))
+    fundamental.append(run(check_2rep_vk_asymmetry, run(v2, 1.0, 1.0), run(k2), tol))
     run.sections.append(("fundamental relations", fundamental))
 
     alpha = cfg.alpha
@@ -263,7 +266,7 @@ def _verify(run: _Run) -> None:
     families = [
         ("momentum-plus", run(momentum, VectorParams(GAMMA_C_PLUS, 0.0, alpha))),
         ("momentum-minus", run(momentum, VectorParams(0.0, GAMMA_C_MINUS, alpha))),
-        *run(_projected, generic_v),
+        *run(_projected, generic_v, run(gamma)),
     ]
     run.sections.append(("momentum families", run.poincare(J22, K22, alpha, families)))
 
@@ -393,11 +396,11 @@ def _exercises(run: _Run) -> None:
     cfg, tol = run.cfg, run.tol
     J22, K22 = run(rep22_jk)
     j5, k5, p5 = run(affine_generators)
-    projected = run(_projected, run(rep22_v, VectorParams(alpha=1.0)))
+    g, V = run(gamma), run(rep22_v, VectorParams())
     reports = [run(det_interval_check, cfg.trials, tol, cfg.seed)]
     reports += run(check_su2_fundamental, run(j2), tol)
-    reports.append(run(gamma_match_report, tol))
-    reports += run.poincare(J22, K22, 1.0, projected)
+    reports.append(run(gamma_match_report, g, V, tol))
+    reports += run.poincare(J22, K22, 1.0, run(_projected, V, g))
     reports += run.poincare(j5, k5, 1.0, [("5-affine", p5)])
     reports.append(run(translation_check, max(1, cfg.trials // 10), tol, cfg.seed))
     reports += run.intertwining

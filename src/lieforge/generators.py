@@ -272,18 +272,17 @@ def gamma() -> GeneratorSet:
     return GeneratorSet(REP22, Kind.VECTOR, tuple(-1j * m for m in (*spatial, time)))
 
 
-def gamma5() -> np.ndarray:
-    """The chirality matrix -i * g4 g1 g2 g3 (diag(1, 1, -1, -1))."""
-    g = gamma()
+def gamma5(g: GeneratorSet) -> np.ndarray:
+    """The chirality matrix -i * g4 g1 g2 g3 (diag(1, 1, -1, -1) for :func:`gamma`)."""
     return -1j * (g[4] @ g[1] @ g[2] @ g[3])
 
 
-def gamma5_projectors() -> tuple[np.ndarray, np.ndarray]:
-    """The two chiral projectors (1 +/- gamma5)/2.
+def gamma5_projectors(g: GeneratorSet) -> tuple[np.ndarray, np.ndarray]:
+    """The two chiral projectors (1 +/- gamma5)/2 of a gamma set ``g``.
 
-    Multiplying any doubled vector family by these projects onto its plus and
-    minus momentum branches.
+    Multiplying any doubled vector family by those of :func:`gamma` projects
+    onto its plus and minus momentum branches.
     """
-    g5 = gamma5()
+    g5 = gamma5(g)
     eye = np.eye(4, dtype=complex)
     return (eye + g5) / 2, (eye - g5) / 2

@@ -323,8 +323,8 @@ def affine_generators() -> tuple[GeneratorSet, GeneratorSet, GeneratorSet]:
     labeling of the identical subgroup).
     """
     gens = np.zeros((10, 5, 5), dtype=complex)
-    gens[:3, :4, :4] = build_j4().stack
-    gens[3:6, :4, :4] = -build_k4().stack
+    gens[:3, :4, :4] = _J4.stack
+    gens[3:6, :4, :4] = -_K4.stack
     gens[[6, 7, 8, 9], [0, 1, 2, 3], 4] = -1j
     return (
         GeneratorSet(REP5_AFFINE, Kind.ANGULAR_MOMENTUM, tuple(gens[:3])),

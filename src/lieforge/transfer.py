@@ -242,12 +242,5 @@ def transfer_reports(
     # mislabeling, so its residual is recorded alongside as a rejected
     # alternative.
     kk_alt = bracket_table(k4.stack, k4.stack, -1j * EPS3, k4.stack).max()
-    reports.extend(
-        check_lorentz(
-            j4,
-            k4,
-            tol,
-            note=f"[K,K] closes onto J; the K-valued alternative misses by {kk_alt:.6g}",
-        )
-    )
-    return reports
+    note = f"[K,K] closes onto J; the K-valued alternative misses by {kk_alt:.6g}"
+    return reports + check_lorentz(j4, k4, tol, note=note)

@@ -99,7 +99,7 @@ def test_c03_2rep_failure_demonstration():
                 sym = commutator(V[i], K[j]) + commutator(V[j], K[i])
                 assert float(np.linalg.norm(sym)) < 1e-12
                 assert float(np.linalg.norm(commutator(V[i], K[j]))) > 0.1
-    assert check_2rep_vk_asymmetry(TOL).passed
+    assert check_2rep_vk_asymmetry(V, K, TOL).passed
     announce(3, "2-rep [V,K] is antisymmetric (symmetric part < 1e-12), so no momenta there")
 
 
@@ -109,7 +109,7 @@ def test_c04_poincare_closure_momentum_and_projected():
         "momentum-plus": momentum(VectorParams(-2j, 0.0, 1.0)),
         "momentum-minus": momentum(VectorParams(0.0, 2j, 1.0)),
     }
-    p_plus, p_minus = gamma5_projectors()
+    p_plus, p_minus = gamma5_projectors(gamma())
     V = rep22_v()
     families["projected-plus"] = GeneratorSet(
         REP22, Kind.MOMENTUM, tuple(p_plus @ V[mu] for mu in range(1, 5))

@@ -40,7 +40,7 @@ from lieforge.generators import (
     rep22_v,
     v2,
 )
-from lieforge.linalg import frobenius_norms
+from lieforge.linalg import Tolerance, frobenius_norms
 from lieforge.spacetime import affine_generators
 from lieforge.su_n import gell_mann
 from lieforge.transfer import build_j4, build_k4, extract_coeffs, transfer_reports
@@ -164,11 +164,11 @@ def test_poincare_alpha_variants():
 
 
 def test_2rep_vk_asymmetry():
-    report = check_2rep_vk_asymmetry()
+    V, K = v2(1.0, 1.0), k2()
+    report = check_2rep_vk_asymmetry(V, K)
     assert report.passed
     assert report.identity is Identity.VK_ANTISYMMETRY
     # the demonstration itself: [V^i, K^j] = -[V^j, K^i] != 0 off the diagonal
-    V, K = v2(1.0, 1.0), k2()
     c12 = commutator(V[1], K[2])
     c21 = commutator(V[2], K[1])
     assert np.abs(c12 + c21).max() < 1e-15
@@ -176,8 +176,33 @@ def test_2rep_vk_asymmetry():
     assert np.abs(commutator(V[1], K[1])).max() < 1e-15
 
 
+def test_2rep_vk_asymmetry_refuses_a_degenerate_family():
+    # An all-zero V has a vanishing symmetric part, but no commutator either:
+    # the guard forces the residual to 1.
+    zero = GeneratorSet(Rep("2", 2), Kind.VECTOR, tuple(np.zeros((4, 2, 2))))
+    report = check_2rep_vk_asymmetry(zero, k2())
+    assert not report.passed
+    assert report.max_residual == 1.0
+    with pytest.raises(ShapeError):
+        check_2rep_vk_asymmetry(k2(), k2())
+
+
 def test_gamma_match_report():
-    assert gamma_match_report().passed
+    assert gamma_match_report(gamma(), rep22_v()).passed
+
+
+def test_gamma_match_report_sees_a_one_entry_bump():
+    # 2^-40 is below the default abs_eps of 1e-12, so the bump is held to the
+    # smallest tolerance the CLI accepts.
+    g = gamma()
+    bumped = g[1].copy()
+    bumped[0, 2] += 2.0**-40
+    tight = Tolerance(abs_eps=1e-15)
+    assert gamma_match_report(g, rep22_v(), tight).max_residual == 0.0
+    report = gamma_match_report(g.with_member(1, bumped), rep22_v(), tight)
+    assert not report.passed
+    assert report.max_residual == 2.0**-40
+    assert report.witness["indices"] == [1]
 
 
 def test_sensitivity_to_single_entry_perturbation():
@@ -443,7 +468,7 @@ def vector_families(alpha):
         generic,
         momentum(VectorParams(GAMMA_C_PLUS, 0.0, alpha)),
         momentum(VectorParams(0.0, GAMMA_C_MINUS, alpha)),
-        *(V for _, V in _projected(generic)),
+        *(V for _, V in _projected(generic, gamma())),
     ]
 
 

@@ -388,6 +388,61 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
     capsys.readouterr()
 
 
+# Every factory of a generator set, and the checks that still build their own
+# sets by name: transfer_reports its closed forms, translation_check its
+# 5-affine set.
+FACTORIES = ("j2", "k2", "v2", "rep22_jk", "rep22_v", "momentum", "gamma",
+             "affine_generators", "build_j4", "build_k4")
+OWN_SETS = {"transfer_reports": {"build_j4", "build_k4"},
+            "translation_check": {"affine_generators"}}
+
+
+@pytest.mark.parametrize(
+    "env, args",
+    [({}, []), ({"LIEFORGE_PERTURB": "1e-6"}, []), ({}, ["--alpha", "2"])],
+    ids=["default", "perturb", "alpha-2"],
+)
+@pytest.mark.parametrize("command", [*COMMANDS, "all"])
+def test_each_generator_set_is_built_once_per_run(monkeypatch, capsys, env, args, command):
+    # A check reads the sets it is passed, so the run table is the only place
+    # that builds them: each factory runs at most once per distinct arguments,
+    # whichever module calls it, apart from the sets OWN_SETS names.
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    calls = collections.Counter()
+    inside = []
+
+    def wrap(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            if not any(name in OWN_SETS[owner] for owner in inside):
+                calls[(name, args)] += 1
+            return fn(*args)
+
+        def owner(*args):
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(module, name, owner if name in OWN_SETS else counted)
+
+    modules = (lieforge.checks, lieforge.cli, lieforge.generators, lieforge.spacetime,
+               lieforge.su_n, lieforge.transfer)
+    for module in modules:
+        for name in (*FACTORIES, *OWN_SETS):
+            if hasattr(module, name):
+                wrap(module, name)
+    code, _ = run_cli(capsys, command, "--trials", "10", *args)
+    assert code == (1 if env and command in ("verify", "all") else 0)
+    assert calls
+    assert {key: n for key, n in calls.items() if n > 1} == {}
+    if command == "all":
+        assert {name for name, _ in calls} == set(FACTORIES)
+
+
 @pytest.mark.parametrize(
     "make",
     [

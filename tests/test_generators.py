@@ -205,17 +205,26 @@ def test_gamma_clifford_pattern():
 
 
 def test_gamma5_and_projectors():
-    np.testing.assert_allclose(gamma5(), np.diag([1, 1, -1, -1]), atol=1e-15)
-    p_plus, p_minus = gamma5_projectors()
+    np.testing.assert_allclose(gamma5(gamma()), np.diag([1, 1, -1, -1]), atol=1e-15)
+    p_plus, p_minus = gamma5_projectors(gamma())
     np.testing.assert_allclose(p_plus @ p_plus, p_plus, atol=1e-15)
     np.testing.assert_allclose(p_minus @ p_minus, p_minus, atol=1e-15)
     assert np.abs(p_plus @ p_minus).max() < 1e-15
     np.testing.assert_allclose(p_plus + p_minus, np.eye(4), atol=0)
 
 
-def test_projectors_cut_momentum_branches():
-    p_plus, p_minus = gamma5_projectors()
+def test_gamma5_reads_its_gamma_set():
+    # Negating one member negates the product: the chirality comes from the
+    # set passed in.
     g = gamma()
+    flipped = g.with_member(2, -g[2])
+    assert np.abs(gamma5(flipped) - np.diag([1, 1, -1, -1])).max() == 2.0
+    np.testing.assert_array_equal(gamma5(flipped), -gamma5(g))
+
+
+def test_projectors_cut_momentum_branches():
+    g = gamma()
+    p_plus, p_minus = gamma5_projectors(g)
     from_proj_plus = [p_plus @ g[mu] for mu in range(1, 5)]
     from_proj_minus = [p_minus @ g[mu] for mu in range(1, 5)]
     branch_plus = momentum(VectorParams(-2j, 0, 1))

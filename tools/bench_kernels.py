@@ -21,6 +21,9 @@ beforehand, where ``sun-sweep`` builds them in each iteration); the seeded sweep
 trials and ``translation_check`` at 100; ``_d4_stack``, the stacked
 4-vector transform, at 256 seeded trials, and the rotation-only transform of
 the rotation sweep (``_rotation_stack``) at the same 256 angle triples;
+the generator factories ``gamma``, ``rep22_v`` at its default constants,
+``rep22_jk`` and ``affine_generators`` (the ``np.kron`` and ``np.block``
+layer every run builds its sets with);
 ``bracket_table`` on the 2+2 Lorentz jk table [J_i, K_j] = i eps_ijk K_k
 (two different stacks) and the 2+2 self-table jj [J_i, J_j] = i eps_ijk
 J_k, tables of the size the CLI forms (the su(N) tables that only the
@@ -206,6 +209,12 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
     transforms = angles((np.pi, 3.0), 256)
     cases.append(("_d4_stack (256 trials)", lambda a: spacetime._d4_stack(*a), transforms))
     cases.append(("rotation-only Lambda (256 trials)", spacetime._rotation_stack, transforms[0]))
+    cases += [
+        ("gamma", lambda _: generators.gamma(), None),
+        ("rep22_v", generators.rep22_v, generators.VectorParams()),
+        ("rep22_jk", lambda _: generators.rep22_jk(), None),
+        ("affine_generators", lambda _: spacetime.affine_generators(), None),
+    ]
     tables = {
         "2+2 Lorentz jk": (J22.stack, K22.stack, 1j * checks.EPS3, K22.stack, False),
         "2+2 Lorentz jj": (J22.stack, J22.stack, 1j * checks.EPS3, J22.stack, False),
