@@ -184,8 +184,8 @@ class _Run:
     parameter records compare by value, generator sets, structure tensors and
     coefficient tensors by identity (the key holds them, so an identity is
     never reused).  Every generator set a check reads is an entry passed in,
-    except the closed forms of ``transfer_reports`` and the 5-affine set of
-    ``translation_check``, so the table's keys name each result's premises.
+    except the closed forms of ``transfer_reports``, so the table's keys name
+    each result's premises.
     Entries are shared: concatenate report lists, never extend one in place.
     The intertwining sweeps, which several sections print, are the property
     ``intertwining``, computed on first use.
@@ -358,7 +358,7 @@ def _invariants(run: _Run) -> None:
         run(boost_invariance_check, cfg.trials, tol, cfg.seed),
         run(det_interval_check, cfg.trials, tol, cfg.seed),
         run(affine_composition_check, small, tol, cfg.seed),
-        run(translation_check, small, tol, cfg.seed),
+        run(translation_check, p5, small, tol, cfg.seed),
         *run.intertwining,
     ]
     reports += run.poincare(j5, k5, 1.0, [("5-affine", p5)])
@@ -402,7 +402,7 @@ def _exercises(run: _Run) -> None:
     reports.append(run(gamma_match_report, g, V, tol))
     reports += run.poincare(J22, K22, 1.0, run(_projected, V, g))
     reports += run.poincare(j5, k5, 1.0, [("5-affine", p5)])
-    reports.append(run(translation_check, max(1, cfg.trials // 10), tol, cfg.seed))
+    reports.append(run(translation_check, p5, max(1, cfg.trials // 10), tol, cfg.seed))
     reports += run.intertwining
     run.sections.append(("worked problems", reports))
     _group_comparison(run)

@@ -83,7 +83,7 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _real_form(y: np.ndarray) -> np.ndarray:
-    """The real ``(..., 2n, 2n)`` form R(y) of a complex ``(..., n, n)`` stack:
+    """The real ``(..., 2m, 2n)`` form R(y) of a complex ``(..., m, n)`` stack:
     entry y_kj becomes the 2x2 block [[Re, Im], [-Im, Re]] at rows 2k, 2k + 1
     and columns 2j, 2j + 1, so that x.view(float64) @ R(y), read back as
     complex128, is x @ y (:func:`_times_real_form`).  Rows 2k and 2k + 1 are
@@ -93,7 +93,7 @@ def _real_form(y: np.ndarray) -> np.ndarray:
     r = np.empty((*y.shape[:-1], 2, n), dtype=np.complex128)
     r[..., 0, :] = y
     np.multiply(y, 1j, out=r[..., 1, :])
-    return r.view(np.float64).reshape(*y.shape[:-2], 2 * n, 2 * n)
+    return r.view(np.float64).reshape(*y.shape[:-2], 2 * y.shape[-2], 2 * n)
 
 
 def _times_real_form(

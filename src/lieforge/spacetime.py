@@ -141,9 +141,10 @@ _SIGMA4 = np.array([pauli(mu) for mu in range(1, 5)])
 # inputs and transforms at a time, so its peak memory does not grow with the
 # (user-supplied) trial count.  At 1024 the default 1000-trial sweeps run as
 # one block each and pay their fixed per-block cost once.  Memory, measured
-# with tracemalloc: the 1000-trial boost sweep peaks at 0.83 MB (0.26 MB in
-# blocks of 256), below the 1.23 MB of the 100-draw intertwining sweep, which
-# sets the 1.25 MB peak of one ``invariants --trials 1000`` run either way.
+# with tracemalloc: the 1000-trial boost sweep peaks at 0.58 MB and sets the
+# 0.59 MB peak of one ``invariants --trials 1000`` run.  In blocks of 256 it
+# would peak at 0.19 MB, and the 0.51 MB of the 100-draw intertwining sweep
+# would set the run's peak.
 _BLOCK = 1024
 
 
@@ -201,12 +202,14 @@ def _cubic_exp(v: np.ndarray, U: np.ndarray, sin, inverse: bool = False) -> tupl
     1 - cos t = 2 sin^2(t/2) and cosh t - 1 = 2 sinh^2(t/2).
     :func:`_cubic_unit` brings a stack with N^3 = -c N to that form.
     ``np.sin`` reduces any finite angle exactly, so a large angle still
-    gives a rotation.
+    gives a rotation.  M and M^2 are scaled in place, so the only stacks it
+    allocates are M, M^2 and, when ``inverse``, the second result.
     """
     t, axes = _norms_and_axes(v)
-    M = _combine(axes, U)
-    odd = sin(t)[:, None, None] * M
-    even = (2.0 * sin(0.5 * t) ** 2)[:, None, None] * _matmul(M, M)
+    odd = _combine(axes, U)
+    even = _matmul(odd, odd)
+    even *= (2.0 * sin(0.5 * t) ** 2)[:, None, None]
+    odd *= sin(t)[:, None, None]
     minus = (_plus_identity(even - odd),) if inverse else ()
     return (_plus_identity(np.add(even, odd, out=even)), *minus)
 
@@ -353,10 +356,16 @@ def _intertwine_residuals(families, theta, phi) -> list[np.ndarray]:
     norms of D^-1 V^mu D - Lambda^mu_nu V^nu for mu = 1..4 and every row of
     the ``(T, 3)`` arrays ``theta`` and ``phi``.  D and D^-1 are built in
     each triple's own rep (:func:`_rep_transforms`); Lambda, the 4-vector
-    transform, is built once for all, from J4 and K4.  Every product of the
-    conjugation is formed in real arithmetic
-    (:func:`~lieforge.linalg._times_real_form`), the real forms of V and D
-    broadcast over the trials and the members.
+    transform, is built once for all, from J4 and K4.
+
+    D^-1 multiplies the members laid side by side, [V^1 ... V^4], in one
+    2-D product over all draws; the rows of the D^-1 V^mu then multiply D
+    in one product per draw.  Lambda^mu_nu V^nu is one 2-D product on V's
+    float64 view, and the residual is formed in place.  A complex rep's
+    products are formed in real arithmetic
+    (:func:`~lieforge.linalg._times_real_form`); when i V, D and D^-1 are
+    exactly real (the 5-affine rep), all of it is float64 on i V, whose
+    residual norms are those of V.
 
     In the 5-affine rep the closed forms give R(theta)^T = R(-theta) and
     B(phi)^T = B(phi) bit for bit, so D^-1 P^mu D and Lambda^mu_nu P^nu are
@@ -364,10 +373,15 @@ def _intertwine_residuals(families, theta, phi) -> list[np.ndarray]:
     lam = _d4_stack(theta, phi)
     residuals = []
     for rot, boost, V in families:
-        D, Dinv = (m.astype(complex, copy=False) for m in _rep_transforms(rot, boost, theta, phi))
-        moved = _times_real_form(Dinv[:, None], _real_form(V.stack))
-        conj = _times_real_form(moved, _real_form(D)[:, None])
-        residuals.append(frobenius_norms(conj - _combine(lam, V.stack)))
+        D, Dinv = _rep_transforms(rot, boost, theta, phi)
+        W = _times_i(V)
+        if D.dtype != np.float64 or W.dtype != np.float64:
+            D, Dinv, W = (m.astype(complex, copy=False) for m in (D, Dinv, V.stack))
+        t, n = D.shape[:2]
+        moved = _matmul(Dinv.reshape(-1, n), np.concatenate(W, axis=1))
+        conj = _matmul(moved.reshape(t, -1, n), D).reshape(t, n, len(W), n).swapaxes(1, 2)
+        fit = _combine(lam, W.view(np.float64)).view(W.dtype)
+        residuals.append(frobenius_norms(np.subtract(conj, fit, out=fit)))
     return residuals
 
 
@@ -400,7 +414,7 @@ def _seeded_sweep(
     witnesses are not comparable.  ``residuals`` maps those arrays to a
     sequence of ``(B, ...)`` residual arrays, one per subject.  Trials run
     in blocks of ``_BLOCK``, so memory is bounded by one block's inputs and
-    residual temporaries whatever ``trials`` is: about 0.8 MB for a block of
+    residual temporaries whatever ``trials`` is: about 0.6 MB for a block of
     1024 boost trials (tracemalloc).
 
     The witness is the first maximum: earliest trial, then row-major over the
@@ -630,9 +644,10 @@ def _translation_residuals(a, x, p5: GeneratorSet) -> list[np.ndarray]:
 
 
 def translation_check(
-    trials: int = 100, tol: Tolerance = DEFAULT_TOL, seed: int = DEFAULT_SEED
+    p5: GeneratorSet, trials: int = 100, tol: Tolerance = DEFAULT_TOL, seed: int = DEFAULT_SEED
 ) -> CheckReport:
-    """exp(i a.P) in the affine rep is exactly the displacement by a.
+    """exp(i a.P) of the 5-affine momentum set ``p5`` (the third set of
+    :func:`affine_generators`) is exactly the displacement by a.
 
     The translation generators are nilpotent (any product of two vanishes), so
     the exponential terminates after its linear term: it is built as
@@ -641,7 +656,6 @@ def translation_check(
     any P_a P_b, with the witness "generator products" when it is the worst
     residual.
     """
-    _, _, p5 = affine_generators()
     report = _seeded_sweep(
         Identity.TRANSLATION_DISPLACEMENT,
         ["5-affine"],

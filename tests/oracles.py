@@ -7,7 +7,9 @@ extraction, :func:`adjoint_closure_table`, the earlier adjoint closure
 check, and the ``per_relation_*`` tables, the earlier one call per
 relation of the Lorentz, vector-family and transfer tables, kept as
 bit-for-bit references; they call ``bracket_table``, which has its own
-double-loop tests.  ``bracket_table`` forms each table whole, two
+double-loop tests.  :func:`stacked_conjugation_residuals`, the earlier
+conjugation of the intertwining sweep, is another bit-for-bit reference,
+written here in plain numpy.  ``bracket_table`` forms each table whole, two
 ``(m, p, n, n)`` arrays at once; the largest table here, the adjoint
 closure of su(7) (48 members of 48 x 48, real), is formed one row at a
 time, two arrays of about 0.9 MB.
@@ -215,3 +217,28 @@ def unit_cubic_exp(v, iG, sin) -> np.ndarray:
     N = (axes @ iG.reshape(len(iG), -1)).reshape(len(v), *iG.shape[1:])
     out = sin(t)[:, None, None] * N + (2.0 * sin(0.5 * t) ** 2)[:, None, None] * (N @ N)
     return out + np.eye(iG.shape[-1])
+
+
+def _real_form(y) -> np.ndarray:
+    """The real (..., 2n, 2n) form of a complex (..., n, n) stack y: entry
+    y_kj becomes the block [[Re, Im], [-Im, Re]], so that
+    x.view(float64) @ R(y), read back as complex, is x @ y."""
+    n = y.shape[-1]
+    r = np.empty((*y.shape[:-1], 2, n), dtype=complex)
+    r[..., 0, :], r[..., 1, :] = y, 1j * y
+    return r.view(np.float64).reshape(*y.shape[:-2], 2 * n, 2 * n)
+
+
+def stacked_conjugation_residuals(D, Dinv, lam, V) -> np.ndarray:
+    """The (T, 4) Frobenius norms of Dinv_t V^mu D_t - lam_t^mu_nu V^nu for
+    (T, n, n) stacks ``D`` and ``Dinv``, a real (T, 4, 4) stack ``lam`` and a
+    (4, n, n) stack ``V``, formed as the intertwining sweep formed them
+    before its conjugation became two products: D and D^-1 cast to complex,
+    then Dinv_t V^mu and (Dinv_t V^mu) D_t as stacked float64 products on
+    real forms, broadcast over the draws and the members (4T products each),
+    and lam V as one float64-by-complex product."""
+    D, Dinv = D.astype(complex), Dinv.astype(complex)
+    moved = (Dinv[:, None].view(np.float64) @ _real_form(V)).view(complex)
+    conj = (moved.view(np.float64) @ _real_form(D)[:, None]).view(complex)
+    diff = conj - (lam @ V.reshape(len(V), -1)).reshape(len(lam), *V.shape)
+    return np.array([[np.linalg.norm(m) for m in row] for row in diff])

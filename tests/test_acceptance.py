@@ -209,7 +209,7 @@ def test_c09_affine_generators():
     expected = np.eye(5, dtype=complex)
     expected[:4, 4] = a
     assert np.abs(g - expected).max() == 0.0
-    assert translation_check(trials=100, tol=TOL, seed=2).passed
+    assert translation_check(p5, trials=100, tol=TOL, seed=2).passed
     announce(9, "5x5 generator families close the full table; translations exponentiate exactly")
 
 

@@ -350,9 +350,9 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
         "boost_invariance_check",
         "det_interval_check",
         "affine_composition_check",
-        "translation_check",
     ):
         count(name, lambda trials, tol, seed: trials)
+    count("translation_check", lambda p5, trials, tol, seed: trials)
     count(
         "intertwine_sweep", lambda families, *rest: tuple(V.rep.tag for _, _, V in families)
     )
@@ -388,13 +388,11 @@ def test_each_check_is_computed_once_per_run(monkeypatch, capsys):
     capsys.readouterr()
 
 
-# Every factory of a generator set, and the checks that still build their own
-# sets by name: transfer_reports its closed forms, translation_check its
-# 5-affine set.
+# Every factory of a generator set, and the check that still builds its own
+# sets by name: transfer_reports its closed forms.
 FACTORIES = ("j2", "k2", "v2", "rep22_jk", "rep22_v", "momentum", "gamma",
              "affine_generators", "build_j4", "build_k4")
-OWN_SETS = {"transfer_reports": {"build_j4", "build_k4"},
-            "translation_check": {"affine_generators"}}
+OWN_SETS = {"transfer_reports": {"build_j4", "build_k4"}}
 
 
 @pytest.mark.parametrize(

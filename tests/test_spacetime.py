@@ -34,6 +34,7 @@ from oracles import (
     affine_matrix,
     covering_map,
     interval_sq_via_det,
+    stacked_conjugation_residuals,
     unit_cubic_exp,
 )
 
@@ -264,11 +265,11 @@ def test_real_rep_conjugation_equals_the_complex_route(monkeypatch):
     theta, phi = spacetime._draw(spacetime._streams(1), 100, (), (np.pi, 2.0))
     family = spacetime._unit_families([affine_generators()])
     (real,) = spacetime._intertwine_residuals(family, theta, phi)
-    closed_form = spacetime._cubic_exp
+    rep_transforms = spacetime._rep_transforms
     monkeypatch.setattr(
         spacetime,
-        "_cubic_exp",
-        lambda *a, **k: tuple(e.astype(complex) for e in closed_form(*a, **k)),
+        "_rep_transforms",
+        lambda *a: tuple(e.astype(complex) for e in rep_transforms(*a)),
     )
     (complex_route,) = spacetime._intertwine_residuals(family, theta, phi)
     np.testing.assert_array_equal(real, complex_route)
@@ -276,6 +277,22 @@ def test_real_rep_conjugation_equals_the_complex_route(monkeypatch):
 
 def _families():
     return [(*rep22_jk(), gamma()), affine_generators()]
+
+
+@pytest.mark.parametrize("draws", [1, 7, 100])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_conjugation_equals_the_stacked_route_bit_for_bit(seed, draws):
+    # The two-product conjugation, float64 throughout in the 5-affine rep,
+    # against the 4T + 4T stacked complex products it replaced, on the same
+    # D, D^-1 and Lambda.
+    theta, phi = spacetime._draw(spacetime._streams(seed), draws, (), (np.pi, 2.0))
+    units = spacetime._unit_families(_families())
+    lam = spacetime._d4_stack(theta, phi)
+    for (rot, boost, V), got in zip(units, spacetime._intertwine_residuals(units, theta, phi)):
+        D, Dinv = spacetime._rep_transforms(rot, boost, theta, phi)
+        expected = stacked_conjugation_residuals(D, Dinv, lam, V.stack)
+        assert got.dtype == np.float64 and got.shape == (draws, 4)
+        np.testing.assert_array_equal(got, expected)
 
 
 def _intertwine_alone(J, K, V, draws, seed):
@@ -332,7 +349,7 @@ def test_invariance_checks_pass_and_are_deterministic():
     assert boost_invariance_check(trials=50, seed=9).passed
     assert det_interval_check(trials=50, seed=9).passed
     assert affine_composition_check(trials=10, seed=9).passed
-    assert translation_check(trials=10, seed=9).passed
+    assert translation_check(affine_generators()[2], trials=10, seed=9).passed
 
 
 def test_rotation_preserves_distance_and_time():
@@ -767,7 +784,7 @@ def _sweeps():
         (boost_invariance_check, _ref_boost),
         (det_interval_check, _ref_det),
         (affine_composition_check, _ref_affine),
-        (translation_check, _ref_translation),
+        (lambda trials, seed: translation_check(p5, trials, seed=seed), _ref_translation),
         (
             lambda trials, seed: _intertwine_one(J22, K22, gamma(), trials, seed=seed),
             lambda trials, seed: _ref_intertwine(J22, K22, gamma(), trials, seed),
@@ -854,6 +871,39 @@ def test_sweep_memory_does_not_grow_with_trials():
     assert peak(20000) < 2 * peak(2048)
 
 
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak of ``fn()``, in bytes, after one untraced call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# A (1000, 4, 4) float64 stack is 128,000 bytes.  The 1000-trial boost sweep
+# holds at most three at once: the boost B with the rotation's M and M^2
+# (scaled in place into sin|theta| M and the even term), then B, the rotation
+# and their product.  With the 0.19 MB of draws and per-trial vectors beside
+# them that is 0.58 MB; 0.65 MB leaves half a stack of slack.  Summing with
+# sin|theta| M and the scaled M^2 as new arrays beside M and M^2 holds five,
+# 0.83 MB.  One default run peaks in that sweep, plus what its run table and
+# its captured output hold by then (0.01 MB): 0.70 MB leaves the same slack.
+BOOST_PEAK_BOUND = 650_000
+RUN_PEAK_BOUND = 700_000
+
+
+def test_the_boost_sweep_holds_three_transform_stacks():
+    assert _traced_peak(lambda: boost_invariance_check(1000)) < BOOST_PEAK_BOUND
+
+
+def test_the_default_invariants_run_stays_below_its_allocation_bound(capsys):
+    argv = ["invariants", "--trials", "1000", "--format", "json"]
+    assert _traced_peak(lambda: main(argv)) < RUN_PEAK_BOUND
+    capsys.readouterr()
+
+
 def _all_seven(trials, tol, seed):
     families = _families()
     prechecks = [r for J, K, V in families for r in check_poincare(J, K, V, tol)]
@@ -862,7 +912,7 @@ def _all_seven(trials, tol, seed):
         boost_invariance_check(trials, tol, seed),
         det_interval_check(trials, tol, seed),
         affine_composition_check(trials, tol, seed),
-        translation_check(trials, tol, seed),
+        translation_check(families[1][2], trials, tol, seed),
         *intertwine_sweep(families, prechecks, trials, tol, seed),
     ]
 
@@ -1021,7 +1071,7 @@ def test_every_sweep_rejects_zero_trials(index):
         boost_invariance_check,
         det_interval_check,
         affine_composition_check,
-        translation_check,
+        lambda trials: translation_check(affine_generators()[2], trials),
         lambda trials: _intertwine_one(*rep22_jk(), gamma(), trials),
         lambda trials: _intertwine_one(*affine_generators(), trials),
         lambda trials: _intertwine_one(j2(), j2(), v2(1.0, 1.0), trials),
@@ -1041,16 +1091,14 @@ def test_a_momentum_family_whose_members_do_not_commute_fails_the_precheck():
         _intertwine_one(J22, K22, relabelled, draws=1)
 
 
-def test_non_nilpotent_translations_fail_with_the_generator_products(monkeypatch):
+def test_non_nilpotent_translations_fail_with_the_generator_products():
     # exp(i a.P) is built as I + i a.P, so the products P_a P_b are the only
     # guard of nilpotency.  With 100 at the corner of i P1, (i P1)^2 has
     # 100^2 there, more than any trial's miss, |a1| 100 < 1000.
-    j5, k5, p5 = affine_generators()
+    _, _, p5 = affine_generators()
     corner = p5[1].copy()
     corner[4, 4] = -100j
-    bumped = p5.with_member(1, corner)
-    monkeypatch.setattr(spacetime, "affine_generators", lambda: (j5, k5, bumped))
-    report = translation_check(trials=50)
+    report = translation_check(p5.with_member(1, corner), trials=50)
     assert not report.passed
     assert report.max_residual == 1e4
     assert report.witness == {"indices": [], "description": "generator products"}

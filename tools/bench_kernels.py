@@ -18,7 +18,8 @@ bases at N = 2 to 6, each through ``extract_structure``, ``structure_reports``,
 ``boost_obstruction_report`` and ``adjoint_from_f`` (the bases are built
 beforehand, where ``sun-sweep`` builds them in each iteration); the seeded sweeps
 ``boost_invariance_check`` and ``rotation_invariance_check`` at 1000
-trials and ``translation_check`` at 100; ``_d4_stack``, the stacked
+trials and ``translation_check`` at 100 (passed the 5-affine momentum set
+where it takes one); ``_d4_stack``, the stacked
 4-vector transform, at 256 seeded trials, and the rotation-only transform of
 the rotation sweep (``_rotation_stack``) at the same 256 angle triples;
 the generator factories ``gamma``, ``rep22_v`` at its default constants,
@@ -42,13 +43,17 @@ perfbench's ``invariants-1k`` times, at the default seed) and
 ``all --trials 10`` in text mode (the command ``suite-small`` times).
 
 Alone, the tool runs each case once untimed, then REPEATS times, and the
-line gives the median and quartiles of the raw wall times in seconds.  With
+line gives the median and quartiles of the raw wall times in seconds and
+the minor page faults per timed call, from ``ru_minflt`` read around each
+call: a case whose temporaries cross glibc's mmap threshold faults on every
+call, one that reuses the heap does not.  With
 ``--against``, both trees are loaded in one process, as the packages
 ``lieforge_old`` and ``lieforge_new``, and each case is called once per
 side untimed and then
 timed in ``--pairs`` pairs of one call per side, the old tree first in
-even-numbered pairs counting from 0.  The line gives each side's median and
-quartiles and the number of pairs in which the new tree was faster.  A
+even-numbered pairs counting from 0.  The line gives each side's median,
+quartiles and faults per call, and the number of pairs in which the new
+tree was faster.  A
 kernel change of 10-20 % is then resolved: separate processes see the
 host's speed change between them, alternating calls in one process see it
 on both sides alike.  Either line carries the Python, numpy and BLAS
@@ -73,11 +78,14 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import functools
 import importlib.util
+import inspect
 import io
 import json
 import os
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -108,42 +116,51 @@ REPEATS = 5
 PAIRS = 100
 
 
-def _summary(times: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    return {"median_s": median, "q1_s": q1, "q3_s": q3}
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _call(fn, arg) -> float:
-    """The wall time of ``fn(arg)``, run with the collector disabled (as
-    :func:`main` leaves it); the cyclic garbage of the call is collected
-    after it, untimed."""
+def _summary(calls: list[tuple[float, int]]) -> dict:
+    """Median and quartiles of the wall times of ``(seconds, faults)``
+    calls, and their mean minor page faults."""
+    q1, median, q3 = statistics.quantiles([t for t, _ in calls], n=4)
+    faults = sum(f for _, f in calls) / len(calls)
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "minflt_per_call": faults}
+
+
+def _call(fn, arg) -> tuple[float, int]:
+    """The wall time of ``fn(arg)`` and the minor page faults it took, run
+    with the collector disabled (as :func:`main` leaves it); the cyclic
+    garbage of the call is collected after it, untimed and uncounted."""
+    faults = _minflt()
     t0 = time.perf_counter()
     fn(arg)
     elapsed = time.perf_counter() - t0
+    faults = _minflt() - faults
     gc.collect(0)
-    return elapsed
+    return elapsed, faults
 
 
 def _timed(fn, arg) -> dict:
     _call(fn, arg)
-    times = [_call(fn, arg) for _ in range(REPEATS)]
-    return {**_summary(times), "repeats": REPEATS}
+    calls = [_call(fn, arg) for _ in range(REPEATS)]
+    return {**_summary(calls), "repeats": REPEATS}
 
 
 def _interleaved(old, new, pairs: int) -> dict:
     """Time ``old`` and ``new``, each a (function, argument) tuple, once each
     per pair, the old first in even-numbered pairs."""
     sides = {"old": old, "new": new}
-    times = {"old": [], "new": []}
+    calls = {"old": [], "new": []}
     for fn, arg in sides.values():
         _call(fn, arg)
     for k in range(pairs):
         for side in ("old", "new") if k % 2 == 0 else ("new", "old"):
-            times[side].append(_call(*sides[side]))
-    faster = sum(b < a for a, b in zip(times["old"], times["new"]))
+            calls[side].append(_call(*sides[side]))
+    faster = sum(b[0] < a[0] for a, b in zip(calls["old"], calls["new"]))
     return {
-        "old": _summary(times["old"]),
-        "new": _summary(times["new"]),
+        "old": _summary(calls["old"]),
+        "new": _summary(calls["new"]),
         "new_faster": f"{faster}/{pairs}",
     }
 
@@ -192,7 +209,10 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
         (f"{check.__name__}(1000)", check, 1000)
         for check in (spacetime.boost_invariance_check, spacetime.rotation_invariance_check)
     ]
-    cases.append(("translation_check(100)", spacetime.translation_check, 100))
+    translation = spacetime.translation_check
+    if "p5" in inspect.signature(translation).parameters:
+        translation = functools.partial(translation, spacetime.affine_generators()[2])
+    cases.append(("translation_check(100)", translation, 100))
     rng = np.random.default_rng(1)
 
     def angles(max_norms, size):
