@@ -859,18 +859,6 @@ def test_real_bump_to_a_generator_fails_the_purity_check(monkeypatch, name, chec
         check(trials=200, seed=5)
 
 
-def test_sweep_memory_does_not_grow_with_trials():
-    def peak(trials):
-        tracemalloc.start()
-        try:
-            boost_invariance_check(trials=trials)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    assert peak(20000) < 2 * peak(2048)
-
-
 def _traced_peak(fn) -> int:
     """The tracemalloc peak of ``fn()``, in bytes, after one untraced call."""
     fn()
@@ -882,14 +870,21 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def test_sweep_memory_does_not_grow_with_trials():
+    def peak(trials):
+        return _traced_peak(lambda: boost_invariance_check(trials=trials))
+
+    assert peak(20000) < 2 * peak(2048)
+
+
 # A (1000, 4, 4) float64 stack is 128,000 bytes.  The 1000-trial boost sweep
 # holds at most three at once: the boost B with the rotation's M and M^2
 # (scaled in place into sin|theta| M and the even term), then B, the rotation
 # and their product.  With the 0.19 MB of draws and per-trial vectors beside
 # them that is 0.58 MB; 0.65 MB leaves half a stack of slack.  Summing with
 # sin|theta| M and the scaled M^2 as new arrays beside M and M^2 holds five,
-# 0.83 MB.  One default run peaks in that sweep, plus what its run table and
-# its captured output hold by then (0.01 MB): 0.70 MB leaves the same slack.
+# 0.83 MB.  One default run peaks in that sweep, plus the 0.01 MB its run
+# table holds by then: 0.59 MB against 0.70 MB, where five stacks gave 0.84 MB.
 BOOST_PEAK_BOUND = 650_000
 RUN_PEAK_BOUND = 700_000
 
