@@ -385,9 +385,24 @@ def _intertwine_residuals(families, theta, phi) -> list[np.ndarray]:
     return residuals
 
 
+# The last seed's [seed, [normal, uniform], their states as spawned], kept
+# from the first sweep on: built at import, it would import numpy.random.
+_spawned: list = [None, [], []]
+
+
 def _streams(seed: int) -> list[np.random.Generator]:
-    """The normal and the uniform stream of a seeded sweep, spawned from ``seed``."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    """The normal and the uniform stream of a seeded sweep, at the states
+    ``SeedSequence(seed).spawn(2)`` gives them.  Only the last seed's pair is
+    kept: that seed rewinds it (3 us, where a spawn takes 45 us), any other
+    spawns a new pair, so a run whose sweeps share a seed spawns once."""
+    kept, streams, states = _spawned
+    if seed != kept:
+        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+        _spawned[:] = seed, streams, [g.bit_generator.state for g in streams]
+    else:
+        for g, state in zip(streams, states):
+            g.bit_generator.state = state
+    return streams
 
 
 def _seeded_sweep(
@@ -406,41 +421,42 @@ def _seeded_sweep(
 
     ``draw(streams, B)`` returns the inputs of ``B`` trials as a tuple of
     ``(B, ...)`` arrays, drawing once from each of ``streams`` (a normal and a
-    uniform stream spawned from ``seed``), trial-major: a trial's values are
-    one row of each draw.  Consecutive draws from a numpy ``Generator`` equal
-    one draw of their total size, so a seed fixes each trial's inputs whatever
-    the block size.  Versions that drew one trial at a time from a single
-    stream gave other inputs for the same seed: their seeded residuals and
-    witnesses are not comparable.  ``residuals`` maps those arrays to a
-    sequence of ``(B, ...)`` residual arrays, one per subject.  Trials run
-    in blocks of ``_BLOCK``, so memory is bounded by one block's inputs and
-    residual temporaries whatever ``trials`` is: about 0.6 MB for a block of
-    1024 boost trials (tracemalloc).
+    uniform stream at their states spawned from ``seed``: :func:`_streams`
+    spawns them once and rewinds them per sweep), trial-major: a trial's
+    values are one row of each draw.  Consecutive draws from a numpy
+    ``Generator`` equal one draw of their total size, so a seed fixes each
+    trial's inputs whatever the block size.  Versions that drew one trial at
+    a time from a single stream gave other inputs for the same seed: their
+    seeded residuals and witnesses are not comparable.  ``residuals`` maps
+    those arrays to a sequence of ``(B, ...)`` residual arrays, one per
+    subject.  Trials run in blocks of ``_BLOCK``, so memory is bounded by
+    one block's inputs and residual temporaries whatever ``trials`` is: about
+    0.6 MB for a block of 1024 boost trials (tracemalloc).
 
     The witness is the first maximum: earliest trial, then row-major over the
     trailing axes.  Its ``indices`` are the 0-based trial followed by the
     1-based trailing indices, described by ``describe(indices, inputs)`` with
-    that trial's row of each input.  When no residual exceeds zero the
+    a copy of that trial's row of each input, only when the report fails (a
+    passing one drops its witness).  When no residual exceeds zero the
     residual is 0.0 and there is no witness.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     streams = _streams(seed)
-    worst, witness = [0.0] * len(subjects), [None] * len(subjects)
+    worst, best = [0.0] * len(subjects), [None] * len(subjects)
     for start in range(0, trials, _BLOCK):
         inputs = draw(streams, min(_BLOCK, trials - start))
-        block = residuals(*inputs)
-        for f, r in enumerate(block):
+        for f, r in enumerate(residuals(*inputs)):
             at = np.unravel_index(int(np.argmax(r)), r.shape)
             if r[at] > worst[f]:
                 worst[f] = float(r[at])
                 indices = [start + int(at[0])] + [int(k) + 1 for k in at[1:]]
-                row = [q[at[0]] for q in inputs]
-                witness[f] = {"indices": indices, "description": describe(indices, row)}
-    return [
-        CheckReport(identity, w, bound, subject=s, witness=wit, note=note)
-        for s, w, wit in zip(subjects, worst, witness)
-    ]
+                best[f] = indices, [q[at[0]].copy() for q in inputs]
+    reports = []
+    for s, w, b in zip(subjects, worst, best):
+        witness = None if b is None or w < bound else {"indices": b[0], "description": describe(*b)}
+        reports.append(CheckReport(identity, w, bound, subject=s, witness=witness, note=note))
+    return reports
 
 
 def _random_direction_scaled(normals: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -462,7 +478,7 @@ def _draw(streams, size: int, half_widths=(), max_norms=()) -> tuple[np.ndarray,
     u = uniform.random((size, len(h) + len(m)))
     points = (-h + (2.0 * h) * u[:, : len(h)]).reshape(size, -1, 4)
     angles = _random_direction_scaled(normal.normal(size=(size, len(m), 3)), m * u[:, len(h) :])
-    return *np.moveaxis(points, 1, 0), *np.moveaxis(angles, 1, 0)
+    return *points.transpose(1, 0, 2), *angles.transpose(1, 0, 2)
 
 
 def intertwine_sweep(

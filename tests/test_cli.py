@@ -290,6 +290,44 @@ def test_module_entry_point():
     assert "summary" in proc.stdout
 
 
+def test_importing_the_package_leaves_numpy_random_unimported():
+    # The seeded sweeps build their streams on first use: numpy.random at
+    # import would add its import time to every run's set-up.
+    src = str(pathlib.Path(lieforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lieforge; print('numpy.random' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, seed",
+    [(["invariants", "--trials", "1000"], "9001"), (["all", "--trials", "10"], "9002"),
+     (["exercises", "--trials", "10"], "9003")],
+    ids=["invariants", "all", "exercises"],
+)
+def test_a_run_spawns_its_seed_once(monkeypatch, capsys, argv, seed):
+    # Every seeded sweep of a run draws from the same seed: the first spawns
+    # its streams and the others rewind them.  Each case has a seed no other
+    # test runs, so no earlier run's streams are kept for it.
+    spawns = []
+
+    class Counting(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawns.append(n_children)
+            return super().spawn(n_children)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    code, _ = run_cli(capsys, *argv, "--seed", seed)
+    assert code == 0
+    assert spawns == [2]
+
+
 def _reports_and_extras(capsys, argv):
     """The bare report objects and the ``type``-tagged extras (config aside)
     of one JSON-mode run."""

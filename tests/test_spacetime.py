@@ -830,6 +830,46 @@ def test_batched_sweeps_reproduce_per_trial_loops(seed):
     ]
 
 
+def _six_sweeps(trials, tol):
+    """The six seeded sweeps of an ``invariants`` run, each a function of the
+    seed returning its list of reports."""
+    families = _families()
+    prechecks = [r for family in families for r in check_poincare(*family)]
+    p5 = affine_generators()[2]
+    return [
+        lambda seed: [rotation_invariance_check(trials, tol, seed)],
+        lambda seed: [boost_invariance_check(trials, tol, seed)],
+        lambda seed: [det_interval_check(trials, tol, seed)],
+        lambda seed: [affine_composition_check(trials, tol, seed)],
+        lambda seed: [translation_check(p5, trials, tol, seed)],
+        lambda seed: intertwine_sweep(families, prechecks, trials, tol, seed),
+    ]
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+def test_rewound_streams_give_each_sweep_the_reports_of_a_fresh_spawn(monkeypatch, block):
+    # The kept streams are rewound for every sweep with the last seed and
+    # respawned for another.  Run in shuffled order with a second seed between
+    # them, every sweep must report what it reports from fresh streams (the
+    # _streams oracle above), field for field.  At a bound nothing inexact
+    # meets, every inexact report fails and keeps its witness.
+    if block is not None:
+        monkeypatch.setattr(spacetime, "_BLOCK", block)
+    sweeps = _six_sweeps(30, Tolerance(1e-300, 1e-300))
+    schedule = []
+    for k, i in enumerate(np.random.default_rng(11).permutation(6)):
+        schedule.append((int(i), 1))
+        if k % 2:
+            schedule.append((5 - int(i), 8))
+    with monkeypatch.context() as fresh:
+        fresh.setattr(spacetime, "_streams", _streams)
+        expected = [sweeps[i](seed) for i, seed in schedule]
+    got = [sweeps[i](seed) for i, seed in schedule]
+    assert got == expected
+    inexact = [r for reports in got for r in reports if r.max_residual > 0.0]
+    assert inexact and all(r.witness for r in inexact)
+
+
 @pytest.mark.parametrize(
     "name, check", [("_K4", boost_invariance_check), ("_J4", rotation_invariance_check)]
 )

@@ -39,8 +39,9 @@ reports; the uncached ``cli.build_parser`` (``__wrapped__`` where the
 parser is cached); and whole CLI runs through ``cli.main`` with stdout
 captured: ``verify``, ``transfer``, ``sun`` and ``exercises`` at their
 defaults, ``invariants --trials 1000 --format json`` (the command
-perfbench's ``invariants-1k`` times, at the default seed) and
-``all --trials 10`` in text mode (the command ``suite-small`` times).
+perfbench's ``invariants-1k`` times, at the default seed), the same at one
+trial (that command's fixed cost alone) and ``all --trials 10`` in text
+mode (the command ``suite-small`` times).
 
 Alone, the tool runs each case once untimed, then REPEATS times, and the
 line gives the median and quartiles of the raw wall times in seconds and
@@ -280,6 +281,7 @@ def _cases(package: str, haar_unitary) -> list[tuple[str, object, object]]:
 
     commands = (["verify"], ["transfer"], ["sun"], ["exercises"],
                 ["invariants", "--trials", "1000", "--format", "json"],
+                ["invariants", "--trials", "1", "--format", "json"],
                 ["all", "--trials", "10"])
     cases += [(f"cli {' '.join(argv)}", run, argv) for argv in commands]
     return cases

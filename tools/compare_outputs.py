@@ -68,6 +68,9 @@ def _invocations() -> list[tuple[dict, list[str]]]:
     # A negative value written with an exponent: trees whose argparse takes
     # -1e-3 for an option refuse it with exit 2.
     pairs.append(({}, ["invariants", "--trials", "10", "--theta", "-1e-3", "0", "0", *TRANSFORM[4:]]))
+    # Three blocks of seeded trials: 2500 crosses the sweeps' 1024-trial block
+    # twice, so trials drawn in the second and third blocks are compared too.
+    pairs.append(({}, ["invariants", "--trials", "2500", "--seed", "3"]))
     runs = [(env, argv + fmt) for env, argv in pairs for fmt in ([], ["--format", "json"])]
     runs.append(({}, ["invariants", *TRANSFORM]))
     # A tolerance below the rounding floor: rejected as bad input.
