@@ -394,9 +394,10 @@ def _streams(seed: int) -> list[np.random.Generator]:
     """The normal and the uniform stream of a seeded sweep, at the states
     ``SeedSequence(seed).spawn(2)`` gives them.  Only the last seed's pair is
     kept: that seed rewinds it (3 us, where a spawn takes 45 us), any other
-    spawns a new pair, so a run whose sweeps share a seed spawns once."""
+    or ``None`` (fresh entropy) spawns a new pair, so a run whose sweeps share
+    a seed spawns once.  The sweeps share the pair: run one at a time."""
     kept, streams, states = _spawned
-    if seed != kept:
+    if seed is None or seed != kept:
         streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
         _spawned[:] = seed, streams, [g.bit_generator.state for g in streams]
     else:

@@ -870,6 +870,13 @@ def test_rewound_streams_give_each_sweep_the_reports_of_a_fresh_spawn(monkeypatc
     assert inexact and all(r.witness for r in inexact)
 
 
+def test_an_unseeded_sweep_spawns_fresh_streams_every_time():
+    # seed=None asks SeedSequence for fresh entropy, so it is never rewound.
+    first, second = (spacetime._streams(None)[0].random() for _ in range(2))
+    assert first != second
+    assert rotation_invariance_check(10, seed=None).passed
+
+
 @pytest.mark.parametrize(
     "name, check", [("_K4", boost_invariance_check), ("_J4", rotation_invariance_check)]
 )
